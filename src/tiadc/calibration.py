@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from tiadc import model
 from tiadc.model import (Capture, MismatchProfile, TiadcConfig, TiadcError,
-                         ToneSpec, TWO_PI, deinterleave, simulate_capture)
+                         ToneSpec, TWO_PI, deinterleave)
 
 
 class DegenerateInputError(TiadcError):
@@ -35,15 +36,12 @@ class SineFitResult:
     rms_residual: float
 
 
-def sine_fit(samples, freq_ratio: float, known_freq: bool = True) -> SineFitResult:
-    """Least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC.
+def sine_fit(samples, freq_ratio: float) -> SineFitResult:
+    """Known-frequency least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC.
 
     freq_ratio is in cycles per sample and must lie strictly inside (0, 0.5).
-    The fit is exact on noiseless model data. Only the known-frequency
-    three-parameter variant is provided.
+    The fit is exact on noiseless model data.
     """
-    if not known_freq:
-        raise NotImplementedError("only the known-frequency fit is supported")
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 8:
         raise ValueError("need at least 8 samples")
@@ -160,6 +158,21 @@ def constant_profile(measurement: MismatchMeasurement, config: TiadcConfig,
     )
 
 
+def measure_plan(plan, config: TiadcConfig, truth_profile: MismatchProfile):
+    """Simulate one injection capture per plan row and measure the mismatch.
+
+    plan rows are (freq_hz, amplitude_v, n_samples), as read_plan_csv
+    returns them; each frequency must already be coherent with its record
+    length (see metrics.coherent_bin). Returns one measurement per row.
+    """
+    measurements = []
+    for f, amplitude, n_samples in plan:
+        cap = model.simulate_capture(ToneSpec.single(amplitude, f), config,
+                                     truth_profile, n_samples)
+        measurements.append(estimate_mismatch_at(cap, f, config))
+    return measurements
+
+
 def run_calibration(truth_profile: MismatchProfile, config: TiadcConfig,
                     freqs_hz, amplitude: float, n_samples: int):
     """Simulate injection captures at each frequency and measure the mismatch.
@@ -167,11 +180,8 @@ def run_calibration(truth_profile: MismatchProfile, config: TiadcConfig,
     Returns (measurements, profile). Frequencies must already be coherent
     with the record length (see metrics.coherent_bin).
     """
-    measurements = []
-    for f in freqs_hz:
-        cap = simulate_capture(ToneSpec.single(amplitude, f), config,
-                               truth_profile, n_samples)
-        measurements.append(estimate_mismatch_at(cap, f, config))
+    measurements = measure_plan([(f, amplitude, n_samples) for f in freqs_hz],
+                                config, truth_profile)
     return measurements, build_profile(measurements, config)
 
 

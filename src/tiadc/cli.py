@@ -22,10 +22,7 @@ from tiadc.model import Capture, TiadcConfig, TiadcError, Tone, ToneSpec
 def load_config(path) -> TiadcConfig:
     raw = json.loads(Path(path).read_text())
     try:
-        return TiadcConfig(
-            m_channels=int(raw["m_channels"]), fs=float(raw["fs_hz"]),
-            bits=int(raw["bits"]), full_scale=float(raw["full_scale_v"]),
-            quantize=bool(raw.get("quantize", True)))
+        return config_from_dict(raw)
     except KeyError as exc:
         raise TiadcError(f"{path}: missing config field {exc}") from None
 
@@ -65,8 +62,8 @@ def cmd_calibrate(args) -> int:
     plan = calibration.read_plan_csv(args.plan)
     if len(plan) < 2:
         raise TiadcError("calibration plan needs at least 2 frequencies")
-    measurements = []
     if args.captures:
+        measurements = []
         for i, (freq, _amp, _n) in enumerate(plan):
             path = Path(args.captures) / f"cal_{i:03d}.f64"
             capture = model.load_capture(path)
@@ -75,10 +72,7 @@ def cmd_calibrate(args) -> int:
         if not args.truth_profile:
             raise TiadcError("either --captures or --truth-profile is required")
         truth = model.read_profile_csv(args.truth_profile)
-        for freq, amp, n in plan:
-            capture = model.simulate_capture(
-                ToneSpec.single(amp, freq), config, truth, n)
-            measurements.append(calibration.estimate_mismatch_at(capture, freq, config))
+        measurements = calibration.measure_plan(plan, config, truth)
     profile = calibration.build_profile(measurements, config)
     model.write_profile_csv(profile, args.out)
     print(f"calibrated {len(measurements)} frequencies -> {args.out}")
@@ -266,12 +260,8 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
             if f_act not in freqs:
                 freqs.append(f_act)
         amp = float(cal["amplitude_v"])
-        measurements = []
-        for f in freqs:
-            capture = model.simulate_capture(ToneSpec.single(amp, f),
-                                             cal_config, truth, n_cal)
-            measurements.append(
-                calibration.estimate_mismatch_at(capture, f, cal_config))
+        measurements = calibration.measure_plan(
+            [(f, amp, n_cal) for f in freqs], cal_config, truth)
         if len(measurements) == 1:
             measured = calibration.constant_profile(measurements[0], config)
         else:
@@ -417,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiadc",
         description="Interleaved-ADC mismatch simulation, calibration, "
                     "filter-bank correction, and dynamic metrics.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed recorded for reproducibility (bundled "
-                             "scenarios are noiseless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate an interleaved capture")
@@ -463,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="spectrum and dynamic metrics of a capture")
     p.add_argument("--capture", required=True)
     p.add_argument("--n-fft", type=int, default=4096)
-    p.add_argument("--window", default="none", choices=("none", "hann", "blackman"))
+    p.add_argument("--window", default="none", choices=metrics.ANALYSIS_WINDOWS)
     p.add_argument("--f-fund", type=float, default=None)
     p.add_argument("--harmonics", type=int, default=5)
     p.add_argument("--out-prefix", required=True)

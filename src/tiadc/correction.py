@@ -8,6 +8,8 @@ and flagged on the returned capture.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from tiadc.model import Capture, MismatchProfile
@@ -28,9 +30,7 @@ def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
     lsb = capture.config.lsb
     for m in range(m_ch):
         out[m::m_ch] -= profile.offset_lsb[m] * lsb
-    return Capture(samples=out, fs=capture.fs, config=capture.config,
-                   transient_samples=capture.transient_samples,
-                   corrected=capture.corrected, bank_id=capture.bank_id)
+    return replace(capture, samples=out)
 
 
 def correct(capture: Capture, bank: FilterBank,

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tiadc.design import window_taps
 from tiadc.model import Capture, TiadcError, fold_frequency
 
 DB_FLOOR = -300.0
@@ -85,14 +86,9 @@ class SpectrumReport:
         return int(round(fold_frequency(freq_hz, self.fs) / self.fs * self.n_fft))
 
 
-def _window_array(name: str, n: int) -> np.ndarray:
-    if name == "none":
-        return np.ones(n)
-    if name == "hann":
-        return np.hanning(n)
-    if name == "blackman":
-        return np.blackman(n)
-    raise ValueError(f"unknown analysis window {name!r}")
+# design.WINDOWS minus kaiser: dynamic_metrics gathers only +-1 bin around
+# each line, and kaiser is kept for tap design
+ANALYSIS_WINDOWS = ("none", "hann", "blackman")
 
 
 def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumReport:
@@ -105,7 +101,9 @@ def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumRepo
         raise ValueError(
             f"capture too short: {x.size} usable samples, n_fft = {n_fft}")
     x = x[:n_fft]
-    w = _window_array(window, n_fft)
+    if window not in ANALYSIS_WINDOWS:
+        raise ValueError(f"unknown analysis window {window!r}")
+    w = window_taps(window, n_fft)
     cg = w.mean()
     bins = np.fft.rfft(x * w)
     amp = np.abs(bins) / (n_fft * cg)

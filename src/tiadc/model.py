@@ -297,15 +297,14 @@ class PredictedLine:
 
 
 def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
-                            profile: MismatchProfile, zone: int = 1):
+                            profile: MismatchProfile):
     """Analytic line spectrum of the interleaved output (quantizer ignored).
 
     Each tone contributes a line at fold(k*fs/M +- f_tone) for every alias
     index k; the per-channel gains and timing errors (at the tone's true
     analog frequency) set the complex weights. Channel offsets add spurs at
     fold(k*fs/M). Lines that fold onto the same frequency are summed as
-    complex amplitudes. The zone argument is informational only; the folding
-    arithmetic covers any Nyquist zone.
+    complex amplitudes. The folding arithmetic covers any Nyquist zone.
     """
     m_ch = config.m_channels
     fs = config.fs

@@ -61,10 +61,6 @@ class TestSineFit:
         with pytest.raises(ValueError):
             tiadc.sine_fit(np.zeros(4), 0.1)
 
-    def test_four_parameter_variant_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            tiadc.sine_fit(np.zeros(64), 0.1, known_freq=False)
-
 
 class TestEstimateMismatch:
     def coherent(self, f_target, cfg, n):

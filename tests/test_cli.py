@@ -12,7 +12,7 @@ CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
 
 TINY_SCENARIO = {
-    "name": "tiny", "kind": "sweep", "seed": 7,
+    "name": "tiny", "kind": "sweep",
     "config": {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0},
     "truth_profile": {"type": "reference"},
     "calibration": {"n_freqs": 4, "f_lo_hz": 5e7, "f_hi_hz": 7.5e8,

@@ -134,7 +134,7 @@ class TestCorrect:
         x = rng.normal(size=4096)
         one_shot = tiadc.correct(make_capture(cfg4, x), mismatch_bank,
                                  block_size=None).samples
-        for bs in (256, 1000, 4096, 100000):
+        for bs in (4, 12, 60, 256, 1000, 4096, 100000):
             blocked = tiadc.correct(make_capture(cfg4, x), mismatch_bank,
                                     block_size=bs).samples
             assert np.array_equal(blocked, one_shot), bs

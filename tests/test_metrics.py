@@ -166,6 +166,9 @@ class TestDynamicMetrics:
                  if s.kind == "image" and not s.collision}
         for k in img_c:
             assert img_n[k] == pytest.approx(img_c[k], abs=0.5)
+        # the +-1 bin gathering is not sized for the kaiser design window
+        with pytest.raises(ValueError):
+            tiadc.spectrum(cap_n, 4096, "kaiser")
 
 
 class TestImageSpurLevels:
