@@ -28,6 +28,8 @@ def load_config(path) -> TiadcConfig:
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
+    if not isinstance(raw, dict):
+        raise TiadcError("config must be a JSON object")
     return TiadcConfig(
         m_channels=int(raw["m_channels"]), fs=float(raw["fs_hz"]),
         bits=int(raw["bits"]), full_scale=float(raw["full_scale_v"]),

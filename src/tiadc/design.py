@@ -15,7 +15,6 @@ latency.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,10 +31,9 @@ WINDOWS = ("none", "hann", "blackman", "kaiser")
 class SingularDesignError(TiadcError):
     """The per-frequency reconstruction system is too ill-conditioned to solve."""
 
-    def __init__(self, omega, detail=""):
+    def __init__(self, omega, detail):
         self.omega = omega
-        msg = f"singular design system at omega = {omega:.6g} rad"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+        super().__init__(f"singular design system at omega = {omega:.6g} rad ({detail})")
 
 
 @dataclass(frozen=True)
@@ -71,63 +69,86 @@ class DesignSpec:
         return (self.taps - 1) // 2
 
 
-def k_set(omega: float, m_channels: int, zone: int):
-    """Alias indices contributing at digital frequency omega in [0, pi).
+def k_set(omega, m_channels: int, zone: int) -> np.ndarray:
+    """Alias indices contributing at digital frequencies omega in [0, pi).
 
     Zone 1 keeps k with -pi <= omega - 2*pi*k/M < pi; zone 2 keeps k with
     pi <= |omega - 2*pi*k/M| < 2*pi (half-open at the lower magnitude end).
-    The half-open conventions give exactly M members for every omega.
+    The half-open conventions give exactly M members for every omega,
+    returned increasing along the last axis of shape omega.shape + (M,).
     """
-    a = m_channels * omega / TWO_PI
+    a = m_channels * np.asarray(omega, dtype=np.float64)[..., None] / TWO_PI
     half = m_channels / 2.0
+    j = np.arange(m_channels)
     if zone == 1:
-        lo, hi = a - half, a + half
-        return list(range(math.floor(lo) + 1, math.floor(hi) + 1))
+        return (np.floor(a - half) + 1 + j).astype(np.int64)
     if zone == 2:
-        left = range(math.floor(a - m_channels) + 1, math.floor(a - half) + 1)
-        right = range(math.floor(a + half) + 1, math.floor(a + m_channels) + 1)
-        return list(left) + list(right)
+        n_left = np.floor(a - half) - np.floor(a - m_channels)
+        left = np.floor(a - m_channels) + 1 + j
+        right = np.floor(a + half) + 1 + (j - n_left)
+        return np.where(j < n_left, left, right).astype(np.int64)
     raise ValueError("zone must be 1 or 2")
 
 
-def signal_row(ks, m_channels: int) -> int:
-    """Position of the alias index that carries the wanted signal.
+def signal_row(ks, m_channels: int):
+    """Position along the last axis of the alias index carrying the signal.
 
     The signal occupies the alias class k = 0 (mod M): k = 0 for zone 1 and
     k = M for zone 2 at interior frequencies, with the sign of the
     representative flipping at the band-edge grid points. The k-set always
     holds exactly one member of that class.
     """
-    rows = [i for i, k in enumerate(ks) if k % m_channels == 0]
-    if len(rows) != 1:
-        raise ValueError(f"alias set {ks} has no unique signal member")
-    return rows[0]
+    ks = np.asarray(ks)
+    is_signal = ks % m_channels == 0
+    unique = np.count_nonzero(is_signal, axis=-1) == 1
+    if not np.all(unique):
+        raise ValueError(f"alias set {ks[~unique][0].tolist()} has no unique signal member")
+    return np.argmax(is_signal, axis=-1)
 
 
-def solve_pr_at(omega: float, profile: MismatchProfile, config: TiadcConfig,
-                spec: DesignSpec) -> np.ndarray:
-    """Branch responses F_m at one digital frequency.
+def alias_system(omegas, profile: MismatchProfile, config: TiadcConfig, zone: int):
+    """Alias matrices a[..., r, m] = H_m(j*(omega - 2*pi*k_r/M)/ts) and the
+    signal rows, for every digital frequency in omegas.
 
-    Row k of the system is sum_m F_m * H_m(j*(omega - 2*pi*k/M)/ts); the row
-    of the signal alias index equals M*exp(-1j*omega*d) and every other row
-    is zero. Negative analog frequencies enter through the conjugate symmetry
-    of the channel responses.
+    Negative analog frequencies enter through the conjugate symmetry of the
+    channel responses.
     """
     m_ch = config.m_channels
-    ks = k_set(omega, m_ch, spec.zone)
-    omega_analog = (omega - TWO_PI * np.array(ks, dtype=np.float64) / m_ch) / config.ts
-    a_mat = np.empty((m_ch, m_ch), dtype=np.complex128)
+    omegas = np.asarray(omegas, dtype=np.float64)
+    ks = k_set(omegas, m_ch, zone)
+    omega_analog = (omegas[..., None] - TWO_PI * ks / m_ch) / config.ts
+    a = np.empty(ks.shape + (m_ch,), dtype=np.complex128)
     for m in range(m_ch):
-        a_mat[:, m] = channel_response(profile, config, m, omega_analog)
+        a[..., m] = channel_response(profile, config, m, omega_analog)
+    return a, signal_row(ks, m_ch)
+
+
+def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
+                spec: DesignSpec) -> np.ndarray:
+    """Branch responses F_m at one digital frequency or an array of them.
+
+    Row k of each system is sum_m F_m * H_m(j*(omega - 2*pi*k/M)/ts); the
+    row of the signal alias index equals M*exp(-1j*omega*d) and every other
+    row is zero. Returns shape omega.shape + (M,); the first frequency whose
+    system is ill-conditioned or unsolved raises SingularDesignError.
+    """
+    m_ch = config.m_channels
+    omega = np.asarray(omega, dtype=np.float64)
+    a_mat, sig = alias_system(omega, profile, config, spec.zone)
     cond = np.linalg.cond(a_mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDesignError(omega, f"condition number {cond:.3g}")
-    b = np.zeros(m_ch, dtype=np.complex128)
-    b[signal_row(ks, m_ch)] = m_ch * np.exp(-1j * omega * spec.delay_d)
-    f = np.linalg.solve(a_mat, b)
-    resid = np.linalg.norm(a_mat @ f - b)
-    if resid > 1e-10 * np.linalg.norm(b):
-        raise SingularDesignError(omega, f"solve residual {resid:.3g}")
+    ok = cond <= COND_LIMIT  # also False for inf and nan
+    b = np.where(np.arange(m_ch) == sig[..., None],
+                 (m_ch * np.exp(-1j * omega * spec.delay_d))[..., None], 0j)
+    f = np.zeros_like(b)
+    # numpy 2 reads any b with more than one axis as matrices: solve one column
+    f[ok] = np.linalg.solve(a_mat[ok], b[ok][..., None])[..., 0]
+    resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
+    failed = np.flatnonzero(~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1)))
+    if failed.size:
+        i = failed[0]
+        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i]
+                  else f"condition number {cond.flat[i]:.3g}")
+        raise SingularDesignError(float(omega.flat[i]), detail)
     return f
 
 
@@ -207,26 +228,13 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
             f"need {h} <= delay_d <= {n - m_ch - h}")
     half = n // 2
     grid = np.empty((m_ch, n), dtype=np.complex128)
-    solved = {}
-    for idx in range(half + 1):
-        omega = TWO_PI * idx / n
+    grid[:, 1:half] = solve_pr_at(TWO_PI * np.arange(1, half) / n, profile, config, spec).T
+    # bins 1 and half - 1 are interior (n >= 4), so a neighbor always exists
+    for edge, neighbor in ((0, 1), (half, half - 1)):
         try:
-            solved[idx] = solve_pr_at(omega, profile, config, spec)
+            grid[:, edge] = solve_pr_at(TWO_PI * edge / n, profile, config, spec)
         except SingularDesignError:
-            if idx in (0, half):
-                solved[idx] = None  # boundary bin, patch from neighbor below
-            else:
-                raise
-    if solved[0] is None:
-        if solved.get(1) is None:
-            raise SingularDesignError(0.0, "no adjacent solution for the DC bin")
-        solved[0] = solved[1]
-    if solved[half] is None:
-        if solved.get(half - 1) is None:
-            raise SingularDesignError(np.pi, "no adjacent solution for the half-band bin")
-        solved[half] = solved[half - 1]
-    for idx in range(half + 1):
-        grid[:, idx] = solved[idx]
+            grid[:, edge] = grid[:, neighbor]
     # real responses at the self-conjugate bins, then Hermitian fill
     grid[:, 0] = grid[:, 0].real
     grid[:, half] = grid[:, half].real
@@ -238,10 +246,8 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
             f"impulse responses are not real (max imaginary part {max_imag:.3g})")
     impulse = impulse.real
     win = window_taps(spec.window, L, spec.kaiser_beta)
-    taps = np.empty((m_ch, L))
-    for m in range(m_ch):
-        start = d + m - h
-        taps[m] = impulse[m, start:start + L] * win
+    window_idx = d - h + np.arange(m_ch)[:, None] + np.arange(L)
+    taps = np.take_along_axis(impulse, window_idx, axis=1) * win
     return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
 
 
@@ -274,23 +280,16 @@ def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,
     if n_check < 64:
         raise ValueError("n_check must be >= 64")
     zone = bank.spec.zone if zone is None else zone
-    m_ch = bank.m_channels
-    d = bank.spec.delay_d
     omegas = np.pi * np.arange(n_check) / n_check
-    f_resp = bank.branch_response(omegas)  # (M, n_check)
-    r0 = np.empty(n_check)
-    ra = np.empty(n_check)
-    for i, omega in enumerate(omegas):
-        ks = k_set(omega, m_ch, zone)
-        omega_analog = (omega - TWO_PI * np.array(ks) / m_ch) / config.ts
-        h_mat = np.empty((m_ch, m_ch), dtype=np.complex128)
-        for m in range(m_ch):
-            h_mat[:, m] = channel_response(profile, config, m, omega_analog)
-        gamma = h_mat @ f_resp[:, i]
-        sig_row = signal_row(ks, m_ch)
-        r0[i] = abs(gamma[sig_row] - m_ch * np.exp(-1j * omega * d))
-        ra[i] = max(abs(gamma[r]) for r in range(m_ch) if r != sig_row)
-    return PRResidualReport(omegas=omegas, residual_k0=r0, residual_alias=ra)
+    h_mat, sig = alias_system(omegas, profile, config, zone)
+    gamma = (h_mat @ bank.branch_response(omegas).T[..., None])[..., 0]  # (n_check, M)
+    rows = np.arange(n_check)
+    gamma[rows, sig] -= bank.m_channels * np.exp(-1j * omegas * bank.spec.delay_d)
+    # hypot, not np.abs: the SIMD complex abs can differ from it by one ulp
+    mag = np.hypot(gamma.real, gamma.imag)
+    r0 = mag[rows, sig]
+    mag[rows, sig] = 0.0
+    return PRResidualReport(omegas=omegas, residual_k0=r0, residual_alias=mag.max(-1))
 
 
 # --- file formats ------------------------------------------------------------
@@ -339,16 +338,17 @@ def read_bank_csv(path) -> FilterBank:
         fs = float(meta["fs_hz"])
     except KeyError as exc:
         raise TiadcError(f"{path}: missing bank header field {exc}") from None
-    taps = np.zeros((m_ch, spec.taps))
     offset = spec.delay_d - spec.half_taps
-    for ch, idx, coef in rows:
-        taps[ch, idx - offset - ch] = coef
+    coefs = {(ch, idx - offset - ch): coef for ch, idx, coef in rows}
+    wanted = [(m, j) for m in range(m_ch) for j in range(spec.taps)]
+    if len(rows) != len(wanted) or sorted(coefs) != wanted:
+        raise TiadcError(f"{path}: bank must list each of its {m_ch} x {spec.taps} taps once")
+    taps = np.array([coefs[key] for key in wanted]).reshape(m_ch, spec.taps)
     return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=fs)
 
 
 def write_residual_csv(report: PRResidualReport, path):
-    lines = ["omega_rad,residual_k0,residual_alias"]
-    for i in range(report.omegas.size):
-        lines.append("%.17g,%.17g,%.17g" % (
-            report.omegas[i], report.residual_k0[i], report.residual_alias[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack([report.omegas, report.residual_k0,
+                                      report.residual_alias]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="omega_rad,residual_k0,residual_alias")

@@ -93,6 +93,8 @@ ANALYSIS_WINDOWS = ("none", "hann", "blackman")
 
 def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumReport:
     """Single-sided spectrum of the first n_fft non-transient samples."""
+    if n_fft < 4 or n_fft & (n_fft - 1):
+        raise ValueError("n_fft must be a power of two")
     x = capture.samples
     t = capture.transient_samples
     if t:

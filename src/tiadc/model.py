@@ -92,11 +92,11 @@ class MismatchProfile:
             raise ValueError("gain and dt_s must both have shape (M, len(freqs_hz))")
         if o.shape != (g.shape[0],):
             raise ValueError("offset_lsb must have one entry per channel")
-        if not np.all(g > 0):
-            raise ValueError("gain must be positive everywhere")
         for name, a in (("freqs_hz", f), ("gain", g), ("dt_s", d), ("offset_lsb", o)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite values")
+        if not np.all(g > 0):
+            raise ValueError("gain must be positive everywhere")
 
     @property
     def m_channels(self) -> int:

@@ -73,6 +73,16 @@ class TestSimulate:
         assert rc != 0
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_object_config_rejected(self, workdir, capsys):
+        tmp, _ = workdir
+        (tmp / "list.json").write_text("[]")
+        rc = main(["simulate", "--config", str(tmp / "list.json"),
+                   "--profile", str(tmp / "truth.csv"),
+                   "--tone", "0.9:2e8", "--n", "8192",
+                   "--out", str(tmp / "cap.f64")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
 
 class TestCalibrate:
     def plan(self, tmp, cfg, n=6):

@@ -39,9 +39,9 @@ def constant_profile(gains, dts, f_max):
 
 class TestKSet:
     def test_examples(self):
-        assert k_set(0.3 * np.pi, 4, 1) == [-1, 0, 1, 2]
-        assert k_set(0.3 * np.pi, 4, 2) == [-3, -2, 3, 4]
-        assert k_set(0.0, 4, 1) == [-1, 0, 1, 2]
+        assert k_set(0.3 * np.pi, 4, 1).tolist() == [-1, 0, 1, 2]
+        assert k_set(0.3 * np.pi, 4, 2).tolist() == [-3, -2, 3, 4]
+        assert k_set(0.0, 4, 1).tolist() == [-1, 0, 1, 2]
 
     def test_exactly_m_members_fuzzed(self):
         rng = np.random.default_rng(17)
@@ -51,6 +51,9 @@ class TestKSet:
                 for omega in omegas[::7]:
                     ks = k_set(float(omega), m, zone)
                     assert len(ks) == m, (omega, m, zone)
+                batch = k_set(omegas[::7], m, zone)
+                assert np.array_equal(
+                    batch, [k_set(float(w), m, zone) for w in omegas[::7]])
                 # boundary-heavy points
                 for omega in (0.0, np.pi / 2, np.pi / m, 2 * np.pi / m,
                               np.pi * (1 - 1e-15)):
@@ -61,10 +64,16 @@ class TestKSet:
         rng = np.random.default_rng(23)
         for m in (2, 3, 4, 8):
             for zone in (1, 2):
-                for omega in rng.uniform(0, np.pi, 200):
+                omegas = rng.uniform(0, np.pi, 200)
+                for omega in omegas:
                     ks = k_set(float(omega), m, zone)
                     assert len({k % m for k in ks}) == m
                     signal_row(ks, m)  # raises if not unique
+                batch = k_set(omegas, m, zone)
+                assert np.array_equal(
+                    batch, [k_set(float(w), m, zone) for w in omegas])
+                assert np.array_equal(
+                    signal_row(batch, m), [signal_row(ks, m) for ks in batch])
 
     def test_zone_bands(self):
         # zone 1 alias arguments stay inside |w| < pi; zone 2 inside [pi, 2pi)
@@ -116,6 +125,30 @@ class TestSolve:
         with pytest.raises(SingularDesignError, match="omega"):
             tiadc.solve_pr_at(0.7, prof, cfg4, spec)
 
+    def test_design_names_first_interior_bin(self, cfg4):
+        # singular everywhere: the DC bin is patched, the first interior bin
+        # is the first failure
+        prof = constant_profile([1, 1, 1, 1], [0, cfg4.ts, 0, 0], cfg4.fs)
+        with pytest.raises(SingularDesignError) as info:
+            tiadc.design_filter_bank(prof, cfg4, DesignSpec(n_grid=1024, taps=65))
+        assert info.value.omega == 2 * np.pi / 1024
+
+    @pytest.mark.parametrize("m", [3, 4, 16])
+    @pytest.mark.parametrize("zone", [1, 2])
+    def test_batch_equals_scalar_solves(self, m, zone):
+        cfg = tiadc.TiadcConfig(m_channels=m, fs=1.6e9, bits=14,
+                                full_scale=2.0, quantize=False)
+        truth = tiadc.make_reference_profile(cfg)
+        spec = DesignSpec(n_grid=1024, taps=65, zone=zone)
+        rng = np.random.default_rng(31)
+        omegas = np.concatenate([rng.uniform(0, np.pi, 36),
+                                 np.pi * np.arange(1, 5) / 5]).reshape(5, 8)
+        batch = tiadc.solve_pr_at(omegas, truth, cfg, spec)
+        assert batch.shape == (5, 8, m)
+        scalar = [[tiadc.solve_pr_at(float(w), truth, cfg, spec) for w in row]
+                  for row in omegas]
+        assert np.array_equal(batch, scalar)
+
     def test_zone2_ideal_closed_form(self, cfg4, ideal4):
         spec = DesignSpec(n_grid=1024, taps=65, zone=2)
         d = spec.delay_d
@@ -161,6 +194,34 @@ class TestDesignFilterBank:
             expect = np.zeros(65)
             expect[spec.half_taps] = 1.0 / gains[m]
             assert np.allclose(bank.taps[m], expect, atol=1e-9)
+
+    def test_singular_edge_bins_patched_from_neighbors(self):
+        # channel 1 lags a full period only at the analog frequencies the DC
+        # (0, fs/3) and half-band (fs/6, fs/2) systems sample, so exactly
+        # those two bins are singular and copy their interior neighbor
+        cfg = tiadc.TiadcConfig(m_channels=3, fs=1.2e9, bits=14,
+                                full_scale=2.0, quantize=False)
+        fs, ts, shoulder = cfg.fs, cfg.ts, 0.2e6
+        freqs, dt1 = [], []
+        for knot in (0.0, fs / 6, fs / 3, fs / 2):
+            for f, dt in ((knot - shoulder, 0.0), (knot, ts),
+                          (knot + shoulder, 0.0)):
+                if 0.0 <= f <= fs / 2:
+                    freqs.append(f)
+                    dt1.append(dt)
+        zeros = np.zeros(len(freqs))
+        prof = tiadc.MismatchProfile(
+            freqs_hz=freqs, gain=np.ones((3, len(freqs))),
+            dt_s=[zeros, dt1, zeros], offset_lsb=np.zeros(3))
+        spec = DesignSpec(n_grid=1024, taps=65)
+        for omega in (0.0, np.pi):
+            with pytest.raises(SingularDesignError, match="condition number"):
+                tiadc.solve_pr_at(omega, prof, cfg, spec)
+        bank = tiadc.design_filter_bank(prof, cfg, spec)
+        ideal = tiadc.design_filter_bank(
+            tiadc.MismatchProfile.ideal(3, fs), cfg, spec)
+        assert np.all(np.isfinite(bank.taps))
+        assert np.max(np.abs(bank.taps - ideal.taps)) <= 5e-5
 
     def test_taps_real_finite_and_sized(self, reference_bank):
         _, _, bank = reference_bank
@@ -252,6 +313,22 @@ class TestBankFiles:
         assert back.spec == bank.spec
         assert back.fs == bank.fs
         assert back.bank_id == bank.bank_id
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rows: rows[:-1] + ["4,99,0.5"],
+        lambda rows: ["0,-1," + rows[0].split(",")[2]] + rows[1:],
+        lambda rows: rows[10:],
+        lambda rows: rows + rows[:1],
+    ], ids=["channel-beyond-m", "tap-index-wraps", "missing-rows", "duplicate-row"])
+    def test_bad_rows_rejected(self, reference_bank, tmp_path, mutate):
+        _, _, bank = reference_bank
+        path = tmp_path / "bank.csv"
+        tiadc.write_bank_csv(bank, path)
+        lines = path.read_text().splitlines()
+        head = lines.index("channel,tap_index,coefficient") + 1
+        path.write_text("\n".join(lines[:head] + mutate(lines[head:])) + "\n")
+        with pytest.raises(tiadc.TiadcError, match="bank.csv"):
+            tiadc.read_bank_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bank.csv"

@@ -1,5 +1,7 @@
 """Coherent bin selection, spectra, and sine-test dynamic metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,14 @@ class TestSpectrum:
         cap = tiadc.Capture(samples=np.zeros(1000) + 0.1, fs=cfg4.fs, config=cfg4)
         with pytest.raises(ValueError):
             tiadc.spectrum(cap, 4096)
+
+    def test_n_fft_must_be_power_of_two(self, cfg4):
+        cap = tiadc.Capture(samples=np.zeros(4096) + 0.1, fs=cfg4.fs, config=cfg4)
+        for n_fft in (0, 2, 6, 3000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="power of two"):
+                    tiadc.spectrum(cap, n_fft)
 
     def test_transients_excluded(self, cfg4, ideal4):
         # tone coherent on the 4096-sample analysis window, captured longer

@@ -98,6 +98,9 @@ class TestProfileInterpolation:
         with pytest.raises(ValueError):
             tiadc.MismatchProfile(freqs_hz=[1e8, 2e8], gain=[[1, -1]],
                                   dt_s=[[0, 0]], offset_lsb=[0])
+        with pytest.raises(ValueError, match="non-finite"):
+            tiadc.MismatchProfile(freqs_hz=[1e8, 2e8], gain=[[1, np.nan]],
+                                  dt_s=[[0, 0]], offset_lsb=[0])
 
 
 class TestSampleChannels:
