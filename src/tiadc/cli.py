@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from tiadc import calibration, correction, design, metrics, model
-from tiadc.model import Capture, TiadcConfig, TiadcError, Tone, ToneSpec
+from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec
 
 
 def load_config(path) -> TiadcConfig:
@@ -30,10 +30,7 @@ def load_config(path) -> TiadcConfig:
 def config_from_dict(raw: dict) -> TiadcConfig:
     if not isinstance(raw, dict):
         raise TiadcError("config must be a JSON object")
-    return TiadcConfig(
-        m_channels=int(raw["m_channels"]), fs=float(raw["fs_hz"]),
-        bits=int(raw["bits"]), full_scale=float(raw["full_scale_v"]),
-        quantize=bool(raw.get("quantize", True)))
+    return model.config_from_json(raw, "config")
 
 
 def _parse_tone(text: str) -> Tone:
@@ -207,13 +204,6 @@ def _stage(name):
     return _Ctx()
 
 
-def _analyze(capture: Capture, n_fft: int, f_fund: float, m_channels: int,
-             exclude_freqs=()):
-    rep = metrics.spectrum(capture, n_fft, "none")
-    return metrics.dynamic_metrics(rep, f_fund_hz=f_fund, m_channels=m_channels,
-                                   exclude_freqs=exclude_freqs)
-
-
 def _spur_targets(tones: ToneSpec, config: TiadcConfig, profile, floor_dbfs: float):
     """Predicted interleave-image lines worth tracking, plus a skipped count.
 
@@ -343,8 +333,11 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
                 f_dig = model.fold_frequency(f_tone, fs)
                 others = [model.fold_frequency(f2, fs) for f2, _ in point
                           if f2 != f_tone]
-                before = _analyze(capture, n_fft, f_dig, config.m_channels, others)
-                after = _analyze(corrected, n_fft, f_dig, config.m_channels, others)
+                before, after = (
+                    metrics.dynamic_metrics(rep, f_fund_hz=f_dig,
+                                            m_channels=config.m_channels,
+                                            exclude_freqs=others)
+                    for rep in (rep_before, rep_after))
                 img_before = [s.dbc for s in before.spurs
                               if s.kind == "image" and not s.collision]
                 img_after = [s.dbc for s in after.spurs

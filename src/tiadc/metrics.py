@@ -122,10 +122,20 @@ def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumRepo
         power_dbfs=power_dbfs, mean_square=mean_square)
 
 
-def _gather_bins(report: SpectrumReport, center: int, width: int):
-    lo = max(0, center - width)
-    hi = min(report.n_bins - 1, center + width)
-    return set(range(lo, hi + 1))
+def _bin_mask(n_bins: int, centers, width: int) -> np.ndarray:
+    """Boolean mask marking [max(0, c - width), min(n_bins - 1, c + width)]
+    for every centre c."""
+    mask = np.zeros(n_bins, dtype=bool)
+    for c in centers:
+        mask[max(0, c - width):min(n_bins - 1, c + width) + 1] = True
+    return mask
+
+
+def _pool_sum(ms: np.ndarray, mask: np.ndarray) -> float:
+    """Sum of ms over the masked bins, added one at a time in ascending bin
+    order (np.sum's pairwise summation would move the last digits)."""
+    pool = ms[mask]
+    return float(np.cumsum(pool)[-1]) if pool.size else 0.0
 
 
 def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
@@ -138,8 +148,10 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
     so interleave spurs degrade it (and ENOB). Windowed spectra gather 3 bins
     of energy around each line. exclude_freqs lists extra tones (e.g. the
     second tone of a two-tone test) removed from the noise and spur pools.
+    SFDR is the fundamental over the largest bin of the SINAD pool.
     """
-    n_half = report.n_bins - 1
+    n_bins = report.n_bins
+    n_half = n_bins - 1
     ms = report.mean_square
     gather = 0 if report.window == "none" else 1
     if f_fund_hz is None:
@@ -148,48 +160,44 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
         fund_bin = report.bin_of(f_fund_hz)
     if not 1 <= fund_bin < n_half:
         raise TiadcError("fundamental not inside (0, fs/2)")
-    fund_bins = _gather_bins(report, fund_bin, gather)
     if ms[fund_bin] <= 0 or report.power_dbfs[fund_bin] <= DB_FLOOR + 1:
         raise TiadcError("fundamental not found above the measurement floor")
-    dc_bins = _gather_bins(report, 0, gather)
+    fund = _bin_mask(n_bins, [fund_bin], gather)
+    dc = _bin_mask(n_bins, [0], gather)
     f_fund = report.freqs_hz[fund_bin]
 
-    harm_bins: set[int] = set()
-    for h in range(2, harmonics + 2):
-        b = report.bin_of(h * f_fund)
-        harm_bins |= _gather_bins(report, b, gather)
+    harm = _bin_mask(n_bins, [report.bin_of(h * f_fund)
+                              for h in range(2, harmonics + 2)], gather)
     spur_entries = []
-    spur_bins: set[int] = set()
+    spur_centers = []
     if m_channels > 1:
         for entry in image_spur_levels(report, f_fund, report.fs, m_channels):
             spur_entries.append(entry)
             if not entry.collision:
-                spur_bins |= _gather_bins(report, report.bin_of(entry.freq_hz), gather)
+                spur_centers.append(report.bin_of(entry.freq_hz))
+        fund_db = _gathered_db(report, fund_bin, gather)
         for k in range(1, m_channels):
             b = report.bin_of(k * report.fs / m_channels)
             if b not in (0, fund_bin):
-                level = _gathered_db(report, b, gather) - _gathered_db(report, fund_bin, gather)
                 spur_entries.append(SpurEntry(
-                    k=k, freq_hz=report.freqs_hz[b], dbc=level, kind="offset_spur"))
-                spur_bins |= _gather_bins(report, b, gather)
-    excl_bins: set[int] = set()
-    for f in exclude_freqs:
-        excl_bins |= _gather_bins(report, report.bin_of(f), gather)
-    excl_bins -= fund_bins
+                    k=k, freq_hz=report.freqs_hz[b],
+                    dbc=_gathered_db(report, b, gather) - fund_db,
+                    kind="offset_spur"))
+                spur_centers.append(b)
+    spur = _bin_mask(n_bins, spur_centers, gather)
+    excl = _bin_mask(n_bins, [report.bin_of(f) for f in exclude_freqs], gather)
 
-    p_fund = float(sum(ms[b] for b in fund_bins))
-    everything = set(range(report.n_bins))
-    sinad_pool = everything - fund_bins - dc_bins - excl_bins
-    noise_pool = sinad_pool - harm_bins - spur_bins
-    p_sinad = float(sum(ms[b] for b in sinad_pool))
-    p_noise = float(sum(ms[b] for b in noise_pool))
-    p_harm = float(sum(ms[b] for b in harm_bins - fund_bins - dc_bins))
+    sinad_pool = ~(fund | dc | excl)
+    if not sinad_pool.any():
+        raise TiadcError("no bins left outside the fundamental, DC and excluded tones")
+    p_fund = _pool_sum(ms, fund)
+    p_sinad = _pool_sum(ms, sinad_pool)
+    p_noise = _pool_sum(ms, sinad_pool & ~(harm | spur))
+    p_harm = _pool_sum(ms, harm & ~(fund | dc))
     snr = 10.0 * np.log10(p_fund / p_noise) if p_noise > 0 else float("inf")
     sinad = 10.0 * np.log10(p_fund / p_sinad) if p_sinad > 0 else float("inf")
     thd = 10.0 * np.log10(p_harm / p_fund) if p_harm > 0 else float("-inf")
-    spur_candidates = everything - fund_bins - dc_bins - excl_bins
-    max_spur_db = max(report.power_dbfs[b] for b in spur_candidates)
-    sfdr = float(report.power_dbfs[fund_bin] - max_spur_db)
+    sfdr = float(report.power_dbfs[fund_bin] - report.power_dbfs[sinad_pool].max())
     enob = enob_from_sinad(sinad)
     return replace(report, fundamental_bin=fund_bin, snr_db=float(snr),
                    sinad_db=float(sinad), thd_db=float(thd), sfdr_db=sfdr,
@@ -201,7 +209,7 @@ def enob_from_sinad(sinad_db: float) -> float:
 
 
 def _gathered_db(report: SpectrumReport, center: int, gather: int) -> float:
-    p = sum(report.mean_square[b] for b in _gather_bins(report, center, gather))
+    p = _pool_sum(report.mean_square, _bin_mask(report.n_bins, [center], gather))
     ref = (report.full_scale / 2.0) ** 2 / 2.0
     return 10.0 * np.log10(max(p / ref, 10.0 ** (DB_FLOOR / 10.0)))
 

@@ -9,6 +9,7 @@ offset spurs.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -476,6 +477,42 @@ def save_capture(capture: Capture, path):
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
+_REQUIRED = object()
+_KIND_TEXT = {"int": "an integral number", "real": "a finite number",
+              "bool": "true or false", "str": "a string"}
+
+
+def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
+    """raw[key], checked to be of one JSON kind: "int" (an integral number),
+    "real" (a finite number), "bool" or "str". true and false are never
+    numbers. A missing key returns default, or raises KeyError without one;
+    a value of the wrong kind raises a TiadcError naming `where`."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    v = raw[key]
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if kind == "int" and number and (isinstance(v, int) or v.is_integer()):
+        return int(v)
+    # an exact comparison: a huge JSON integer must not overflow float()
+    if kind == "real" and number and abs(v) <= sys.float_info.max:
+        return float(v)
+    if kind == "bool" and isinstance(v, bool) or kind == "str" and isinstance(v, str):
+        return v
+    raise TiadcError(f"{where}: {key} must be {_KIND_TEXT[kind]}, got {v!r}")
+
+
+def config_from_json(raw: dict, where) -> TiadcConfig:
+    """TiadcConfig from the fields a config file and a capture sidecar share."""
+    return TiadcConfig(
+        m_channels=_json_field(raw, "m_channels", "int", where),
+        fs=_json_field(raw, "fs_hz", "real", where),
+        bits=_json_field(raw, "bits", "int", where),
+        full_scale=_json_field(raw, "full_scale_v", "real", where),
+        quantize=_json_field(raw, "quantize", "bool", where, True))
+
+
 def load_capture(path) -> Capture:
     path = Path(path)
     sidecar = Path(str(path) + ".json")
@@ -484,14 +521,27 @@ def load_capture(path) -> Capture:
     if not sidecar.exists():
         raise FileNotFoundError(f"capture sidecar not found: {sidecar}")
     meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise TiadcError(f"{sidecar}: sidecar must be a JSON object")
+    try:
+        n = _json_field(meta, "n", "int", sidecar)
+        config = config_from_json(meta, sidecar)
+    except KeyError as exc:
+        raise TiadcError(f"{sidecar}: missing field {exc}") from None
+    except ValueError as exc:
+        raise TiadcError(f"{sidecar}: {exc}") from None
+    if n <= 0 or n % config.m_channels:
+        raise TiadcError(f"{sidecar}: n = {n} is not a positive multiple of "
+                         f"m_channels = {config.m_channels}")
+    transient = _json_field(meta, "transient_samples", "int", sidecar, 0)
+    if not 0 <= 2 * transient < n:
+        raise TiadcError(f"{sidecar}: transient_samples = {transient} is not in "
+                         f"[0, n/2) for n = {n}")
+    corrected = _json_field(meta, "corrected", "bool", sidecar, False)
+    bank_id = _json_field(meta, "bank_id", "str", sidecar, "")
     samples = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
-    if samples.size != meta["n"]:
+    if samples.size != n:
         raise TiadcError(f"{path}: sample count does not match sidecar")
-    config = TiadcConfig(
-        m_channels=meta["m_channels"], fs=meta["fs_hz"], bits=meta["bits"],
-        full_scale=meta["full_scale_v"], quantize=meta.get("quantize", True))
-    return Capture(
-        samples=samples, fs=meta["fs_hz"], config=config,
-        transient_samples=meta.get("transient_samples", 0),
-        corrected=meta.get("corrected", False),
-        bank_id=meta.get("bank_id", ""))
+    return Capture(samples=samples, fs=config.fs, config=config,
+                   transient_samples=transient, corrected=corrected,
+                   bank_id=bank_id)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tiadc
-from tiadc.cli import main, load_scenario
+from tiadc import metrics
+from tiadc.cli import main, load_scenario, run_pipeline
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
@@ -82,6 +83,36 @@ class TestSimulate:
                    "--out", str(tmp / "cap.f64")])
         assert rc == 1
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+    @pytest.mark.parametrize("field, value, expect", [
+        ("m_channels", [4], "m_channels must be an integral number, got [4]"),
+        ("m_channels", 4.7, "m_channels must be an integral number, got 4.7"),
+        ("bits", True, "bits must be an integral number, got True"),
+        ("fs_hz", "1.6e9", "fs_hz must be a finite number, got '1.6e9'"),
+        ("full_scale_v", float("inf"), "full_scale_v must be a finite number"),
+        ("quantize", "false", "quantize must be true or false, got 'false'"),
+    ], ids=["list", "fraction", "bool", "string", "inf", "string-bool"])
+    def test_config_field_types(self, workdir, capsys, field, value, expect):
+        tmp, _ = workdir
+        (tmp / "bad.json").write_text(json.dumps({**CONFIG, field: value}))
+        rc = main(["simulate", "--config", str(tmp / "bad.json"),
+                   "--profile", str(tmp / "truth.csv"),
+                   "--tone", "0.9:2e8", "--n", "256",
+                   "--out", str(tmp / "cap.f64")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
+        assert expect in err
+
+    def test_integral_float_config_accepted(self, workdir):
+        tmp, _ = workdir
+        (tmp / "float.json").write_text(json.dumps({**CONFIG, "m_channels": 4.0}))
+        assert main(["simulate", "--config", str(tmp / "float.json"),
+                     "--profile", str(tmp / "truth.csv"),
+                     "--tone", "0.9:2e8", "--n", "256",
+                     "--out", str(tmp / "cap.f64")]) == 0
+        assert tiadc.load_capture(tmp / "cap.f64").config.m_channels == 4
 
 
 class TestCalibrate:
@@ -205,6 +236,76 @@ class TestCorrectAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+DROP = object()
+
+
+class TestCaptureSidecar:
+    """analyze on a corrected capture whose sidecar was edited afterwards."""
+
+    def analyze(self, tmp, edits, n=8192):
+        cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+        _, f = tiadc.coherent_bin(3e8, cfg.fs, 4096)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg,
+                                     tiadc.MismatchProfile.ideal(4, cfg.fs), 8192)
+        cap = tiadc.Capture(samples=cap.samples[:n], fs=cfg.fs, config=cfg,
+                            transient_samples=65, corrected=True, bank_id="abc")
+        path = tmp / "cap.f64"
+        tiadc.save_capture(cap, path)
+        sidecar = tmp / "cap.f64.json"
+        meta = json.loads(sidecar.read_text())
+        for key, value in edits.items():
+            if value is DROP:
+                del meta[key]
+            else:
+                meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        return main(["analyze", "--capture", str(path), "--n-fft", "4096",
+                     "--out-prefix", str(tmp / "a")])
+
+    @pytest.mark.parametrize("edits, n, expect", [
+        ({"n": 8190}, 8190, "n = 8190 is not a positive multiple of m_channels = 4"),
+        ({"transient_samples": "3"}, 8192,
+         "transient_samples must be an integral number, got '3'"),
+        ({"transient_samples": -5}, 8192, "transient_samples = -5 is not in [0, n/2)"),
+        ({"transient_samples": 4096}, 8192, "transient_samples = 4096"),
+        ({"m_channels": [4]}, 8192, "m_channels must be an integral number, got [4]"),
+        ({"m_channels": 1}, 8192, "m_channels must be >= 2"),
+        ({"bits": True}, 8192, "bits must be an integral number, got True"),
+        ({"n": 8192.5}, 8192, "n must be an integral number"),
+        ({"fs_hz": "1.6e9"}, 8192, "fs_hz must be a finite number"),
+        ({"quantize": 1}, 8192, "quantize must be true or false"),
+        ({"corrected": "yes"}, 8192, "corrected must be true or false, got 'yes'"),
+        ({"bank_id": 7}, 8192, "bank_id must be a string, got 7"),
+        ({"fs_hz": DROP}, 8192, "missing field 'fs_hz'"),
+    ], ids=["n-not-multiple", "transient-string", "transient-negative",
+            "transient-half", "m-list", "m-one", "bits-bool", "n-fraction",
+            "fs-string", "quantize-int", "corrected-string", "bank-id-int",
+            "fs-missing"])
+    def test_bad_sidecar_one_error_line(self, tmp_path, capsys, edits, n, expect):
+        rc = self.analyze(tmp_path, edits, n)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'cap.f64.json'}: ")
+        assert expect in err
+
+    def test_non_object_sidecar(self, tmp_path, capsys):
+        self.analyze(tmp_path, {})
+        (tmp_path / "cap.f64.json").write_text("[]")
+        capsys.readouterr()
+        assert main(["analyze", "--capture", str(tmp_path / "cap.f64"),
+                     "--out-prefix", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cap.f64.json'}: sidecar must be a JSON object\n")
+
+    def test_valid_variants_accepted(self, tmp_path, capsys):
+        assert self.analyze(tmp_path, {"bits": 14.0, "transient_samples": 0}) == 0
+        cap = tiadc.load_capture(tmp_path / "cap.f64")
+        assert cap.config.bits == 14 and isinstance(cap.config.bits, int)
+        assert cap.corrected and cap.bank_id == "abc"
+        assert "enob_bits:" in capsys.readouterr().out
+
+
 class TestPipeline:
     def test_tiny_scenario_deterministic(self, tmp_path):
         scen_path = tmp_path / "tiny.json"
@@ -251,3 +352,24 @@ class TestPipeline:
                    "--out-dir", str(tmp_path / "out")])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("scenario, points", [(TINY_SCENARIO, 3),
+                                                  ("twotone_zone1", 1)],
+                             ids=["tiny", "twotone_zone1"])
+    def test_one_spectrum_per_capture(self, tmp_path, monkeypatch, scenario, points):
+        # each sweep point analyzes two captures, before and after correction
+        calls = []
+        spectrum = metrics.spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "spectrum", counting)
+        if isinstance(scenario, str):
+            scenario = load_scenario(scenario)
+        result = run_pipeline(scenario, tmp_path)
+        assert result.ok
+        assert len(result.rows) == points * len(scenario.get("tones", [None]))
+        assert len(calls) == 2 * points
+        assert len({id(c) for c in calls}) == 2 * points

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tiadc
+from tiadc import metrics
 
 
 @pytest.fixture
@@ -157,6 +159,13 @@ class TestDynamicMetrics:
         with pytest.raises(tiadc.TiadcError):
             tiadc.dynamic_metrics(tiadc.spectrum(cap, 4096), 3e8, 4)
 
+    def test_no_bins_left_for_noise(self, cfg4):
+        # n_fft = 4 has 3 bins, and hann's gather around bin 1 covers them all
+        x = np.sin(2 * np.pi * np.arange(4) / 4 + 0.3)
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, fs=cfg4.fs, config=cfg4), 4, "hann")
+        with pytest.raises(tiadc.TiadcError, match="no bins left"):
+            tiadc.dynamic_metrics(rep, cfg4.fs / 4, 4)
+
     def test_non_coherent_with_window_gathers_bins(self, cfg4):
         # a tone halfway between bins, measured with hann + 3-bin gathering,
         # should agree with the coherent single-bin measurement to 0.5 dB
@@ -179,6 +188,134 @@ class TestDynamicMetrics:
         # the +-1 bin gathering is not sized for the kaiser design window
         with pytest.raises(ValueError):
             tiadc.spectrum(cap_n, 4096, "kaiser")
+
+
+def reference_metrics(report, f_fund, m_channels, harmonics=5, exclude_freqs=()):
+    """The docstring's pools, built bin by bin and summed in ascending order.
+
+    A gather of width g around a centre c holds every bin b with |b - c| <= g,
+    so a bin reached by two gathers is counted once.
+    """
+    n = report.n_bins
+    g = 0 if report.window == "none" else 1
+    fund_bin = report.bin_of(f_fund)
+    f_fund = report.freqs_hz[fund_bin]
+
+    def near(centers):
+        return [any(abs(b - c) <= g for c in centers) for b in range(n)]
+
+    def level(c):
+        p = sum(report.mean_square[b] for b in range(n) if abs(b - c) <= g)
+        ref = (report.full_scale / 2.0) ** 2 / 2.0
+        return 10.0 * np.log10(max(p / ref, 10.0 ** (metrics.DB_FLOOR / 10.0)))
+
+    spur_centers, image_dbc, dbc = [], [], {}
+    for e in tiadc.image_spur_levels(report, f_fund, report.fs, m_channels):
+        if not e.collision:
+            spur_centers.append(report.bin_of(e.freq_hz))
+            image_dbc.append(level(spur_centers[-1]) - level(fund_bin))
+    for k in range(1, m_channels):
+        b = report.bin_of(k * report.fs / m_channels)
+        if b not in (0, fund_bin):
+            spur_centers.append(b)
+            dbc[k] = level(b) - level(fund_bin)
+    fund, dc = near([fund_bin]), near([0])
+    harm = near([report.bin_of(h * f_fund) for h in range(2, harmonics + 2)])
+    spur = near(spur_centers)
+    excl = near([report.bin_of(f) for f in exclude_freqs])
+    p_fund = p_sinad = p_noise = p_harm = 0.0
+    max_spur = -np.inf
+    for b in range(n):
+        ms = report.mean_square[b]
+        if fund[b]:
+            p_fund += ms
+        if harm[b] and not (fund[b] or dc[b]):
+            p_harm += ms
+        if not (fund[b] or dc[b] or excl[b]):
+            p_sinad += ms
+            max_spur = max(max_spur, report.power_dbfs[b])
+            if not (harm[b] or spur[b]):
+                p_noise += ms
+    sinad = 10.0 * np.log10(p_fund / p_sinad) if p_sinad > 0 else float("inf")
+    return {
+        "snr_db": 10.0 * np.log10(p_fund / p_noise) if p_noise > 0 else float("inf"),
+        "sinad_db": sinad,
+        "thd_db": 10.0 * np.log10(p_harm / p_fund) if p_harm > 0 else float("-inf"),
+        "sfdr_db": report.power_dbfs[fund_bin] - max_spur,
+        "enob_bits": tiadc.enob_from_sinad(sinad),
+        "image_dbc": image_dbc,
+        "offset_dbc": dbc,
+    }
+
+
+def assert_matches_reference(rep, f_fund, m_channels, harmonics=5, exclude_freqs=()):
+    got = tiadc.dynamic_metrics(rep, f_fund, m_channels, harmonics, exclude_freqs)
+    want = reference_metrics(rep, f_fund, m_channels, harmonics, exclude_freqs)
+    for key in ("snr_db", "sinad_db", "thd_db", "sfdr_db", "enob_bits"):
+        assert getattr(got, key) == want[key], key
+    assert [s.dbc for s in got.spurs
+            if s.kind == "image" and not s.collision] == want["image_dbc"]
+    assert {s.k: s.dbc for s in got.spurs if s.kind == "offset_spur"} == want["offset_dbc"]
+    return got
+
+
+class TestMetricPools:
+    def test_matches_reference_coherent(self, cfg4):
+        truth = tiadc.make_reference_profile(cfg4)
+        _, f = tiadc.coherent_bin(2.7e8, cfg4.fs, 4096)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4, truth, 4096)
+        assert_matches_reference(tiadc.spectrum(cap, 4096), f, 4)
+
+    def test_overlapping_gathers_counted_once(self):
+        # near fs/8 the k = 1 image sits 2 bins above the fundamental and the
+        # 3rd harmonic 2 bins below the k = 2 image, so with hann's +-1 bin
+        # gathers the pools share bins 512 and 1534
+        cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+        truth = tiadc.make_reference_profile(cfg)
+        f = 511.3 * cfg.fs / 4096
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, 4096)
+        rep = tiadc.spectrum(cap, 4096, "hann")
+        images = [rep.bin_of(e.freq_hz) for e in tiadc.image_spur_levels(rep, f, cfg.fs, 4)]
+        assert rep.bin_of(f) == 511 and {513, 1535} <= set(images)
+        assert rep.bin_of(3 * rep.freqs_hz[511]) == 1533
+        excl = [1023 * cfg.fs / 4096]  # its gather touches the 2f and fs/4 gathers
+        assert_matches_reference(rep, f, 4, harmonics=7, exclude_freqs=excl)
+
+    @pytest.mark.parametrize("window", ["none", "hann", "blackman"])
+    def test_pool_sums_ascending_not_pairwise(self, window, cfg4):
+        truth = tiadc.make_reference_profile(cfg4)
+        _, f = tiadc.coherent_bin(3.1e8, cfg4.fs, 8192)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4, truth, 8192)
+        assert_matches_reference(tiadc.spectrum(cap, 8192, window), f, 4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           log2_n=st.integers(6, 10),
+           window=st.sampled_from(metrics.ANALYSIS_WINDOWS),
+           m_channels=st.integers(1, 8),
+           harmonics=st.integers(0, 7),
+           n_excl=st.integers(0, 3),
+           give_fund=st.booleans())
+    def test_random_spectra(self, seed, log2_n, window, m_channels, harmonics,
+                            n_excl, give_fund):
+        rng = np.random.default_rng(seed)
+        n = 2 ** log2_n
+        fs = 1e9
+        cfg = tiadc.TiadcConfig(m_channels=max(m_channels, 2), fs=fs, bits=12,
+                                full_scale=2.0)
+        f = rng.uniform(2, n / 2 - 2) * fs / n
+        t = np.arange(n) / fs
+        x = (rng.uniform(0.1, 1.0) * np.sin(2 * np.pi * f * t + rng.uniform(0, 6))
+             + rng.normal(0, 10 ** rng.uniform(-6, -1), n)
+             + 0.01 * rng.uniform() * np.sin(2 * np.pi * 3 * f * t))
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, fs=fs, config=cfg), n, window)
+        excl = list(rng.uniform(0, fs, n_excl))
+        f_fund = f if give_fund else None
+        got = tiadc.dynamic_metrics(rep, f_fund, m_channels, harmonics, excl)
+        assert got.snr_db >= got.sinad_db
+        assert np.isfinite(got.sfdr_db)
+        f_found = rep.freqs_hz[got.fundamental_bin]
+        assert_matches_reference(rep, f_found, m_channels, harmonics, excl)
 
 
 class TestImageSpurLevels:
