@@ -158,14 +158,19 @@ def cmd_pipeline(args) -> int:
 
 BUNDLED_SCENARIOS = ("wideband_zone1", "undersampling_zone2", "twotone_zone1",
                      "narrowband_contrast")
+SCENARIO_KINDS = ("sweep", "two_tone", "narrowband_contrast")
 
 
 def load_scenario(name_or_path) -> dict:
     text = str(name_or_path)
     if text in BUNDLED_SCENARIOS:
         data = resources.files("tiadc.scenarios").joinpath(f"{text}.json").read_text()
-        return json.loads(data)
-    return json.loads(Path(text).read_text())
+    else:
+        data = Path(text).read_text()
+    scenario = json.loads(data)
+    if not isinstance(scenario, dict):
+        raise TiadcError(f"{text}: scenario must be a JSON object")
+    return scenario
 
 
 @dataclass
@@ -180,15 +185,39 @@ class PipelineResult:
     measured_profile: object = None
 
 
-def _resolve_truth(scenario: dict, config: TiadcConfig):
-    spec = scenario["truth_profile"]
-    if spec["type"] == "reference":
+def _block(scenario: dict, key: str, where: str, default=None) -> dict:
+    """scenario[key], which must be a JSON object; missing is an error
+    unless a default is given."""
+    raw = scenario.get(key, default)
+    if raw is None:
+        raise TiadcError(f"{where}: missing {key}")
+    if not isinstance(raw, dict):
+        raise TiadcError(f"{where}: {key} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _field(block: dict, key: str, kind: str, where: str, default=model._REQUIRED):
+    """block[key] of one JSON kind (see model._json_field). A field whose
+    default is None also reads an explicit null as not set."""
+    if default is None and block.get(key) is None:
+        return None
+    try:
+        return model._json_field(block, key, kind, where, default)
+    except KeyError:
+        raise TiadcError(f"{where}: missing field {key!r}") from None
+
+
+def _resolve_truth(scenario: dict, config: TiadcConfig, where: str):
+    spec = _block(scenario, "truth_profile", where)
+    at = f"{where}: truth_profile"
+    kind = _field(spec, "type", "str", at)
+    if kind == "reference":
         return model.make_reference_profile(config)
-    if spec["type"] == "ideal":
+    if kind == "ideal":
         return model.MismatchProfile.ideal(config.m_channels, config.fs)
-    if spec["type"] == "csv":
-        return model.read_profile_csv(spec["path"])
-    raise TiadcError(f"unknown truth_profile type {spec['type']!r}")
+    if kind == "csv":
+        return model.read_profile_csv(_field(spec, "path", "str", at))
+    raise TiadcError(f"{at}: unknown type {kind!r}")
 
 
 def _stage(name):
@@ -229,29 +258,37 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
     """Run calibrate -> design -> sweep for one scenario description."""
     out_dir = Path(out_dir)
     log = []
-    kind = scenario.get("kind", "sweep")
-    config = config_from_dict(scenario["config"])
+    where = f"scenario {scenario.get('name', '?')}"
+    kind = _field(scenario, "kind", "str", where, "sweep")
+    if kind not in SCENARIO_KINDS:
+        raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+    at = f"{where}: config"
+    try:
+        config = model.config_from_json(_block(scenario, "config", where), at)
+    except KeyError as exc:
+        raise TiadcError(f"{at}: missing field {exc}") from None
     fs = config.fs
 
     with _stage("truth-profile"):
-        truth = _resolve_truth(scenario, config)
+        truth = _resolve_truth(scenario, config, where)
 
     with _stage("calibrate"):
-        cal = scenario["calibration"]
-        cal_config = replace(config, quantize=bool(cal.get("quantize", True)))
-        n_cal = int(cal["n_samples"])
+        cal = _block(scenario, "calibration", where)
+        at = f"{where}: calibration"
+        cal_config = replace(config, quantize=_field(cal, "quantize", "bool", at, True))
+        n_cal = _field(cal, "n_samples", "int", at)
         if "freqs_hz" in cal:
-            raw_targets = [float(f) for f in cal["freqs_hz"]]
+            raw_targets = _field(cal, "freqs_hz", "reals", at)
         else:
-            raw_targets = list(np.linspace(float(cal["f_lo_hz"]),
-                                           float(cal["f_hi_hz"]),
-                                           int(cal["n_freqs"])))
+            raw_targets = list(np.linspace(_field(cal, "f_lo_hz", "real", at),
+                                           _field(cal, "f_hi_hz", "real", at),
+                                           _field(cal, "n_freqs", "int", at)))
         freqs = []
         for f in raw_targets:
             _, f_act = metrics.coherent_bin(f, fs, n_cal)
             if f_act not in freqs:
                 freqs.append(f_act)
-        amp = float(cal["amplitude_v"])
+        amp = _field(cal, "amplitude_v", "real", at)
         measurements = calibration.measure_plan(
             [(f, amp, n_cal) for f in freqs], cal_config, truth)
         if len(measurements) == 1:
@@ -263,12 +300,15 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
         log.append(f"calibrated {len(measurements)} frequencies -> {profile_path}")
 
     with _stage("design"):
-        dsn = scenario["design"]
+        dsn = _block(scenario, "design", where)
+        at = f"{where}: design"
         spec = design.DesignSpec(
-            n_grid=int(dsn.get("n_grid", 1024)), taps=int(dsn.get("taps", 65)),
-            delay_d=dsn.get("delay_d"), window=dsn.get("window", "kaiser"),
-            kaiser_beta=float(dsn.get("kaiser_beta", 8.0)),
-            zone=int(dsn.get("zone", 1)))
+            n_grid=_field(dsn, "n_grid", "int", at, 1024),
+            taps=_field(dsn, "taps", "int", at, 65),
+            delay_d=_field(dsn, "delay_d", "int", at, None),
+            window=_field(dsn, "window", "str", at, "kaiser"),
+            kaiser_beta=_field(dsn, "kaiser_beta", "real", at, 8.0),
+            zone=_field(dsn, "zone", "int", at, 1))
         bank = design.design_filter_bank(measured, config, spec)
         bank_path = out_dir / "bank.csv"
         design.write_bank_csv(bank, bank_path)
@@ -277,37 +317,48 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
         log.append(f"designed bank {bank.bank_id}; max alias residual "
                    f"{residual.max_alias():.3e} -> {bank_path}")
 
-    thresholds = scenario.get("thresholds", {})
-    min_drop = thresholds.get("min_image_drop_db")
-    min_gain = thresholds.get("min_enob_gain_bits")
-    min_after = thresholds.get("min_enob_after_bits")
-    floor_dbfs = float(thresholds.get("spur_floor_dbfs", -90.0))
+    thresholds = _block(scenario, "thresholds", where, {})
+    at = f"{where}: thresholds"
+    min_drop = _field(thresholds, "min_image_drop_db", "real", at, None)
+    min_gain = _field(thresholds, "min_enob_gain_bits", "real", at, None)
+    min_after = _field(thresholds, "min_enob_after_bits", "real", at, None)
+    floor_dbfs = _field(thresholds, "spur_floor_dbfs", "real", at, -90.0)
 
-    sweep = scenario["sweep"]
-    n_fft = int(sweep["n_fft"])
-    n_sim = int(sweep["n_samples"])
-    sim_config = replace(config, quantize=bool(sweep.get("quantize", True)))
-    amp = float(sweep["amplitude_v"])
+    sweep = _block(scenario, "sweep", where)
+    at = f"{where}: sweep"
+    n_fft = _field(sweep, "n_fft", "int", at)
+    n_sim = _field(sweep, "n_samples", "int", at)
+    sim_config = replace(config, quantize=_field(sweep, "quantize", "bool", at, True))
+    amp = _field(sweep, "amplitude_v", "real", at)
 
     if kind == "two_tone":
-        tone_specs = [
-            (metrics.coherent_bin(float(t["f_target_hz"]), fs, n_fft)[1],
-             float(t.get("amplitude_v", amp)))
-            for t in scenario["tones"]]
+        tones = scenario.get("tones")
+        if not isinstance(tones, list) or not tones:
+            raise TiadcError(f"{where}: tones must be a non-empty list")
+        tone_specs = []
+        for i, tone in enumerate(tones):
+            at = f"{where}: tones[{i}]"
+            if not isinstance(tone, dict):
+                raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
+            tone_specs.append(
+                (metrics.coherent_bin(_field(tone, "f_target_hz", "real", at), fs, n_fft)[1],
+                 _field(tone, "amplitude_v", "real", at, amp)))
         points = [tuple(tone_specs)]
     else:
         if "f_targets_hz" in sweep:
-            targets = [float(f) for f in sweep["f_targets_hz"]]
+            targets = _field(sweep, "f_targets_hz", "reals", at)
         else:
-            targets = list(np.linspace(float(sweep["f_lo_hz"]),
-                                       float(sweep["f_hi_hz"]),
-                                       int(sweep["n_tones"])))
+            targets = list(np.linspace(_field(sweep, "f_lo_hz", "real", at),
+                                       _field(sweep, "f_hi_hz", "real", at),
+                                       _field(sweep, "n_tones", "int", at)))
         points = []
         for f in targets:
             _, f_act = metrics.coherent_bin(f, fs, n_fft)
             pt = ((f_act, amp),)
             if pt not in points:
                 points.append(pt)
+        if not points:
+            raise TiadcError(f"{at}: no tones to sweep")
 
     rows = []
     failures = []
@@ -368,7 +419,7 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
 
     if kind == "narrowband_contrast":
         with _stage("contrast-check"):
-            f_design = float(scenario["calibration"]["freqs_hz"][0])
+            f_design = _field(cal, "freqs_hz", "reals", f"{where}: calibration")[0]
             drop_at = {r["f_in_hz"]: r["min_image_drop_db"] for r in rows}
             f_near = min(drop_at, key=lambda f: abs(f - f_design))
             bound = float(min_drop if min_drop is not None else 30.0)

@@ -26,10 +26,8 @@ def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
         raise ValueError("profile channel count does not match capture")
     if capture.n % m_ch != 0:
         raise ValueError("capture length must be a multiple of the channel count")
-    out = capture.samples.copy()
-    lsb = capture.config.lsb
-    for m in range(m_ch):
-        out[m::m_ch] -= profile.offset_lsb[m] * lsb
+    shift = profile.offset_lsb * capture.config.lsb
+    out = (capture.samples.reshape(-1, m_ch) - shift).ravel()
     return replace(capture, samples=out)
 
 

@@ -479,19 +479,12 @@ def save_capture(capture: Capture, path):
 
 _REQUIRED = object()
 _KIND_TEXT = {"int": "an integral number", "real": "a finite number",
-              "bool": "true or false", "str": "a string"}
+              "bool": "true or false", "str": "a string",
+              "reals": "a non-empty list of finite numbers"}
 
 
-def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
-    """raw[key], checked to be of one JSON kind: "int" (an integral number),
-    "real" (a finite number), "bool" or "str". true and false are never
-    numbers. A missing key returns default, or raises KeyError without one;
-    a value of the wrong kind raises a TiadcError naming `where`."""
-    if key not in raw:
-        if default is _REQUIRED:
-            raise KeyError(key)
-        return default
-    v = raw[key]
+def _as_kind(v, kind: str):
+    """v as one JSON kind (see _json_field), or None when it is not one."""
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
     if kind == "int" and number and (isinstance(v, int) or v.is_integer()):
         return int(v)
@@ -500,7 +493,27 @@ def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
         return float(v)
     if kind == "bool" and isinstance(v, bool) or kind == "str" and isinstance(v, str):
         return v
-    raise TiadcError(f"{where}: {key} must be {_KIND_TEXT[kind]}, got {v!r}")
+    if kind == "reals" and isinstance(v, list) and v:
+        reals = [_as_kind(x, "real") for x in v]
+        if None not in reals:
+            return reals
+    return None
+
+
+def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
+    """raw[key], checked to be of one JSON kind: "int" (an integral number),
+    "real" (a finite number), "bool", "str" or "reals" (a non-empty list of
+    finite numbers). true and false are never numbers. A missing key returns
+    default, or raises KeyError without one; a value of the wrong kind raises
+    a TiadcError naming `where`."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    v = _as_kind(raw[key], kind)
+    if v is None:
+        raise TiadcError(f"{where}: {key} must be {_KIND_TEXT[kind]}, got {raw[key]!r}")
+    return v
 
 
 def config_from_json(raw: dict, where) -> TiadcConfig:

@@ -373,3 +373,66 @@ class TestPipeline:
         assert len(result.rows) == points * len(scenario.get("tones", [None]))
         assert len(calls) == 2 * points
         assert len({id(c) for c in calls}) == 2 * points
+
+    @pytest.mark.parametrize("block, field, value, expect", [
+        ("sweep", "n_fft", [4096], "sweep: n_fft must be an integral number, got [4096]"),
+        ("sweep", "quantize", "false", "sweep: quantize must be true or false, got 'false'"),
+        ("calibration", "quantize", "false",
+         "calibration: quantize must be true or false, got 'false'"),
+        ("calibration", "n_samples", 2048.5,
+         "calibration: n_samples must be an integral number, got 2048.5"),
+        ("design", "taps", "33", "design: taps must be an integral number, got '33'"),
+        ("design", "window", 3, "design: window must be a string, got 3"),
+        ("thresholds", "min_enob_after_bits", True,
+         "thresholds: min_enob_after_bits must be a finite number, got True"),
+        ("sweep", "f_targets_hz", [1e8, "2e8"],
+         "sweep: f_targets_hz must be a non-empty list of finite numbers"),
+    ], ids=["n_fft-list", "sweep-quantize", "cal-quantize", "fraction", "string",
+            "window", "bool-threshold", "target-list"])
+    def test_scenario_field_types(self, tmp_path, capsys, block, field, value, expect):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen[block][field] = value
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        rc = main(["pipeline", "--scenario", str(scen_path),
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"scenario tiny: {expect}" in err
+
+    @pytest.mark.parametrize("edit, expect", [
+        ({"sweep": [1]}, "scenario tiny: sweep must be a JSON object"),
+        ({"kind": "sweeps"}, "scenario tiny: kind must be one of"),
+        ({"truth_profile": {"type": "csv", "path": 3}},
+         "scenario tiny: truth_profile: path must be a string, got 3"),
+        ({"config": {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14}},
+         "scenario tiny: config: missing field 'full_scale_v'"),
+        ({"sweep": {**TINY_SCENARIO["sweep"], "n_tones": 0}},
+         "scenario tiny: sweep: no tones to sweep"),
+    ], ids=["block", "kind", "path", "config", "empty-sweep"])
+    def test_scenario_structure_checked(self, tmp_path, capsys, edit, expect):
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps({**TINY_SCENARIO, **edit}))
+        rc = main(["pipeline", "--scenario", str(scen_path),
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and expect in err
+
+    def test_non_object_scenario(self, tmp_path, capsys):
+        scen_path = tmp_path / "list.json"
+        scen_path.write_text("[]")
+        rc = main(["pipeline", "--scenario", str(scen_path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {scen_path}: scenario must be a JSON object\n")
+
+    def test_null_optional_fields_read_as_unset(self, tmp_path):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["design"]["delay_d"] = None
+        scen["thresholds"]["min_enob_after_bits"] = None
+        result = run_pipeline(scen, tmp_path)
+        assert result.ok
+        assert result.bank.spec.delay_d == 16

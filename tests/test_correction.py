@@ -75,6 +75,18 @@ class TestCorrectOffsets:
         for i in range(16):
             assert out.samples[i] == pytest.approx(0.25 - offs[i % 4] * cfg4.lsb)
 
+    def test_matches_per_channel_loop(self, cfg4):
+        # one broadcast subtract, bit for bit the strided per-channel loop
+        rng = np.random.default_rng(29)
+        prof = tiadc.MismatchProfile(
+            freqs_hz=[0.0, cfg4.fs], gain=np.ones((4, 2)), dt_s=np.zeros((4, 2)),
+            offset_lsb=rng.normal(size=4) * 7)
+        cap = make_capture(cfg4, rng.normal(size=4096))
+        ref = cap.samples.copy()
+        for m in range(4):
+            ref[m::4] -= prof.offset_lsb[m] * cfg4.lsb
+        assert np.array_equal(tiadc.correct_offsets(cap, prof).samples, ref)
+
 
 class TestCorrect:
     def test_zero_in_zero_out(self, cfg4, ideal_bank):

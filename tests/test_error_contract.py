@@ -1,6 +1,6 @@
 """The CLI's error contract under mutated input files: every run of
-`analyze` and `simulate` exits 0, or exits 1 with exactly one `error:` line
-on stderr; no exception escapes `main`."""
+`analyze`, `simulate` and `pipeline` exits 0, or exits 1 with exactly one
+`error:` line on stderr; no exception escapes `main`."""
 
 import json
 import math
@@ -14,6 +14,19 @@ from tiadc.cli import main
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": True}
 SWAPS = [None, "3", [4], {}, True, False, 4.5, -1, 0, math.nan]
+SCENARIO = {
+    "name": "mini", "kind": "sweep",
+    "config": {"m_channels": 2, "fs_hz": 1e9, "bits": 12, "full_scale_v": 2.0},
+    "truth_profile": {"type": "reference"},
+    "calibration": {"n_freqs": 3, "f_lo_hz": 5e7, "f_hi_hz": 4.5e8,
+                    "amplitude_v": 0.9, "n_samples": 512, "quantize": True},
+    "design": {"n_grid": 64, "taps": 9, "window": "kaiser", "kaiser_beta": 8.0,
+               "zone": 1},
+    "sweep": {"n_tones": 2, "f_lo_hz": 1e8, "f_hi_hz": 3e8, "amplitude_v": 0.9,
+              "n_samples": 1024, "n_fft": 512, "quantize": True},
+    "thresholds": {"min_image_drop_db": 10.0, "min_enob_gain_bits": 0.5,
+                   "min_enob_after_bits": 6.0, "spur_floor_dbfs": -60.0},
+}
 
 
 def perturb(value, factor):
@@ -60,12 +73,35 @@ def files(tmp_path_factory):
     return tmp, sidecar
 
 
-def assert_contract(rc, err):
+def assert_contract(rc, err, other_lines=()):
+    """rc is 0, or 1 with exactly one `error:` line; any other stderr line
+    must start with one of other_lines."""
     assert rc in (0, 1)
-    if rc == 1:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    lines = err.splitlines()
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    assert len(errors) == (rc == 1), err
+    assert all(ln.startswith(("error: ",) + tuple(other_lines)) for ln in lines), err
     assert "Traceback" not in err
+
+
+def scenario_paths(scenario):
+    """Every top-level key and every "block.key" of a scenario."""
+    paths = list(scenario)
+    for block, fields in scenario.items():
+        if isinstance(fields, dict):
+            paths += [f"{block}.{key}" for key in fields]
+    return paths
+
+
+def mutate_scenario(scenario, edits):
+    out = json.loads(json.dumps(scenario))
+    for op, path, arg in edits:
+        block, _, key = path.rpartition(".")
+        if not block:
+            out = mutate(out, [(op, key, arg)])
+        elif isinstance(out.get(block), dict):  # an earlier edit may replace it
+            out[block] = mutate(out[block], [(op, key, arg)])
+    return out
 
 
 CHECKS = dict(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -94,3 +130,23 @@ def test_simulate_mutated_config(files, capsys, edits):
                "--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
                "--n", "256", "--out", str(tmp / "sim.f64")])
     assert_contract(rc, capsys.readouterr().err)
+
+
+def test_unmutated_scenario_passes(files, capsys):
+    tmp, _ = files
+    (tmp / "scenario.json").write_text(json.dumps(SCENARIO))
+    rc = main(["pipeline", "--scenario", str(tmp / "scenario.json"),
+               "--out-dir", str(tmp / "pipeline")])
+    assert rc == 0, capsys.readouterr().err
+
+
+@settings(**CHECKS)
+@given(edits=mutations(scenario_paths(SCENARIO)))
+def test_pipeline_mutated_scenario(files, capsys, edits):
+    tmp, _ = files
+    (tmp / "scenario.json").write_text(json.dumps(mutate_scenario(SCENARIO, edits)))
+    capsys.readouterr()
+    rc = main(["pipeline", "--scenario", str(tmp / "scenario.json"),
+               "--out-dir", str(tmp / "pipeline")])
+    # a run whose results miss a threshold lists each miss before its error
+    assert_contract(rc, capsys.readouterr().err, ["threshold violation: "])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiadc import kernels
+import tiadc
+from tiadc import correction, kernels
+from tiadc.design import DesignSpec, FilterBank
 
 
 def dense_reference(x, taps, m_ch, offset):
@@ -49,3 +52,67 @@ def test_dispatcher_validates():
         kernels.apply_filter_bank(np.zeros(8), np.zeros((2, 3)), 4, 0)
     with pytest.raises(ValueError):
         kernels.apply_filter_bank(np.zeros(8), np.zeros((4, 3)), 4, -1)
+
+
+def make_bank(taps, tap_offset):
+    """A FilterBank holding `taps` whose delay gives `tap_offset`."""
+    m_ch, n_taps = taps.shape
+    half = (n_taps - 1) // 2
+    delay = tap_offset + half
+    n_grid = 4
+    while n_grid < max(4 * n_taps, delay + 1):
+        n_grid *= 2
+    spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay)
+    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=1.6e9)
+
+
+def correct_samples(x, bank, block_size):
+    cfg = tiadc.TiadcConfig(m_channels=bank.m_channels, fs=bank.fs, bits=14,
+                            full_scale=2.0, quantize=False)
+    cap = tiadc.Capture(samples=x, fs=cfg.fs, config=cfg)
+    return correction.correct(cap, bank, block_size=block_size).samples
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m_ch=st.integers(1, 16), n_taps=st.integers(1, 300))
+def test_kernel_property(data, m_ch, n_taps):
+    # any M, L and length, L <= M and tap_offset >= n included
+    n = data.draw(st.integers(1, 200), label="n")
+    offset = data.draw(st.integers(0, n + 5), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n)
+    taps = rng.normal(size=(m_ch, n_taps))
+    y = kernels.apply_filter_bank(x, taps, m_ch, offset)
+    assert y.shape == (n,)
+    assert np.max(np.abs(y - dense_reference(x, taps, m_ch, offset))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m_ch=st.integers(2, 16),
+       n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
+def test_blocked_equals_one_shot_property(data, m_ch, n_taps):
+    # from under one chunk of rows to several, through correction.correct
+    rows = data.draw(st.integers(-(-n_taps // m_ch),
+                                 3 * kernels.CHUNK_ROWS + 7), label="rows")
+    n = rows * m_ch
+    offset = data.draw(st.integers(0, n + 5), label="offset")
+    block = data.draw(st.one_of(st.sampled_from([4, 12, 60]),
+                                st.integers(1, n + m_ch)), label="block")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
+    one_shot = correct_samples(x, bank, None)
+    assert np.array_equal(correct_samples(x, bank, block), one_shot)
+    if n * n_taps <= 20000:
+        ref = dense_reference(x, bank.taps, m_ch, offset)
+        assert np.max(np.abs(one_shot - ref)) <= 1e-12
+
+
+def test_blocked_equals_one_shot_at_benchmark_scale():
+    # M = 16, L = 257: three DEFAULT_BLOCK blocks plus a ragged tail
+    rng = np.random.default_rng(17)
+    bank = make_bank(rng.normal(size=(16, 257)) / 16, 0)
+    x = rng.normal(size=3 * correction.DEFAULT_BLOCK + 16 * 37)
+    one_shot = correct_samples(x, bank, None)
+    blocked = correct_samples(x, bank, correction.DEFAULT_BLOCK)
+    assert blocked.tobytes() == one_shot.tobytes()
