@@ -202,7 +202,8 @@ def read_plan_csv(path):
         header = next(reader, None)
         if header is None or ",".join(header).strip() != PLAN_CSV_HEADER:
             raise TiadcError(f"{path}: not a calibration plan file")
-        rows = [(float(r[0]), float(r[1]), int(r[2])) for r in reader if r]
+        rows = [model.csv_row(r, (float, float, int), f"{path}:{reader.line_num}")
+                for r in reader if r]
     if not rows:
         raise TiadcError(f"{path}: empty calibration plan")
     return rows

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -105,16 +106,39 @@ def cmd_design(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    capture = model.load_capture(args.capture)
+    """Correct the capture block by block: memory use does not grow with its
+    length. The output goes to <out>.part, which replaces <out> once it is
+    whole; the sidecar is written last."""
+    n, fields = model.capture_header(args.capture)
+    config = fields["config"]
+    m_ch = config.m_channels
     bank = design.read_bank_csv(args.bank)
-    out = capture
+    shift = None
     if args.profile:
-        profile = model.read_profile_csv(args.profile)
-        out = correction.correct_offsets(out, profile)
-    out = correction.correct(out, bank)
-    model.save_capture(out, args.out)
-    print(f"corrected {out.n} samples with bank {bank.bank_id} "
-          f"({out.transient_samples} transient samples flagged)")
+        shift = correction.offset_shift(model.read_profile_csv(args.profile), config, n)
+    stream = correction.bank_stream(bank, config, n)
+    block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
+    y = np.empty(stream.out_size(block))
+    out = Path(args.out)
+    part = Path(str(out) + ".part")
+    try:
+        with open(args.capture, "rb") as src, open(part, "wb") as dst:
+            for a in range(0, n, block):
+                x = np.fromfile(src, dtype="<f8", count=min(block, n - a))
+                if not np.all(np.isfinite(x)):
+                    raise ValueError("samples contain non-finite values")
+                if shift is not None:
+                    x = (x.reshape(-1, m_ch) - shift).ravel()
+                y[:stream.push(x, y)].astype("<f8", copy=False).tofile(dst)
+            y[:stream.finish(y)].astype("<f8", copy=False).tofile(dst)
+        os.replace(part, out)
+    finally:
+        part.unlink(missing_ok=True)
+    transient = correction.transient_samples(bank)
+    model.write_sidecar(out, n, **dict(fields, transient_samples=transient,
+                                       corrected=True, bank_id=bank.bank_id))
+    print(f"corrected {n} samples with bank {bank.bank_id} "
+          f"({transient} transient samples flagged)")
     return 0
 
 
@@ -221,13 +245,15 @@ def _resolve_truth(scenario: dict, config: TiadcConfig, where: str):
 
 
 def _stage(name):
+    """Prefix the stage name to a bad-input error raised inside the block.
+    Any other exception is a bug and propagates with its traceback."""
     class _Ctx:
         def __enter__(self):
             return self
 
         def __exit__(self, exc_type, exc, tb):
-            if exc is None or (isinstance(exc, TiadcError)
-                               and str(exc).startswith("stage ")):
+            if not isinstance(exc, (TiadcError, ValueError, OSError)) or (
+                    isinstance(exc, TiadcError) and str(exc).startswith("stage ")):
                 return False
             raise TiadcError(f"stage {name}: {exc}") from exc
     return _Ctx()
@@ -515,7 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except (TiadcError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TiadcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Offset removal and synthesis filter-bank correction of interleaved records.
 
-Filtering is block based with an overlap long enough that streaming output is
-bit-identical to one-shot convolution. Samples outside the record are treated
-as zero, so the first and last taps-plus-offset output samples are transient
-and flagged on the returned capture.
+Correction streams the record through one ``kernels.PolyphaseStream`` block
+by block; the stream carries its filter state from block to block, so the
+output is bit-identical to one-shot convolution for every block size.
+Samples outside the record are treated as zero, so the first and last
+taps-plus-offset output samples are transient and flagged on the returned
+capture.
 """
 
 from __future__ import annotations
@@ -12,23 +14,49 @@ from dataclasses import replace
 
 import numpy as np
 
-from tiadc.model import Capture, MismatchProfile
+from tiadc.model import Capture, MismatchProfile, TiadcConfig
 from tiadc.design import FilterBank
 from tiadc import kernels
 
 DEFAULT_BLOCK = 1 << 16
 
 
+def offset_shift(profile: MismatchProfile, config: TiadcConfig, n: int) -> np.ndarray:
+    """Per-channel offsets in volts, to subtract from an n-sample record
+    reshaped to (n/M, M) rows."""
+    if profile.m_channels != config.m_channels:
+        raise ValueError("profile channel count does not match capture")
+    if n % config.m_channels != 0:
+        raise ValueError("capture length must be a multiple of the channel count")
+    return profile.offset_lsb * config.lsb
+
+
 def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
     """Subtract each channel's calibrated offset (in LSB) from its samples."""
     m_ch = capture.config.m_channels
-    if profile.m_channels != m_ch:
-        raise ValueError("profile channel count does not match capture")
-    if capture.n % m_ch != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
-    shift = profile.offset_lsb * capture.config.lsb
+    shift = offset_shift(profile, capture.config, capture.n)
     out = (capture.samples.reshape(-1, m_ch) - shift).ravel()
     return replace(capture, samples=out)
+
+
+def bank_stream(bank: FilterBank, config: TiadcConfig, n: int) -> kernels.PolyphaseStream:
+    """A stream that corrects one n-sample record captured with config."""
+    m_ch = config.m_channels
+    if bank.m_channels != m_ch:
+        raise ValueError(
+            f"bank has {bank.m_channels} channels, capture has {m_ch}")
+    L = bank.spec.taps
+    if n < L:
+        raise ValueError(f"capture shorter than the filter length ({n} < {L})")
+    if n % m_ch != 0:
+        raise ValueError("capture length must be a multiple of the channel count")
+    return kernels.PolyphaseStream(bank.taps, m_ch, bank.tap_offset, n)
+
+
+def transient_samples(bank: FilterBank) -> int:
+    """Output samples at each end of a corrected record that read the zeros
+    outside it."""
+    return bank.spec.taps + bank.tap_offset
 
 
 def correct(capture: Capture, bank: FilterBank,
@@ -37,34 +65,20 @@ def correct(capture: Capture, bank: FilterBank,
 
     Output y[n] = sum_m sum_i f_m[n - i*M] x_m[i] with x_m[i] = input[i*M+m],
     has the same length as the input, and is delayed by the bank's design
-    delay. block_size=None forces one-shot processing; any block size gives
-    bit-identical output because blocks overlap by the full filter span.
+    delay. The record is pushed through the stream block_size samples at a
+    time (block_size=None pushes it whole); every block size gives
+    bit-identical output.
     """
-    m_ch = capture.config.m_channels
-    if bank.m_channels != m_ch:
-        raise ValueError(
-            f"bank has {bank.m_channels} channels, capture has {m_ch}")
     n = capture.n
-    L = bank.spec.taps
-    if n < L:
-        raise ValueError(f"capture shorter than the filter length ({n} < {L})")
-    if n % m_ch != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
-    x = capture.samples
-    offset = bank.tap_offset
-    if block_size is None or block_size >= n:
-        y = kernels.apply_filter_bank(x, bank.taps, m_ch, offset)
-    else:
-        step = max(block_size - block_size % m_ch, m_ch)
-        span = offset + L + m_ch
-        margin = span + (-span) % m_ch  # multiple of M keeps channel phase
-        y = np.empty(n)
-        for a in range(0, n, step):
-            b = min(a + step, n)
-            lo = max(0, a - margin)
-            seg = kernels.apply_filter_bank(x[lo:b], bank.taps, m_ch, offset)
-            y[a:b] = seg[a - lo:b - lo]
-    transient = L + offset
+    stream = bank_stream(bank, capture.config, n)
+    step = n if block_size is None else block_size
+    if step < 1:
+        raise ValueError("block_size must be positive")
+    y = np.empty(n)
+    done = 0
+    for a in range(0, n, step):
+        done += stream.push(capture.samples[a:a + step], y[done:])
+    stream.finish(y[done:])
     return Capture(samples=y, fs=capture.fs, config=capture.config,
-                   transient_samples=transient, corrected=True,
+                   transient_samples=transient_samples(bank), corrected=True,
                    bank_id=bank.bank_id)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from tiadc.model import (MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
-                         channel_response)
+                         channel_response, csv_row)
 
 COND_LIMIT = 1e8
 
@@ -201,9 +201,11 @@ class FilterBank:
         omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
         m_idx = np.arange(self.m_channels)[:, None]
         j_idx = np.arange(self.spec.taps)[None, :]
-        delays = self.tap_offset + m_idx + j_idx  # (M, L)
-        return np.einsum("ml,mlw->mw", self.taps,
-                         np.exp(-1j * delays[:, :, None] * omega[None, None, :]))
+        # tap (m, j) sits at delay tap_offset + m + j: M + L - 1 distinct
+        # delays, each exponential computed once
+        delays = self.tap_offset + np.arange(self.m_channels + self.spec.taps - 1)
+        table = np.exp(-1j * delays[:, None] * omega[None, :])
+        return np.einsum("ml,mlw->mw", self.taps, table[m_idx + j_idx])
 
 
 def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
@@ -319,16 +321,15 @@ def write_bank_csv(bank: FilterBank, path):
 def read_bank_csv(path) -> FilterBank:
     meta = {}
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for i, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            key, value = line[1:].split(",", 1)
+            key, value = csv_row(line[1:].split(",", 1), (str, str), f"{path}:{i}")
             meta[key.strip()] = value.strip()
         elif line != BANK_CSV_COLUMNS:
-            ch, idx, coef = line.split(",")
-            rows.append((int(ch), int(idx), float(coef)))
+            rows.append(csv_row(line.split(","), (int, int, float), f"{path}:{i}"))
     try:
         spec = DesignSpec(
             n_grid=int(meta["n_grid"]), taps=int(meta["taps"]),
@@ -338,13 +339,20 @@ def read_bank_csv(path) -> FilterBank:
         fs = float(meta["fs_hz"])
     except KeyError as exc:
         raise TiadcError(f"{path}: missing bank header field {exc}") from None
+    except ValueError as exc:
+        raise TiadcError(f"{path}: {exc}") from None
     offset = spec.delay_d - spec.half_taps
     coefs = {(ch, idx - offset - ch): coef for ch, idx, coef in rows}
-    wanted = [(m, j) for m in range(m_ch) for j in range(spec.taps)]
-    if len(rows) != len(wanted) or sorted(coefs) != wanted:
+    keys = sorted(coefs)
+    # the count first: a huge m_channels must not build a huge key list
+    if len(rows) != m_ch * spec.taps or keys != [
+            (m, j) for m in range(m_ch) for j in range(spec.taps)]:
         raise TiadcError(f"{path}: bank must list each of its {m_ch} x {spec.taps} taps once")
-    taps = np.array([coefs[key] for key in wanted]).reshape(m_ch, spec.taps)
-    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=fs)
+    taps = np.array([coefs[key] for key in keys]).reshape(m_ch, spec.taps)
+    try:
+        return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=fs)
+    except ValueError as exc:
+        raise TiadcError(f"{path}: {exc}") from None
 
 
 def write_residual_csv(report: PRResidualReport, path):

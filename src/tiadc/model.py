@@ -427,19 +427,31 @@ def write_profile_csv(profile: MismatchProfile, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def csv_row(fields, kinds, where) -> tuple:
+    """The fields of one CSV row, each converted by its kind (int, float or str).
+    A wrong field count or a field that does not parse raises a TiadcError
+    naming ``where``, the file and the line."""
+    if len(fields) != len(kinds):
+        raise TiadcError(f"{where}: expected {len(kinds)} fields, got {len(fields)}")
+    try:
+        return tuple(kind(field) for kind, field in zip(kinds, fields))
+    except ValueError as exc:
+        raise TiadcError(f"{where}: {exc}") from None
+
+
 def read_profile_csv(path) -> MismatchProfile:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != PROFILE_CSV_HEADER:
+    lines = [(i, line) for i, line in enumerate(Path(path).read_text().splitlines(), 1)
+             if line.strip()]
+    if not lines or lines[0][1].strip() != PROFILE_CSV_HEADER:
         raise TiadcError(f"{path}: not a mismatch profile file")
     rows = {}
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        ch, f, g, d, o = line.split(",")
-        rows.setdefault(int(ch), []).append((float(f), float(g), float(d), float(o)))
+    for i, line in lines[1:]:
+        ch, f, g, d, o = csv_row(line.split(","), (int, float, float, float, float),
+                                 f"{path}:{i}")
+        rows.setdefault(ch, []).append((f, g, d, o))
     if not rows:
         raise TiadcError(f"{path}: empty profile")
-    m_ch = max(rows) + 1
+    m_ch = len(rows)
     if sorted(rows) != list(range(m_ch)):
         raise TiadcError(f"{path}: missing channels")
     freqs = np.array([r[0] for r in rows[0]])
@@ -455,25 +467,35 @@ def read_profile_csv(path) -> MismatchProfile:
         # offset is a constant column; averaging only matters for hand-edited files
         col = tab[:, 3]
         offs[m] = col[0] if np.all(col == col[0]) else col.mean()
-    return MismatchProfile(freqs_hz=freqs, gain=gain, dt_s=dt, offset_lsb=offs)
+    try:
+        return MismatchProfile(freqs_hz=freqs, gain=gain, dt_s=dt, offset_lsb=offs)
+    except ValueError as exc:
+        raise TiadcError(f"{path}: {exc}") from None
 
 
 def save_capture(capture: Capture, path):
     """Raw little-endian float64 samples plus a JSON sidecar at <path>.json."""
     path = Path(path)
     path.write_bytes(capture.samples.astype("<f8").tobytes())
+    write_sidecar(path, capture.n, capture.fs, capture.config,
+                  capture.transient_samples, capture.corrected, capture.bank_id)
+
+
+def write_sidecar(path, n, fs, config: TiadcConfig, transient_samples=0,
+                  corrected=False, bank_id=""):
+    """The JSON sidecar <path>.json of an n-sample capture."""
     meta = {
-        "fs_hz": capture.fs,
-        "m_channels": capture.config.m_channels,
-        "bits": capture.config.bits,
-        "full_scale_v": capture.config.full_scale,
-        "n": capture.n,
-        "quantize": capture.config.quantize,
+        "fs_hz": fs,
+        "m_channels": config.m_channels,
+        "bits": config.bits,
+        "full_scale_v": config.full_scale,
+        "n": n,
+        "quantize": config.quantize,
     }
-    if capture.corrected:
+    if corrected:
         meta["corrected"] = True
-        meta["bank_id"] = capture.bank_id
-        meta["transient_samples"] = capture.transient_samples
+        meta["bank_id"] = bank_id
+        meta["transient_samples"] = transient_samples
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
@@ -526,7 +548,9 @@ def config_from_json(raw: dict, where) -> TiadcConfig:
         quantize=_json_field(raw, "quantize", "bool", where, True))
 
 
-def load_capture(path) -> Capture:
+def capture_header(path) -> tuple[int, dict]:
+    """Check a capture's sidecar and its file size without reading the
+    samples; return the sample count and the other Capture fields."""
     path = Path(path)
     sidecar = Path(str(path) + ".json")
     if not path.exists():
@@ -552,9 +576,13 @@ def load_capture(path) -> Capture:
                          f"[0, n/2) for n = {n}")
     corrected = _json_field(meta, "corrected", "bool", sidecar, False)
     bank_id = _json_field(meta, "bank_id", "str", sidecar, "")
-    samples = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
-    if samples.size != n:
+    if path.stat().st_size != 8 * n:
         raise TiadcError(f"{path}: sample count does not match sidecar")
-    return Capture(samples=samples, fs=config.fs, config=config,
-                   transient_samples=transient, corrected=corrected,
-                   bank_id=bank_id)
+    return n, dict(fs=config.fs, config=config, transient_samples=transient,
+                   corrected=corrected, bank_id=bank_id)
+
+
+def load_capture(path) -> Capture:
+    _, fields = capture_header(path)
+    samples = np.frombuffer(Path(path).read_bytes(), dtype="<f8").astype(np.float64)
+    return Capture(samples=samples, **fields)

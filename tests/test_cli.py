@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tiadc
-from tiadc import metrics
+from tiadc import calibration, correction, metrics
 from tiadc.cli import main, load_scenario, run_pipeline
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
@@ -235,6 +235,49 @@ class TestCorrectAnalyze:
         assert rc != 0
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("offsets", [True, False], ids=["offsets", "no-offsets"])
+    def test_streamed_output_matches_in_memory(self, workdir, monkeypatch, offsets):
+        # a block of 100 samples: 82 pushes, most of them inside one chunk
+        tmp, cfg = workdir
+        monkeypatch.setattr(correction, "DEFAULT_BLOCK", 100)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 8192)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "truth.csv"),
+                     "--out", str(tmp / "bank.csv")]) == 0
+        argv = ["correct", "--capture", str(tmp / "cap.f64"),
+                "--bank", str(tmp / "bank.csv"), "--out", str(tmp / "fixed.f64")]
+        profile = tiadc.read_profile_csv(tmp / "truth.csv")
+        if offsets:
+            argv += ["--profile", str(tmp / "truth.csv")]
+            cap = tiadc.correct_offsets(cap, profile)
+        assert main(argv) == 0
+        want = tiadc.correct(cap, tiadc.read_bank_csv(tmp / "bank.csv"))
+        assert (tmp / "fixed.f64").read_bytes() == want.samples.astype("<f8").tobytes()
+        got = tiadc.load_capture(tmp / "fixed.f64")
+        assert (got.corrected, got.bank_id, got.transient_samples) == (
+            True, want.bank_id, want.transient_samples)
+
+    def test_non_finite_block_leaves_no_output(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        monkeypatch.setattr(correction, "DEFAULT_BLOCK", 256)
+        x = np.zeros(4096)
+        x[3000] = np.nan
+        (tmp / "cap.f64").write_bytes(x.astype("<f8").tobytes())
+        tiadc.model.write_sidecar(tmp / "cap.f64", x.size, cfg.fs, cfg)
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "ideal.csv"),
+                     "--out", str(tmp / "bank.csv")]) == 0
+        capsys.readouterr()
+        assert main(["correct", "--capture", str(tmp / "cap.f64"),
+                     "--bank", str(tmp / "bank.csv"),
+                     "--out", str(tmp / "fixed.f64")]) == 1
+        assert capsys.readouterr().err == "error: samples contain non-finite values\n"
+        assert not (tmp / "fixed.f64").exists()
+        assert not (tmp / "fixed.f64.part").exists()
+        assert not (tmp / "fixed.f64.json").exists()
+
 
 DROP = object()
 
@@ -340,6 +383,15 @@ class TestPipeline:
                    "--out-dir", str(tmp_path / "out")])
         assert rc != 0
         assert "stage truth-profile" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only bad input becomes an `error: stage ...` line; a bug keeps its
+        # exception and traceback
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+        monkeypatch.setattr(calibration, "measure_plan", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_pipeline(json.loads(json.dumps(TINY_SCENARIO)), tmp_path)
 
     def test_bundled_scenarios_load(self):
         for name in ("wideband_zone1", "undersampling_zone2", "twotone_zone1",

@@ -150,3 +150,149 @@ def test_pipeline_mutated_scenario(files, capsys, edits):
                "--out-dir", str(tmp / "pipeline")])
     # a run whose results miss a threshold lists each miss before its error
     assert_contract(rc, capsys.readouterr().err, ["threshold violation: "])
+
+
+# --- row-level mutations of the plan, profile and bank files -----------------
+
+FIELD_SWAPS = ["x", "", "nan", "inf", "1e999", "-0"]
+
+
+def perturb_field(text, arg):
+    """A field scaled by a factor (ints stay ints) or replaced by text."""
+    if isinstance(arg, str):
+        return arg
+    try:
+        return str(int(int(text) * arg)) if arg != 1 else str(int(text) + 1)
+    except ValueError:
+        pass
+    try:
+        return repr(float(text) * arg) if arg != 1 else repr(float(text) + 1)
+    except ValueError:
+        return text + "x"
+
+
+def row_mutations():
+    row = st.integers(0, 10**6)
+    field = st.integers(0, 10)
+    return st.lists(st.one_of(
+        st.tuples(st.just("drop"), row, st.none()),
+        st.tuples(st.just("duplicate"), row, st.none()),
+        st.tuples(st.just("truncate"), row, st.integers(0, 30)),
+        st.tuples(st.just("add"), row, st.sampled_from(["0", "x", ""])),
+        st.tuples(st.just("perturb"), row, st.tuples(
+            field, st.sampled_from([-1, 0, 0.5, 1, 3] + FIELD_SWAPS)))),
+        min_size=1, max_size=3)
+
+
+def mutate_rows(text, edits, first):
+    """Apply the edits to the lines from index `first` on; a row index
+    picks one of them modulo their count."""
+    lines = text.splitlines()
+    for op, i, arg in edits:
+        if len(lines) <= first:
+            break
+        i = first + i % (len(lines) - first)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:arg]
+        elif op == "add":
+            lines[i] += "," + arg
+        else:
+            fields = lines[i].split(",")
+            k = arg[0] % len(fields)
+            fields[k] = perturb_field(fields[k], arg[1])
+            lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def row_files(files):
+    """A plan, a profile, and a small bank with a capture to correct."""
+    tmp, _ = files
+    (tmp / "config.json").write_text(json.dumps(CONFIG))
+    cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+    freqs = [tiadc.coherent_bin(f, cfg.fs, 512)[1] for f in (1e8, 3e8, 6e8)]
+    tiadc.calibration.write_plan_csv([(f, 0.9, 512) for f in freqs], tmp / "plan.csv")
+    tiadc.write_profile_csv(tiadc.make_reference_profile(cfg, n_rows=5),
+                            tmp / "small.csv")
+    assert main(["design", "--config", str(tmp / "config.json"), "--profile",
+                 str(tmp / "small.csv"), "--n-grid", "64", "--taps", "9",
+                 "--out", str(tmp / "bank.csv")]) == 0
+    cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 2e8), cfg,
+                                 tiadc.make_reference_profile(cfg), 256)
+    tiadc.save_capture(cap, tmp / "raw.f64")
+    return tmp, {name: (tmp / name).read_text()
+                 for name in ("plan.csv", "small.csv", "bank.csv")}
+
+
+def run_mutated(tmp, capsys, name, text, argv):
+    (tmp / f"mutated_{name}").write_text(text)
+    capsys.readouterr()
+    rc = main(argv)
+    # the design warns when a mutated profile no longer covers the zone
+    assert_contract(rc, capsys.readouterr().err, ["warning: "])
+    return rc
+
+
+@settings(**CHECKS)
+@given(edits=row_mutations())
+def test_calibrate_mutated_plan(row_files, capsys, edits):
+    tmp, text = row_files
+    run_mutated(tmp, capsys, "plan.csv", mutate_rows(text["plan.csv"], edits, 1),
+                ["calibrate", "--config", str(tmp / "config.json"),
+                 "--plan", str(tmp / "mutated_plan.csv"),
+                 "--truth-profile", str(tmp / "small.csv"),
+                 "--out", str(tmp / "measured.csv")])
+
+
+@settings(**CHECKS)
+@given(edits=row_mutations())
+def test_design_mutated_profile(row_files, capsys, edits):
+    tmp, text = row_files
+    run_mutated(tmp, capsys, "small.csv", mutate_rows(text["small.csv"], edits, 1),
+                ["design", "--config", str(tmp / "config.json"),
+                 "--profile", str(tmp / "mutated_small.csv"), "--n-grid", "64",
+                 "--taps", "9", "--out", str(tmp / "bank_out.csv")])
+
+
+@settings(**CHECKS)
+@given(edits=row_mutations())
+def test_correct_mutated_bank(row_files, capsys, edits):
+    tmp, text = row_files
+    run_mutated(tmp, capsys, "bank.csv", mutate_rows(text["bank.csv"], edits, 0),
+                ["correct", "--capture", str(tmp / "raw.f64"),
+                 "--bank", str(tmp / "mutated_bank.csv"),
+                 "--profile", str(tmp / "small.csv"),
+                 "--out", str(tmp / "fixed.f64")])
+
+
+@pytest.mark.parametrize("name, line, expect", [
+    ("plan.csv", "100000000,0.9", "expected 3 fields, got 2"),
+    ("plan.csv", "100000000,0.9,512,7", "expected 3 fields, got 4"),
+    ("plan.csv", "100000000,0.9,5x", "invalid literal for int()"),
+    ("small.csv", "0,1e8,1.0", "expected 5 fields, got 3"),
+    ("bank.csv", "0,1", "expected 3 fields, got 2"),
+    ("bank.csv", "# taps", "expected 2 fields, got 1"),
+], ids=["plan-short", "plan-long", "plan-int", "profile-short", "bank-short",
+        "bank-header"])
+def test_bad_row_names_file_and_line(row_files, capsys, name, line, expect):
+    tmp, text = row_files
+    lines = text[name].splitlines()
+    lines.insert(2, line)
+    path = tmp / f"mutated_{name}"
+    argv = {"plan.csv": ["calibrate", "--config", str(tmp / "config.json"),
+                         "--plan", str(path), "--truth-profile", str(tmp / "small.csv"),
+                         "--out", str(tmp / "measured.csv")],
+            "small.csv": ["design", "--config", str(tmp / "config.json"),
+                          "--profile", str(path), "--out", str(tmp / "b.csv")],
+            "bank.csv": ["correct", "--capture", str(tmp / "raw.f64"),
+                         "--bank", str(path), "--out", str(tmp / "fixed.f64")]}[name]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ") and expect in err
+    assert len(err.splitlines()) == 1

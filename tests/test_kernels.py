@@ -1,5 +1,7 @@
 """The polyphase filter-bank kernel against a dense per-sample reference."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,34 @@ def test_dispatcher_validates():
         kernels.apply_filter_bank(np.zeros(8), np.zeros((2, 3)), 4, 0)
     with pytest.raises(ValueError):
         kernels.apply_filter_bank(np.zeros(8), np.zeros((4, 3)), 4, -1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m_ch=st.integers(1, 16), n_taps=st.integers(1, 300))
+def test_stream_push_splits_property(data, m_ch, n_taps):
+    # one record pushed in pieces: single samples, sizes that are not
+    # multiples of M, and pushes spanning several chunks, cycled until the
+    # record is used up
+    chunk = kernels.CHUNK_ROWS * m_ch
+    n = data.draw(st.integers(1, 3 * chunk + 7 * m_ch), label="n")
+    offset = data.draw(st.integers(0, n + 5), label="offset")
+    sizes = data.draw(st.lists(st.one_of(
+        st.just(1), st.integers(2, 3 * m_ch + 1), st.integers(chunk, 3 * chunk)),
+        min_size=1, max_size=6), label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n)
+    taps = rng.normal(size=(m_ch, n_taps))
+    y = np.empty(n)
+    stream = kernels.PolyphaseStream(taps, m_ch, offset, n)
+    done = a = 0
+    for size in itertools.cycle(sizes):
+        if a >= n:
+            break
+        done += stream.push(x[a:a + size], y[done:])
+        a += size
+    done += stream.finish(y[done:])
+    assert done == n
+    assert np.array_equal(y, kernels.apply_filter_bank(x, taps, m_ch, offset))
 
 
 def make_bank(taps, tap_offset):
