@@ -56,7 +56,6 @@ from tiadc.metrics import (
     image_spur_levels,
     spectrum,
 )
-from tiadc.kernels import apply_filter_bank
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "numpy"  # the only kernel; kept for run records that stamp it

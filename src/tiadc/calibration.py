@@ -145,11 +145,9 @@ def build_profile(measurements, config: TiadcConfig) -> MismatchProfile:
     return MismatchProfile(freqs_hz=freqs, gain=gain, dt_s=dt, offset_lsb=offs)
 
 
-def constant_profile(measurement: MismatchMeasurement, config: TiadcConfig,
-                     f_max: float | None = None) -> MismatchProfile:
-    """Frequency-independent profile from one measurement (narrowband snapshot)."""
-    f_hi = config.fs if f_max is None else f_max
-    freqs = np.array([0.0, f_hi])
+def constant_profile(measurement: MismatchMeasurement, config: TiadcConfig) -> MismatchProfile:
+    """Frequency-independent profile over [0, fs] from one (narrowband) measurement."""
+    freqs = np.array([0.0, config.fs])
     return MismatchProfile(
         freqs_hz=freqs,
         gain=np.repeat(measurement.gain_rel[:, None], 2, axis=1),

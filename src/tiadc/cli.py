@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -17,15 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from tiadc import calibration, correction, design, metrics, model
-from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec
+from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, _json_field
 
 
 def load_config(path) -> TiadcConfig:
-    raw = json.loads(Path(path).read_text())
-    try:
-        return config_from_dict(raw)
-    except KeyError as exc:
-        raise TiadcError(f"{path}: missing config field {exc}") from None
+    return config_from_dict(json.loads(Path(path).read_text()))
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
@@ -162,10 +159,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_pipeline(scenario, out_dir)
+    result = run_pipeline(load_scenario(args.scenario), args.out_dir)
     for line in result.log:
         print(line)
     print(f"summary -> {result.summary_path}")
@@ -173,8 +167,7 @@ def cmd_pipeline(args) -> int:
         for fail in result.failures:
             print(f"threshold violation: {fail}", file=sys.stderr)
         raise TiadcError(
-            f"scenario {scenario.get('name', '?')}: "
-            f"{len(result.failures)} threshold violation(s)")
+            f"scenario {args.scenario}: {len(result.failures)} threshold violation(s)")
     return 0
 
 
@@ -197,6 +190,28 @@ def load_scenario(name_or_path) -> dict:
     return scenario
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario description, read and checked in full by parse_scenario."""
+
+    kind: str  # one of SCENARIO_KINDS
+    config: TiadcConfig
+    truth_type: str  # "reference", "ideal" or "csv"
+    truth_path: str | None  # the profile CSV of truth_type "csv"
+    cal_config: TiadcConfig
+    cal_plan: tuple  # (freq_hz, amplitude_v, n_samples) rows, coherent and distinct
+    spec: design.DesignSpec
+    sim_config: TiadcConfig
+    n_sim: int
+    n_fft: int
+    points: tuple  # sweep points, each a tuple of (freq_hz, amplitude_v) tones
+    min_drop: float | None
+    min_gain: float | None
+    min_after: float | None
+    floor_dbfs: float
+    design_tone: float | None  # narrowband_contrast: the first calibration target
+
+
 @dataclass
 class PipelineResult:
     ok: bool
@@ -209,266 +224,255 @@ class PipelineResult:
     measured_profile: object = None
 
 
-def _block(scenario: dict, key: str, where: str, default=None) -> dict:
-    """scenario[key], which must be a JSON object; missing is an error
-    unless a default is given."""
-    raw = scenario.get(key, default)
-    if raw is None:
-        raise TiadcError(f"{where}: missing {key}")
-    if not isinstance(raw, dict):
-        raise TiadcError(f"{where}: {key} must be a JSON object, got {raw!r}")
-    return raw
+def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float,
+                      n: int, at: str) -> list:
+    """The distinct coherent frequencies, in order, nearest block[list_key]
+    or nearest count_key points spaced evenly from f_lo_hz to f_hi_hz."""
+    if list_key in block:
+        targets = _json_field(block, list_key, "reals", at)
+    else:
+        targets = np.linspace(_json_field(block, "f_lo_hz", "real", at),
+                              _json_field(block, "f_hi_hz", "real", at),
+                              _json_field(block, count_key, "int", at))
+    freqs = []
+    for f in targets:
+        _, f_act = metrics.coherent_bin(f, fs, n)
+        if f_act not in freqs:
+            freqs.append(f_act)
+    return freqs
 
 
-def _field(block: dict, key: str, kind: str, where: str, default=model._REQUIRED):
-    """block[key] of one JSON kind (see model._json_field). A field whose
-    default is None also reads an explicit null as not set."""
-    if default is None and block.get(key) is None:
-        return None
+def parse_scenario(raw: dict) -> Scenario:
+    """Read and check every block of a scenario description without touching
+    a file, so a bad one fails before any stage runs; errors name the block."""
+    where = at = f"scenario {raw.get('name', '?')}"
     try:
-        return model._json_field(block, key, kind, where, default)
-    except KeyError:
-        raise TiadcError(f"{where}: missing field {key!r}") from None
+        kind = _json_field(raw, "kind", "str", where, "sweep")
+        if kind not in SCENARIO_KINDS:
+            raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+        at = f"{where}: config"
+        config = model.config_from_json(_json_field(raw, "config", "object", where), at)
+        fs = config.fs
+
+        truth = _json_field(raw, "truth_profile", "object", where)
+        at = f"{where}: truth_profile"
+        truth_type = _json_field(truth, "type", "str", at)
+        if truth_type not in ("reference", "ideal", "csv"):
+            raise TiadcError(f"{at}: unknown type {truth_type!r}")
+        truth_path = _json_field(truth, "path", "str", at) if truth_type == "csv" else None
+
+        cal = _json_field(raw, "calibration", "object", where)
+        at = f"{where}: calibration"
+        cal_config = replace(config, quantize=_json_field(cal, "quantize", "bool", at, True))
+        n_cal = _json_field(cal, "n_samples", "int", at)
+        cal_freqs = _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal, at)
+        cal_amp = _json_field(cal, "amplitude_v", "real", at)
+        design_tone = (_json_field(cal, "freqs_hz", "reals", at)[0]
+                       if kind == "narrowband_contrast" else None)
+
+        dsn = _json_field(raw, "design", "object", where)
+        at = f"{where}: design"
+        spec = design.DesignSpec(
+            n_grid=_json_field(dsn, "n_grid", "int", at, 1024),
+            taps=_json_field(dsn, "taps", "int", at, 65),
+            delay_d=_json_field(dsn, "delay_d", "int", at, None),
+            window=_json_field(dsn, "window", "str", at, "kaiser"),
+            kaiser_beta=_json_field(dsn, "kaiser_beta", "real", at, 8.0),
+            zone=_json_field(dsn, "zone", "int", at, 1))
+
+        thresholds = _json_field(raw, "thresholds", "object", where, {})
+        at = f"{where}: thresholds"
+        min_drop, min_gain, min_after = (
+            _json_field(thresholds, key, "real", at, None)
+            for key in ("min_image_drop_db", "min_enob_gain_bits", "min_enob_after_bits"))
+        floor_dbfs = _json_field(thresholds, "spur_floor_dbfs", "real", at, -90.0)
+
+        sweep = _json_field(raw, "sweep", "object", where)
+        at = f"{where}: sweep"
+        n_fft = _json_field(sweep, "n_fft", "int", at)
+        n_sim = _json_field(sweep, "n_samples", "int", at)
+        sim_config = replace(config, quantize=_json_field(sweep, "quantize", "bool", at, True))
+        amp = _json_field(sweep, "amplitude_v", "real", at)
+        if kind == "two_tone":
+            tones = raw.get("tones")
+            if not isinstance(tones, list) or not tones:
+                raise TiadcError(f"{where}: tones must be a non-empty list")
+            point = []
+            for i, tone in enumerate(tones):
+                at = f"{where}: tones[{i}]"
+                if not isinstance(tone, dict):
+                    raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
+                point.append((
+                    metrics.coherent_bin(_json_field(tone, "f_target_hz", "real", at),
+                                         fs, n_fft)[1],
+                    _json_field(tone, "amplitude_v", "real", at, amp)))
+            points = (tuple(point),)
+        else:
+            points = tuple(((f, amp),) for f in _coherent_targets(
+                sweep, "f_targets_hz", "n_tones", fs, n_fft, at))
+            if not points:
+                raise TiadcError(f"{at}: no tones to sweep")
+    except ValueError as exc:
+        raise TiadcError(f"{at}: {exc}") from exc
+
+    return Scenario(
+        kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,
+        cal_config=cal_config, cal_plan=tuple((f, cal_amp, n_cal) for f in cal_freqs),
+        spec=spec, sim_config=sim_config, n_sim=n_sim, n_fft=n_fft, points=points,
+        min_drop=min_drop, min_gain=min_gain, min_after=min_after,
+        floor_dbfs=floor_dbfs, design_tone=design_tone)
 
 
-def _resolve_truth(scenario: dict, config: TiadcConfig, where: str):
-    spec = _block(scenario, "truth_profile", where)
-    at = f"{where}: truth_profile"
-    kind = _field(spec, "type", "str", at)
-    if kind == "reference":
-        return model.make_reference_profile(config)
-    if kind == "ideal":
-        return model.MismatchProfile.ideal(config.m_channels, config.fs)
-    if kind == "csv":
-        return model.read_profile_csv(_field(spec, "path", "str", at))
-    raise TiadcError(f"{at}: unknown type {kind!r}")
-
-
+@contextmanager
 def _stage(name):
     """Prefix the stage name to a bad-input error raised inside the block.
     Any other exception is a bug and propagates with its traceback."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if not isinstance(exc, (TiadcError, ValueError, OSError)) or (
-                    isinstance(exc, TiadcError) and str(exc).startswith("stage ")):
-                return False
-            raise TiadcError(f"stage {name}: {exc}") from exc
-    return _Ctx()
+    try:
+        yield
+    except (TiadcError, ValueError, OSError) as exc:
+        raise TiadcError(f"stage {name}: {exc}") from exc
 
 
-def _spur_targets(tones: ToneSpec, config: TiadcConfig, profile, floor_dbfs: float):
-    """Predicted interleave-image lines worth tracking, plus a skipped count.
+def _truth_profile(sc: Scenario):
+    if sc.truth_type == "reference":
+        return model.make_reference_profile(sc.config)
+    if sc.truth_type == "ideal":
+        return model.MismatchProfile.ideal(sc.config.m_channels, sc.config.fs)
+    return model.read_profile_csv(sc.truth_path)
 
-    Offset spurs are removed by the offset corrector, not the filter bank,
-    and live near the measurement floor; the suppression check covers image
-    lines only.
-    """
-    lines = model.predict_output_spectrum(tones, config, profile)
-    ref = config.full_scale / 2.0
-    targets, skipped = [], 0
+
+def _calibrate(sc: Scenario, truth, out_dir: Path, log: list):
+    """Measure the truth profile at the plan's tones; write measured_profile.csv."""
+    measurements = calibration.measure_plan(sc.cal_plan, sc.cal_config, truth)
+    if len(measurements) == 1:
+        measured = calibration.constant_profile(measurements[0], sc.config)
+    else:
+        measured = calibration.build_profile(measurements, sc.config)
+    path = out_dir / "measured_profile.csv"
+    model.write_profile_csv(measured, path)
+    log.append(f"calibrated {len(measurements)} frequencies -> {path}")
+    return measured
+
+
+def _design(sc: Scenario, measured, out_dir: Path, log: list):
+    """Design the bank and check its PR residual; write bank.csv and pr_residual.csv."""
+    bank = design.design_filter_bank(measured, sc.config, sc.spec)
+    path = out_dir / "bank.csv"
+    design.write_bank_csv(bank, path)
+    residual = design.pr_residual(bank, measured, sc.config, n_check=512)
+    design.write_residual_csv(residual, out_dir / "pr_residual.csv")
+    log.append(f"designed bank {bank.bank_id}; max alias residual "
+               f"{residual.max_alias():.3e} -> {path}")
+    return bank
+
+
+def _sweep_point(sc: Scenario, point, truth, measured, bank):
+    """Simulate one sweep point, correct it, and measure it before and after
+    correction: one summary row per tone, plus the number of image lines
+    below the spur floor."""
+    fs = sc.config.fs
+    tones = ToneSpec(tones=tuple(Tone(a, f) for f, a in point))
+    capture = model.simulate_capture(tones, sc.sim_config, truth, sc.n_sim)
+    corrected = correction.correct(correction.correct_offsets(capture, measured), bank)
+    lines = model.predict_output_spectrum(tones, sc.config, truth)
+    rep_before = metrics.spectrum(capture, sc.n_fft, "none")
+    rep_after = metrics.spectrum(corrected, sc.n_fft, "none")
+    # the drop is tracked on the predicted image lines above the spur floor;
+    # offset spurs are removed by the offset corrector, not the filter bank,
+    # and live near the measurement floor
+    ref = sc.config.full_scale / 2.0
+    min_observed_drop, skipped = np.inf, 0
     for ln in lines:
         if ln.kind != "image":
             continue
-        level = 20.0 * np.log10(max(ln.amplitude_v / ref, 1e-30))
-        if level < floor_dbfs:
+        if 20.0 * np.log10(max(ln.amplitude_v / ref, 1e-30)) < sc.floor_dbfs:
             skipped += 1
             continue
-        targets.append(ln)
-    return targets, skipped
-
-
-def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
-    """Run calibrate -> design -> sweep for one scenario description."""
-    out_dir = Path(out_dir)
-    log = []
-    where = f"scenario {scenario.get('name', '?')}"
-    kind = _field(scenario, "kind", "str", where, "sweep")
-    if kind not in SCENARIO_KINDS:
-        raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-    at = f"{where}: config"
-    try:
-        config = model.config_from_json(_block(scenario, "config", where), at)
-    except KeyError as exc:
-        raise TiadcError(f"{at}: missing field {exc}") from None
-    fs = config.fs
-
-    with _stage("truth-profile"):
-        truth = _resolve_truth(scenario, config, where)
-
-    with _stage("calibrate"):
-        cal = _block(scenario, "calibration", where)
-        at = f"{where}: calibration"
-        cal_config = replace(config, quantize=_field(cal, "quantize", "bool", at, True))
-        n_cal = _field(cal, "n_samples", "int", at)
-        if "freqs_hz" in cal:
-            raw_targets = _field(cal, "freqs_hz", "reals", at)
-        else:
-            raw_targets = list(np.linspace(_field(cal, "f_lo_hz", "real", at),
-                                           _field(cal, "f_hi_hz", "real", at),
-                                           _field(cal, "n_freqs", "int", at)))
-        freqs = []
-        for f in raw_targets:
-            _, f_act = metrics.coherent_bin(f, fs, n_cal)
-            if f_act not in freqs:
-                freqs.append(f_act)
-        amp = _field(cal, "amplitude_v", "real", at)
-        measurements = calibration.measure_plan(
-            [(f, amp, n_cal) for f in freqs], cal_config, truth)
-        if len(measurements) == 1:
-            measured = calibration.constant_profile(measurements[0], config)
-        else:
-            measured = calibration.build_profile(measurements, config)
-        profile_path = out_dir / "measured_profile.csv"
-        model.write_profile_csv(measured, profile_path)
-        log.append(f"calibrated {len(measurements)} frequencies -> {profile_path}")
-
-    with _stage("design"):
-        dsn = _block(scenario, "design", where)
-        at = f"{where}: design"
-        spec = design.DesignSpec(
-            n_grid=_field(dsn, "n_grid", "int", at, 1024),
-            taps=_field(dsn, "taps", "int", at, 65),
-            delay_d=_field(dsn, "delay_d", "int", at, None),
-            window=_field(dsn, "window", "str", at, "kaiser"),
-            kaiser_beta=_field(dsn, "kaiser_beta", "real", at, 8.0),
-            zone=_field(dsn, "zone", "int", at, 1))
-        bank = design.design_filter_bank(measured, config, spec)
-        bank_path = out_dir / "bank.csv"
-        design.write_bank_csv(bank, bank_path)
-        residual = design.pr_residual(bank, measured, config, n_check=512)
-        design.write_residual_csv(residual, out_dir / "pr_residual.csv")
-        log.append(f"designed bank {bank.bank_id}; max alias residual "
-                   f"{residual.max_alias():.3e} -> {bank_path}")
-
-    thresholds = _block(scenario, "thresholds", where, {})
-    at = f"{where}: thresholds"
-    min_drop = _field(thresholds, "min_image_drop_db", "real", at, None)
-    min_gain = _field(thresholds, "min_enob_gain_bits", "real", at, None)
-    min_after = _field(thresholds, "min_enob_after_bits", "real", at, None)
-    floor_dbfs = _field(thresholds, "spur_floor_dbfs", "real", at, -90.0)
-
-    sweep = _block(scenario, "sweep", where)
-    at = f"{where}: sweep"
-    n_fft = _field(sweep, "n_fft", "int", at)
-    n_sim = _field(sweep, "n_samples", "int", at)
-    sim_config = replace(config, quantize=_field(sweep, "quantize", "bool", at, True))
-    amp = _field(sweep, "amplitude_v", "real", at)
-
-    if kind == "two_tone":
-        tones = scenario.get("tones")
-        if not isinstance(tones, list) or not tones:
-            raise TiadcError(f"{where}: tones must be a non-empty list")
-        tone_specs = []
-        for i, tone in enumerate(tones):
-            at = f"{where}: tones[{i}]"
-            if not isinstance(tone, dict):
-                raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
-            tone_specs.append(
-                (metrics.coherent_bin(_field(tone, "f_target_hz", "real", at), fs, n_fft)[1],
-                 _field(tone, "amplitude_v", "real", at, amp)))
-        points = [tuple(tone_specs)]
-    else:
-        if "f_targets_hz" in sweep:
-            targets = _field(sweep, "f_targets_hz", "reals", at)
-        else:
-            targets = list(np.linspace(_field(sweep, "f_lo_hz", "real", at),
-                                       _field(sweep, "f_hi_hz", "real", at),
-                                       _field(sweep, "n_tones", "int", at)))
-        points = []
-        for f in targets:
-            _, f_act = metrics.coherent_bin(f, fs, n_fft)
-            pt = ((f_act, amp),)
-            if pt not in points:
-                points.append(pt)
-        if not points:
-            raise TiadcError(f"{at}: no tones to sweep")
-
+        b = rep_before.bin_of(ln.freq_hz)
+        if any(b == rep_before.bin_of(f) for f, _ in point):
+            continue  # folds onto a fundamental; skip as collision
+        drop = rep_before.power_dbfs[b] - rep_after.power_dbfs[b]
+        min_observed_drop = min(min_observed_drop, drop)
     rows = []
+    for f_tone, _a in point:
+        f_dig = model.fold_frequency(f_tone, fs)
+        others = [model.fold_frequency(f2, fs) for f2, _ in point if f2 != f_tone]
+        before, after = (
+            metrics.dynamic_metrics(rep, f_fund_hz=f_dig, m_channels=sc.config.m_channels,
+                                    exclude_freqs=others)
+            for rep in (rep_before, rep_after))
+        img_before = [s.dbc for s in before.spurs if s.kind == "image" and not s.collision]
+        img_after = [s.dbc for s in after.spurs if s.kind == "image" and not s.collision]
+        rows.append({
+            "f_in_hz": f_tone,
+            "enob_before": before.enob_bits,
+            "enob_after": after.enob_bits,
+            "max_image_dbc_before": max(img_before) if img_before else -np.inf,
+            "max_image_dbc_after": max(img_after) if img_after else -np.inf,
+            "min_image_drop_db": float(min_observed_drop),
+        })
+    return rows, skipped
+
+
+def _threshold_failures(sc: Scenario, rows: list) -> list:
     failures = []
-    total_skipped = 0
-    with _stage("sweep"):
-        for point in points:
-            tones = ToneSpec(tones=tuple(Tone(a, f) for f, a in point))
-            capture = model.simulate_capture(tones, sim_config, truth, n_sim)
-            corrected = correction.correct(
-                correction.correct_offsets(capture, measured), bank)
-            spur_lines, skipped = _spur_targets(tones, config, truth, floor_dbfs)
-            total_skipped += skipped
-            rep_before = metrics.spectrum(capture, n_fft, "none")
-            rep_after = metrics.spectrum(corrected, n_fft, "none")
-            min_observed_drop = np.inf
-            for ln in spur_lines:
-                b = rep_before.bin_of(ln.freq_hz)
-                if any(b == rep_before.bin_of(f) for f, _ in point):
-                    continue  # folds onto a fundamental; skip as collision
-                drop = rep_before.power_dbfs[b] - rep_after.power_dbfs[b]
-                min_observed_drop = min(min_observed_drop, drop)
-            for f_tone, _a in point:
-                f_dig = model.fold_frequency(f_tone, fs)
-                others = [model.fold_frequency(f2, fs) for f2, _ in point
-                          if f2 != f_tone]
-                before, after = (
-                    metrics.dynamic_metrics(rep, f_fund_hz=f_dig,
-                                            m_channels=config.m_channels,
-                                            exclude_freqs=others)
-                    for rep in (rep_before, rep_after))
-                img_before = [s.dbc for s in before.spurs
-                              if s.kind == "image" and not s.collision]
-                img_after = [s.dbc for s in after.spurs
-                             if s.kind == "image" and not s.collision]
-                row = {
-                    "f_in_hz": f_tone,
-                    "enob_before": before.enob_bits,
-                    "enob_after": after.enob_bits,
-                    "max_image_dbc_before": max(img_before) if img_before else -np.inf,
-                    "max_image_dbc_after": max(img_after) if img_after else -np.inf,
-                    "min_image_drop_db": float(min_observed_drop),
-                }
-                rows.append(row)
-                if kind != "narrowband_contrast":
-                    if min_drop is not None and min_observed_drop < min_drop:
-                        failures.append(
-                            f"{f_tone:g} Hz: image drop {min_observed_drop:.1f} dB "
-                            f"< {min_drop:g} dB")
-                    if min_gain is not None and \
-                            row["enob_after"] - row["enob_before"] < min_gain:
-                        failures.append(
-                            f"{f_tone:g} Hz: enob gain "
-                            f"{row['enob_after'] - row['enob_before']:.2f} < {min_gain:g}")
-                    if min_after is not None and row["enob_after"] < min_after:
-                        failures.append(
-                            f"{f_tone:g} Hz: enob after {row['enob_after']:.2f} "
-                            f"< {min_after:g}")
+    if sc.kind == "narrowband_contrast":
+        # the narrowband design must hold at its design tone and fail in the upper band
+        drop_at = {r["f_in_hz"]: r["min_image_drop_db"] for r in rows}
+        f_near = min(drop_at, key=lambda f: abs(f - sc.design_tone))
+        bound = float(sc.min_drop if sc.min_drop is not None else 30.0)
+        if drop_at[f_near] < bound:
+            failures.append(f"design tone {f_near:g} Hz only dropped {drop_at[f_near]:.1f} dB")
+        if not any(drop_at[f] < bound for f in drop_at if f > sc.config.fs / 4):
+            failures.append("no upper-band tone violated the suppression bound; "
+                            "narrowband design unexpectedly held wideband")
+        return failures
+    for r in rows:
+        f, drop, gain = r["f_in_hz"], r["min_image_drop_db"], r["enob_after"] - r["enob_before"]
+        if sc.min_drop is not None and drop < sc.min_drop:
+            failures.append(f"{f:g} Hz: image drop {drop:.1f} dB < {sc.min_drop:g} dB")
+        if sc.min_gain is not None and gain < sc.min_gain:
+            failures.append(f"{f:g} Hz: enob gain {gain:.2f} < {sc.min_gain:g}")
+        if sc.min_after is not None and r["enob_after"] < sc.min_after:
+            failures.append(f"{f:g} Hz: enob after {r['enob_after']:.2f} < {sc.min_after:g}")
+    return failures
 
-    if kind == "narrowband_contrast":
-        with _stage("contrast-check"):
-            f_design = _field(cal, "freqs_hz", "reals", f"{where}: calibration")[0]
-            drop_at = {r["f_in_hz"]: r["min_image_drop_db"] for r in rows}
-            f_near = min(drop_at, key=lambda f: abs(f - f_design))
-            bound = float(min_drop if min_drop is not None else 30.0)
-            if drop_at[f_near] < bound:
-                failures.append(
-                    f"design tone {f_near:g} Hz only dropped "
-                    f"{drop_at[f_near]:.1f} dB")
-            upper = [f for f in drop_at if f > fs / 4]
-            if not any(drop_at[f] < bound for f in upper):
-                failures.append(
-                    "no upper-band tone violated the suppression bound; "
-                    "narrowband design unexpectedly held wideband")
 
-    summary_path = out_dir / "summary.csv"
+def _write_summary(rows: list, out_dir: Path) -> Path:
+    path = out_dir / "summary.csv"
     lines = ["f_in_hz,enob_before,enob_after,max_image_dbc_before,max_image_dbc_after"]
     for r in rows:
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (
             r["f_in_hz"], r["enob_before"], r["enob_after"],
             r["max_image_dbc_before"], r["max_image_dbc_after"]))
-    summary_path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
+    """Check the whole scenario description, then run its stages: truth
+    profile, calibrate, design, each sweep point, thresholds, summary.csv."""
+    sc = parse_scenario(scenario)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    log = []
+    with _stage("truth-profile"):
+        truth = _truth_profile(sc)
+    with _stage("calibrate"):
+        measured = _calibrate(sc, truth, out_dir, log)
+    with _stage("design"):
+        bank = _design(sc, measured, out_dir, log)
+    rows, skipped = [], 0
+    with _stage("sweep"):
+        for point in sc.points:
+            point_rows, point_skipped = _sweep_point(sc, point, truth, measured, bank)
+            rows += point_rows
+            skipped += point_skipped
+    failures = _threshold_failures(sc, rows)
+    summary_path = _write_summary(rows, out_dir)
     log.append(f"swept {len(rows)} point(s); {len(failures)} threshold violation(s)")
     return PipelineResult(ok=not failures, rows=rows, failures=failures,
-                          skipped_spurs=total_skipped, summary_path=summary_path,
+                          skipped_spurs=skipped, summary_path=summary_path,
                           log=log, bank=bank, measured_profile=measured)
 
 

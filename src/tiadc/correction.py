@@ -45,6 +45,8 @@ def bank_stream(bank: FilterBank, config: TiadcConfig, n: int) -> kernels.Polyph
     if bank.m_channels != m_ch:
         raise ValueError(
             f"bank has {bank.m_channels} channels, capture has {m_ch}")
+    if bank.fs != config.fs:
+        raise ValueError(f"bank is for fs = {bank.fs:g} Hz, capture has fs = {config.fs:g} Hz")
     L = bank.spec.taps
     if n < L:
         raise ValueError(f"capture shorter than the filter length ({n} < {L})")
@@ -79,6 +81,6 @@ def correct(capture: Capture, bank: FilterBank,
     for a in range(0, n, step):
         done += stream.push(capture.samples[a:a + step], y[done:])
     stream.finish(y[done:])
-    return Capture(samples=y, fs=capture.fs, config=capture.config,
+    return Capture(samples=y, config=capture.config,
                    transient_samples=transient_samples(bank), corrected=True,
                    bank_id=bank.bank_id)

@@ -184,6 +184,9 @@ class FilterBank:
             raise ValueError("taps must have shape (m_channels, spec.taps)")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
+        if self.tap_offset < 0:
+            raise ValueError(f"delay_d = {self.spec.delay_d} is below (taps - 1)/2 = "
+                             f"{self.spec.half_taps}")
 
     @property
     def tap_offset(self) -> int:

@@ -43,14 +43,20 @@ def polyphase_matrix(taps, m_channels):
 class PolyphaseStream:
     """The M-branch synthesis bank over one n-sample record, pushed in pieces.
 
-    ``push`` and ``finish`` write the output samples they complete to the
-    front of ``out`` (a contiguous float64 array) and return how many they
-    wrote; output sample k of the record is the k-th sample written over
-    all calls. ``finish`` pads the record with zeros until all n are
-    written. Samples pushed beyond n are ignored.
+    ``taps`` is an (M, L) array; tap j of branch m acts at delay
+    ``tap_offset + m + j``, and ``tap_offset >= 0``. ``push`` and ``finish``
+    write the output samples they complete to the front of ``out`` (a
+    contiguous float64 array) and return how many they wrote; output sample
+    k of the record is the k-th sample written over all calls. ``finish``
+    pads the record with zeros until all n are written. Samples pushed
+    beyond n are ignored.
     """
 
     def __init__(self, taps, m_channels, tap_offset, n):
+        if taps.ndim != 2 or taps.shape[0] != m_channels:
+            raise ValueError("taps must have shape (m_channels, n_taps)")
+        if tap_offset < 0:
+            raise ValueError("tap_offset must be non-negative")
         self._g = polyphase_matrix(taps, m_channels)
         width = self._g.shape[0]
         self._chunk = CHUNK_ROWS * m_channels
@@ -118,21 +124,3 @@ class PolyphaseStream:
             k += self._run(out[k:])
         return k
 
-
-def apply_filter_bank(samples, taps, m_channels, tap_offset=0):
-    """Run the M-branch synthesis bank over an interleaved record.
-
-    ``taps`` is an (M, L) array; tap j of branch m acts at absolute delay
-    ``tap_offset + m + j``. Output has the same length as the input and is
-    zero-padded at the edges.
-    """
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
-    if taps.ndim != 2 or taps.shape[0] != m_channels:
-        raise ValueError("taps must have shape (m_channels, n_taps)")
-    if tap_offset < 0:
-        raise ValueError("tap_offset must be non-negative")
-    y = np.empty(samples.size)
-    stream = PolyphaseStream(taps, m_channels, tap_offset, samples.size)
-    stream.finish(y[stream.push(samples, y):])
-    return y

@@ -178,23 +178,32 @@ class ToneSpec:
         return sum(t.amplitude for t in self.tones) + abs(self.dc)
 
 
-@dataclass
+@dataclass(init=False)
 class Capture:
-    """An interleaved sample record plus its acquisition configuration."""
+    """An interleaved sample record plus its acquisition configuration; the
+    sample rate is config.fs, and an ``fs`` passed in must equal it."""
 
     samples: np.ndarray
-    fs: float
     config: TiadcConfig
     transient_samples: int = 0
     corrected: bool = False
     bank_id: str = ""
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+    def __init__(self, samples, config: TiadcConfig, transient_samples: int = 0,
+                 corrected: bool = False, bank_id: str = "", fs: float | None = None):
+        if fs is not None and fs != config.fs:
+            raise ValueError(f"fs = {fs:g} Hz does not match config.fs = {config.fs:g} Hz")
+        self.samples = np.asarray(samples, dtype=np.float64)
+        self.config, self.transient_samples = config, transient_samples
+        self.corrected, self.bank_id = corrected, bank_id
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
+
+    @property
+    def fs(self) -> float:
+        return self.config.fs
 
     @property
     def n(self) -> int:
@@ -254,7 +263,7 @@ def interleave(channels, config: TiadcConfig) -> Capture:
     y = np.empty(per * m_ch)
     for m, c in enumerate(channels):
         y[m::m_ch] = c
-    return Capture(samples=y, fs=config.fs, config=config)
+    return Capture(samples=y, config=config)
 
 
 def deinterleave(capture, m_channels=None):
@@ -380,9 +389,8 @@ _REF_DT_RIPPLE_PS = (0.0, -0.35, 0.3, 0.45)
 _REF_OFFSET_LSB = (0.0, 1.9, -1.5, 0.8)
 
 
-def make_reference_profile(config: TiadcConfig, n_rows: int = 65,
-                           f_max: float | None = None) -> MismatchProfile:
-    """Deterministic smooth mismatch profile covering [0, f_max].
+def make_reference_profile(config: TiadcConfig, n_rows: int = 65) -> MismatchProfile:
+    """Deterministic smooth mismatch profile covering [0, fs].
 
     Gain ripple stays within +-1%, timing errors within +-2 ps, offsets
     within 2 LSB. Channel 0 is ideal so measured (relative) profiles can be
@@ -390,9 +398,7 @@ def make_reference_profile(config: TiadcConfig, n_rows: int = 65,
     cycle through the tabulated constants with a small phase twist.
     """
     m_ch = config.m_channels
-    if f_max is None:
-        f_max = config.fs
-    freqs = np.linspace(0.0, f_max, n_rows)
+    freqs = np.linspace(0.0, config.fs, n_rows)
     gain = np.ones((m_ch, n_rows))
     dt = np.zeros((m_ch, n_rows))
     offs = np.zeros(m_ch)
@@ -477,15 +483,15 @@ def save_capture(capture: Capture, path):
     """Raw little-endian float64 samples plus a JSON sidecar at <path>.json."""
     path = Path(path)
     path.write_bytes(capture.samples.astype("<f8").tobytes())
-    write_sidecar(path, capture.n, capture.fs, capture.config,
+    write_sidecar(path, capture.n, capture.config,
                   capture.transient_samples, capture.corrected, capture.bank_id)
 
 
-def write_sidecar(path, n, fs, config: TiadcConfig, transient_samples=0,
+def write_sidecar(path, n, config: TiadcConfig, transient_samples=0,
                   corrected=False, bank_id=""):
     """The JSON sidecar <path>.json of an n-sample capture."""
     meta = {
-        "fs_hz": fs,
+        "fs_hz": config.fs,
         "m_channels": config.m_channels,
         "bits": config.bits,
         "full_scale_v": config.full_scale,
@@ -502,7 +508,7 @@ def write_sidecar(path, n, fs, config: TiadcConfig, transient_samples=0,
 _REQUIRED = object()
 _KIND_TEXT = {"int": "an integral number", "real": "a finite number",
               "bool": "true or false", "str": "a string",
-              "reals": "a non-empty list of finite numbers"}
+              "reals": "a non-empty list of finite numbers", "object": "a JSON object"}
 
 
 def _as_kind(v, kind: str):
@@ -513,7 +519,8 @@ def _as_kind(v, kind: str):
     # an exact comparison: a huge JSON integer must not overflow float()
     if kind == "real" and number and abs(v) <= sys.float_info.max:
         return float(v)
-    if kind == "bool" and isinstance(v, bool) or kind == "str" and isinstance(v, str):
+    if (kind == "bool" and isinstance(v, bool) or kind == "str" and isinstance(v, str)
+            or kind == "object" and isinstance(v, dict)):
         return v
     if kind == "reals" and isinstance(v, list) and v:
         reals = [_as_kind(x, "real") for x in v]
@@ -524,13 +531,14 @@ def _as_kind(v, kind: str):
 
 def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
     """raw[key], checked to be of one JSON kind: "int" (an integral number),
-    "real" (a finite number), "bool", "str" or "reals" (a non-empty list of
-    finite numbers). true and false are never numbers. A missing key returns
-    default, or raises KeyError without one; a value of the wrong kind raises
-    a TiadcError naming `where`."""
-    if key not in raw:
+    "real" (a finite number), "bool", "str", "reals" (a non-empty list of
+    finite numbers) or "object". true and false are never numbers. A missing
+    key, or a null where the default is None, returns default; a missing
+    required field or a value of the wrong kind raises a TiadcError naming
+    `where`."""
+    if key not in raw or raw[key] is None and default is None:
         if default is _REQUIRED:
-            raise KeyError(key)
+            raise TiadcError(f"{where}: missing field {key!r}")
         return default
     v = _as_kind(raw[key], kind)
     if v is None:
@@ -560,11 +568,9 @@ def capture_header(path) -> tuple[int, dict]:
     meta = json.loads(sidecar.read_text())
     if not isinstance(meta, dict):
         raise TiadcError(f"{sidecar}: sidecar must be a JSON object")
+    n = _json_field(meta, "n", "int", sidecar)
     try:
-        n = _json_field(meta, "n", "int", sidecar)
         config = config_from_json(meta, sidecar)
-    except KeyError as exc:
-        raise TiadcError(f"{sidecar}: missing field {exc}") from None
     except ValueError as exc:
         raise TiadcError(f"{sidecar}: {exc}") from None
     if n <= 0 or n % config.m_channels:
@@ -578,7 +584,7 @@ def capture_header(path) -> tuple[int, dict]:
     bank_id = _json_field(meta, "bank_id", "str", sidecar, "")
     if path.stat().st_size != 8 * n:
         raise TiadcError(f"{path}: sample count does not match sidecar")
-    return n, dict(fs=config.fs, config=config, transient_samples=transient,
+    return n, dict(config=config, transient_samples=transient,
                    corrected=corrected, bank_id=bank_id)
 
 

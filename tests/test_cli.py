@@ -259,13 +259,53 @@ class TestCorrectAnalyze:
         assert (got.corrected, got.bank_id, got.transient_samples) == (
             True, want.bank_id, want.transient_samples)
 
+    def correct_with_bank(self, tmp, cfg, bank_path):
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 4096)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        return main(["correct", "--capture", str(tmp / "cap.f64"),
+                     "--bank", str(bank_path), "--out", str(tmp / "fixed.f64")])
+
+    def test_bank_delay_below_half_taps_rejected(self, workdir, capsys):
+        # delay_d 10 with 33 taps: the taps would start 6 samples before
+        # the output sample they make
+        tmp, cfg = workdir
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "truth.csv"), "--taps", "33",
+                     "--out", str(tmp / "bank.csv")]) == 0
+        lines = []
+        for line in (tmp / "bank.csv").read_text().splitlines():
+            if line == "# delay_d,16":
+                line = "# delay_d,10"
+            elif line[0].isdigit():
+                ch, idx, coef = line.split(",")
+                line = f"{ch},{int(idx) - 6},{coef}"
+            lines.append(line)
+        (tmp / "low.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.correct_with_bank(tmp, cfg, tmp / "low.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp / 'low.csv'}: delay_d = 10 is below (taps - 1)/2 = 16\n")
+
+    def test_bank_for_other_sample_rate_rejected(self, workdir, capsys):
+        tmp, cfg = workdir
+        (tmp / "slow.json").write_text(json.dumps({**CONFIG, "fs_hz": 1e9}))
+        assert main(["design", "--config", str(tmp / "slow.json"),
+                     "--profile", str(tmp / "ideal.csv"), "--taps", "33",
+                     "--out", str(tmp / "bank.csv")]) == 0
+        capsys.readouterr()
+        assert self.correct_with_bank(tmp, cfg, tmp / "bank.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: bank is for fs = 1e+09 Hz, capture has fs = 1.6e+09 Hz\n")
+        assert not (tmp / "fixed.f64").exists()
+
     def test_non_finite_block_leaves_no_output(self, workdir, monkeypatch, capsys):
         tmp, cfg = workdir
         monkeypatch.setattr(correction, "DEFAULT_BLOCK", 256)
         x = np.zeros(4096)
         x[3000] = np.nan
         (tmp / "cap.f64").write_bytes(x.astype("<f8").tobytes())
-        tiadc.model.write_sidecar(tmp / "cap.f64", x.size, cfg.fs, cfg)
+        tiadc.model.write_sidecar(tmp / "cap.f64", x.size, cfg)
         assert main(["design", "--config", str(tmp / "config.json"),
                      "--profile", str(tmp / "ideal.csv"),
                      "--out", str(tmp / "bank.csv")]) == 0
@@ -290,7 +330,7 @@ class TestCaptureSidecar:
         _, f = tiadc.coherent_bin(3e8, cfg.fs, 4096)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg,
                                      tiadc.MismatchProfile.ideal(4, cfg.fs), 8192)
-        cap = tiadc.Capture(samples=cap.samples[:n], fs=cfg.fs, config=cfg,
+        cap = tiadc.Capture(samples=cap.samples[:n], config=cfg,
                             transient_samples=65, corrected=True, bank_id="abc")
         path = tmp / "cap.f64"
         tiadc.save_capture(cap, path)
@@ -471,6 +511,33 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and expect in err
+
+    @pytest.mark.parametrize("edit, expect", [
+        ({"sweep": {**TINY_SCENARIO["sweep"], "n_fft": 2000}},
+         "sweep: n_fft must be a power of two"),
+        ({"thresholds": {**TINY_SCENARIO["thresholds"], "min_enob_after_bits": True}},
+         "thresholds: min_enob_after_bits must be a finite number, got True"),
+        ({"kind": "narrowband_contrast"}, "calibration: missing field 'freqs_hz'"),
+    ], ids=["n_fft", "bool-threshold", "contrast-without-freqs"])
+    def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
+        # the whole scenario is checked before the first stage runs
+        calls = []
+        measure_plan = calibration.measure_plan
+
+        def counting(*args):
+            calls.append(args)
+            return measure_plan(*args)
+
+        monkeypatch.setattr(calibration, "measure_plan", counting)
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps({**TINY_SCENARIO, **edit}))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: scenario tiny: {expect}\n"
+        assert list(out.iterdir()) == []
+        assert calls == []
 
     def test_non_object_scenario(self, tmp_path, capsys):
         scen_path = tmp_path / "list.json"

@@ -47,7 +47,7 @@ def dense_operator(bank, n):
 
 
 def make_capture(cfg, samples):
-    return tiadc.Capture(samples=np.asarray(samples, float), fs=cfg.fs, config=cfg)
+    return tiadc.Capture(samples=np.asarray(samples, float), config=cfg)
 
 
 class TestCorrectOffsets:

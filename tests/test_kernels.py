@@ -11,6 +11,14 @@ from tiadc import correction, kernels
 from tiadc.design import DesignSpec, FilterBank
 
 
+def run_stream(x, taps, m_ch, offset):
+    """The whole record pushed through one stream at once, then finished."""
+    y = np.empty(x.size)
+    stream = kernels.PolyphaseStream(taps, m_ch, offset, x.size)
+    stream.finish(y[stream.push(x, y):])
+    return y
+
+
 def dense_reference(x, taps, m_ch, offset):
     n = x.size
     y = np.zeros(n)
@@ -29,7 +37,7 @@ def test_matches_dense_reference(m_ch, n_taps, offset):
     rng = np.random.default_rng(7)
     x = rng.normal(size=m_ch * 40)
     taps = rng.normal(size=(m_ch, n_taps))
-    y = kernels.apply_filter_bank(x, taps, m_ch, offset)
+    y = run_stream(x, taps, m_ch, offset)
     ref = dense_reference(x, taps, m_ch, offset)
     assert np.max(np.abs(y - ref)) <= 1e-12
 
@@ -41,7 +49,7 @@ def test_edges_match_dense_reference(n, offset):
     rng = np.random.default_rng(11)
     x = rng.normal(size=n)
     taps = rng.normal(size=(4, 9))
-    y = kernels.apply_filter_bank(x, taps, 4, offset)
+    y = run_stream(x, taps, 4, offset)
     ref = dense_reference(x, taps, 4, offset)
     assert y.shape == (n,)
     assert np.max(np.abs(y - ref)) <= 1e-12
@@ -49,11 +57,11 @@ def test_edges_match_dense_reference(n, offset):
         assert not y.any()
 
 
-def test_dispatcher_validates():
-    with pytest.raises(ValueError):
-        kernels.apply_filter_bank(np.zeros(8), np.zeros((2, 3)), 4, 0)
-    with pytest.raises(ValueError):
-        kernels.apply_filter_bank(np.zeros(8), np.zeros((4, 3)), 4, -1)
+def test_stream_validates():
+    with pytest.raises(ValueError, match="shape"):
+        kernels.PolyphaseStream(np.zeros((2, 3)), 4, 0, 8)
+    with pytest.raises(ValueError, match="tap_offset"):
+        kernels.PolyphaseStream(np.zeros((4, 3)), 4, -1, 8)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -81,7 +89,7 @@ def test_stream_push_splits_property(data, m_ch, n_taps):
         a += size
     done += stream.finish(y[done:])
     assert done == n
-    assert np.array_equal(y, kernels.apply_filter_bank(x, taps, m_ch, offset))
+    assert np.array_equal(y, run_stream(x, taps, m_ch, offset))
 
 
 def make_bank(taps, tap_offset):
@@ -99,7 +107,7 @@ def make_bank(taps, tap_offset):
 def correct_samples(x, bank, block_size):
     cfg = tiadc.TiadcConfig(m_channels=bank.m_channels, fs=bank.fs, bits=14,
                             full_scale=2.0, quantize=False)
-    cap = tiadc.Capture(samples=x, fs=cfg.fs, config=cfg)
+    cap = tiadc.Capture(samples=x, config=cfg)
     return correction.correct(cap, bank, block_size=block_size).samples
 
 
@@ -112,7 +120,7 @@ def test_kernel_property(data, m_ch, n_taps):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     taps = rng.normal(size=(m_ch, n_taps))
-    y = kernels.apply_filter_bank(x, taps, m_ch, offset)
+    y = run_stream(x, taps, m_ch, offset)
     assert y.shape == (n,)
     assert np.max(np.abs(y - dense_reference(x, taps, m_ch, offset))) <= 1e-12
 

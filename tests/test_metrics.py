@@ -74,18 +74,18 @@ class TestSpectrum:
         assert rep.power_dbfs[rep.bin_of(f)] == pytest.approx(-6.02, abs=0.01)
 
     def test_dc_only(self, cfg4, ideal4):
-        cap = tiadc.Capture(samples=np.full(4096, 0.25), fs=cfg4.fs, config=cfg4)
+        cap = tiadc.Capture(samples=np.full(4096, 0.25), config=cfg4)
         rep = tiadc.spectrum(cap, 4096)
         assert np.argmax(rep.power_dbfs) == 0
         assert np.max(rep.power_dbfs[1:]) < -250.0
 
     def test_too_short_rejected(self, cfg4):
-        cap = tiadc.Capture(samples=np.zeros(1000) + 0.1, fs=cfg4.fs, config=cfg4)
+        cap = tiadc.Capture(samples=np.zeros(1000) + 0.1, config=cfg4)
         with pytest.raises(ValueError):
             tiadc.spectrum(cap, 4096)
 
     def test_n_fft_must_be_power_of_two(self, cfg4):
-        cap = tiadc.Capture(samples=np.zeros(4096) + 0.1, fs=cfg4.fs, config=cfg4)
+        cap = tiadc.Capture(samples=np.zeros(4096) + 0.1, config=cfg4)
         for n_fft in (0, 2, 6, 3000):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -145,7 +145,7 @@ class TestDynamicMetrics:
         _, f = tiadc.coherent_bin(2.7e8, cfg4.fs, 4096)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.5, f), cfg4,
                                      truth, 4096)
-        half = tiadc.Capture(samples=cap.samples * 0.5, fs=cfg4.fs, config=cfg4)
+        half = tiadc.Capture(samples=cap.samples * 0.5, config=cfg4)
         r1 = tiadc.dynamic_metrics(tiadc.spectrum(cap, 4096), f, 4)
         r2 = tiadc.dynamic_metrics(tiadc.spectrum(half, 4096), f, 4)
         b = r1.fundamental_bin
@@ -155,14 +155,14 @@ class TestDynamicMetrics:
         assert r2.sfdr_db == pytest.approx(r1.sfdr_db, abs=1e-6)
 
     def test_fundamental_must_exist(self, cfg4):
-        cap = tiadc.Capture(samples=np.zeros(4096), fs=cfg4.fs, config=cfg4)
+        cap = tiadc.Capture(samples=np.zeros(4096), config=cfg4)
         with pytest.raises(tiadc.TiadcError):
             tiadc.dynamic_metrics(tiadc.spectrum(cap, 4096), 3e8, 4)
 
     def test_no_bins_left_for_noise(self, cfg4):
         # n_fft = 4 has 3 bins, and hann's gather around bin 1 covers them all
         x = np.sin(2 * np.pi * np.arange(4) / 4 + 0.3)
-        rep = tiadc.spectrum(tiadc.Capture(samples=x, fs=cfg4.fs, config=cfg4), 4, "hann")
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, config=cfg4), 4, "hann")
         with pytest.raises(tiadc.TiadcError, match="no bins left"):
             tiadc.dynamic_metrics(rep, cfg4.fs / 4, 4)
 
@@ -308,7 +308,7 @@ class TestMetricPools:
         x = (rng.uniform(0.1, 1.0) * np.sin(2 * np.pi * f * t + rng.uniform(0, 6))
              + rng.normal(0, 10 ** rng.uniform(-6, -1), n)
              + 0.01 * rng.uniform() * np.sin(2 * np.pi * 3 * f * t))
-        rep = tiadc.spectrum(tiadc.Capture(samples=x, fs=fs, config=cfg), n, window)
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, config=cfg), n, window)
         excl = list(rng.uniform(0, fs, n_excl))
         f_fund = f if give_fund else None
         got = tiadc.dynamic_metrics(rep, f_fund, m_channels, harmonics, excl)

@@ -298,6 +298,15 @@ class TestCaptureFiles:
         assert back.corrected and back.bank_id == "abc123"
         assert back.transient_samples == 65
 
+    def test_fs_is_the_config_rate(self, cfg4):
+        cap = tiadc.Capture(samples=np.zeros(8), config=cfg4)
+        assert cap.fs == cfg4.fs
+        with pytest.raises(AttributeError):
+            cap.fs = 1e9
+        assert tiadc.Capture(samples=np.zeros(8), config=cfg4, fs=cfg4.fs).fs == cfg4.fs
+        with pytest.raises(ValueError, match="does not match config.fs"):
+            tiadc.Capture(samples=np.zeros(8), config=cfg4, fs=1e9)
+
     def test_missing_sidecar(self, cfg4, tmp_path):
         path = tmp_path / "cap.f64"
         path.write_bytes(b"\0" * 64)
