@@ -36,20 +36,16 @@ class SineFitResult:
     rms_residual: float
 
 
-def sine_fit(samples, freq_ratio: float) -> SineFitResult:
-    """Known-frequency least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC.
-
-    freq_ratio is in cycles per sample and must lie strictly inside (0, 0.5).
-    The fit is exact on noiseless model data.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 8:
+def fit_basis(n: int, freq_ratio: float) -> np.ndarray:
+    """The (n, 3) least-squares basis [cos, sin, 1] of a known-frequency sine
+    fit, shared by every record of n samples at freq_ratio."""
+    if n < 8:
         raise ValueError("need at least 8 samples")
-    if not 0.0 < freq_ratio < 0.5:
-        raise DegenerateInputError(f"freq_ratio {freq_ratio} outside (0, 0.5)")
-    i = np.arange(x.size)
-    theta = TWO_PI * freq_ratio * i
-    basis = np.column_stack([np.cos(theta), np.sin(theta), np.ones(x.size)])
+    theta = TWO_PI * freq_ratio * np.arange(n)
+    return np.column_stack([np.cos(theta), np.sin(theta), np.ones(n)])
+
+
+def _fit(basis: np.ndarray, x: np.ndarray, freq_ratio: float) -> SineFitResult:
     coef, _, rank, _ = np.linalg.lstsq(basis, x, rcond=None)
     if rank < 3:
         raise DegenerateInputError(
@@ -60,6 +56,19 @@ def sine_fit(samples, freq_ratio: float) -> SineFitResult:
     resid = x - basis @ coef
     return SineFitResult(amplitude=amplitude, phase_rad=phase, dc=float(dc),
                          rms_residual=float(np.sqrt(np.mean(resid ** 2))))
+
+
+def sine_fit(samples, freq_ratio: float) -> SineFitResult:
+    """Known-frequency least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC.
+
+    freq_ratio is in cycles per sample and must lie strictly inside (0, 0.5).
+    The fit is exact on noiseless model data.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    basis = fit_basis(x.size, freq_ratio)
+    if not 0.0 < freq_ratio < 0.5:
+        raise DegenerateInputError(f"freq_ratio {freq_ratio} outside (0, 0.5)")
+    return _fit(basis, x, freq_ratio)
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,10 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
             f"tone at {f_in_hz} Hz aliases to DC or Nyquist of the channel rate")
     flip = ratio_raw > 0.5
     ratio = 1.0 - ratio_raw if flip else ratio_raw
-    fits = [sine_fit(ch, ratio) for ch in channels]
+    # every channel of the tone shares one basis; one lstsq per channel keeps
+    # each fit's arithmetic that of sine_fit
+    basis = fit_basis(channels[0].size, ratio)
+    fits = [_fit(basis, ch, ratio) for ch in channels]
     for m, fit in enumerate(fits):
         if fit.amplitude < 10.0 * fit.rms_residual:
             raise UnreliableMeasurementError(

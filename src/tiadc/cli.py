@@ -131,7 +131,7 @@ def cmd_correct(args) -> int:
         os.replace(part, out)
     finally:
         part.unlink(missing_ok=True)
-    transient = correction.transient_samples(bank)
+    transient = correction.transient_samples(bank.spec)
     model.write_sidecar(out, n, **dict(fields, transient_samples=transient,
                                        corrected=True, bank_id=bank.bank_id))
     print(f"corrected {n} samples with bank {bank.bank_id} "
@@ -242,6 +242,11 @@ def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float,
     return freqs
 
 
+def _check_channel_multiple(n_samples: int, m_channels: int):
+    if n_samples % m_channels:
+        raise ValueError(f"n_samples must be a multiple of m_channels = {m_channels}")
+
+
 def parse_scenario(raw: dict) -> Scenario:
     """Read and check every block of a scenario description without touching
     a file, so a bad one fails before any stage runs; errors name the block."""
@@ -265,6 +270,9 @@ def parse_scenario(raw: dict) -> Scenario:
         at = f"{where}: calibration"
         cal_config = replace(config, quantize=_json_field(cal, "quantize", "bool", at, True))
         n_cal = _json_field(cal, "n_samples", "int", at)
+        if n_cal < 4 or n_cal & (n_cal - 1):
+            raise ValueError("n_samples must be a power of two")
+        _check_channel_multiple(n_cal, config.m_channels)
         cal_freqs = _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal, at)
         cal_amp = _json_field(cal, "amplitude_v", "real", at)
         design_tone = (_json_field(cal, "freqs_hz", "reals", at)[0]
@@ -279,6 +287,7 @@ def parse_scenario(raw: dict) -> Scenario:
             window=_json_field(dsn, "window", "str", at, "kaiser"),
             kaiser_beta=_json_field(dsn, "kaiser_beta", "real", at, 8.0),
             zone=_json_field(dsn, "zone", "int", at, 1))
+        design.check_tap_window(spec, config.m_channels)
 
         thresholds = _json_field(raw, "thresholds", "object", where, {})
         at = f"{where}: thresholds"
@@ -291,6 +300,11 @@ def parse_scenario(raw: dict) -> Scenario:
         at = f"{where}: sweep"
         n_fft = _json_field(sweep, "n_fft", "int", at)
         n_sim = _json_field(sweep, "n_samples", "int", at)
+        _check_channel_multiple(n_sim, config.m_channels)
+        usable = n_sim - 2 * correction.transient_samples(spec)
+        if usable < n_fft:
+            raise ValueError(f"n_samples {n_sim} leaves {usable} samples after the "
+                             f"correction transients, fewer than n_fft = {n_fft}")
         sim_config = replace(config, quantize=_json_field(sweep, "quantize", "bool", at, True))
         amp = _json_field(sweep, "amplitude_v", "real", at)
         if kind == "two_tone":

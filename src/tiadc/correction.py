@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from tiadc.model import Capture, MismatchProfile, TiadcConfig
-from tiadc.design import FilterBank
+from tiadc.design import DesignSpec, FilterBank
 from tiadc import kernels
 
 DEFAULT_BLOCK = 1 << 16
@@ -55,10 +55,10 @@ def bank_stream(bank: FilterBank, config: TiadcConfig, n: int) -> kernels.Polyph
     return kernels.PolyphaseStream(bank.taps, m_ch, bank.tap_offset, n)
 
 
-def transient_samples(bank: FilterBank) -> int:
-    """Output samples at each end of a corrected record that read the zeros
-    outside it."""
-    return bank.spec.taps + bank.tap_offset
+def transient_samples(spec: DesignSpec) -> int:
+    """Output samples at each end of a record corrected by a bank of this
+    design that read the zeros outside it."""
+    return spec.taps + spec.delay_d - spec.half_taps
 
 
 def correct(capture: Capture, bank: FilterBank,
@@ -82,5 +82,5 @@ def correct(capture: Capture, bank: FilterBank,
         done += stream.push(capture.samples[a:a + step], y[done:])
     stream.finish(y[done:])
     return Capture(samples=y, config=capture.config,
-                   transient_samples=transient_samples(bank), corrected=True,
+                   transient_samples=transient_samples(bank.spec), corrected=True,
                    bank_id=bank.bank_id)

@@ -123,6 +123,44 @@ def alias_system(omegas, profile: MismatchProfile, config: TiadcConfig, zone: in
     return a, signal_row(ks, m_ch)
 
 
+_GATE_SLICE = 128
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Induced 1-norm (largest column sum of magnitudes) of each matrix."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def well_conditioned(a: np.ndarray) -> np.ndarray:
+    """cond2(a) <= COND_LIMIT for each matrix of a stack, shape a.shape[:-2].
+
+    The 1-norm condition number bounds the 2-norm one: cond1/M <= cond2 <=
+    M*cond1 (Golub & Van Loan, Matrix Computations, sec. 2.3). cond1 comes
+    from batched inverses; the SVD of np.linalg.cond runs only on the
+    matrices that bound leaves open, those with a NaN or infinite cond1, or
+    the whole stack when one matrix is exactly singular.
+    """
+    m = a.shape[-1]
+    stack = a.reshape(-1, m, m)
+    cond1 = np.empty(len(stack))
+    try:
+        # a slice of matrices at a time, so the inverses add little memory to
+        # the solve that follows
+        for lo in range(0, len(stack), _GATE_SLICE):
+            part = stack[lo:lo + _GATE_SLICE]
+            cond1[lo:lo + _GATE_SLICE] = _norm1(part) * _norm1(np.linalg.inv(part))
+    except np.linalg.LinAlgError:
+        return np.linalg.cond(a) <= COND_LIMIT  # also False for inf and nan
+    # both condition numbers carry rounding errors far below this slack, so
+    # the bound decides a matrix only with room to spare
+    slack = 1.001
+    ok = m * cond1 * slack <= COND_LIMIT
+    open_ = ~ok & ~(np.isfinite(cond1) & (cond1 > m * COND_LIMIT * slack))
+    if open_.any():
+        ok[open_] = np.linalg.cond(stack[open_]) <= COND_LIMIT
+    return ok.reshape(a.shape[:-2])
+
+
 def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
                 spec: DesignSpec) -> np.ndarray:
     """Branch responses F_m at one digital frequency or an array of them.
@@ -131,12 +169,13 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     row of the signal alias index equals M*exp(-1j*omega*d) and every other
     row is zero. Returns shape omega.shape + (M,); the first frequency whose
     system is ill-conditioned or unsolved raises SingularDesignError.
+    The gate is on the 2-norm condition number; cond1 only decides the bins
+    it bounds (see well_conditioned).
     """
     m_ch = config.m_channels
     omega = np.asarray(omega, dtype=np.float64)
     a_mat, sig = alias_system(omega, profile, config, spec.zone)
-    cond = np.linalg.cond(a_mat)
-    ok = cond <= COND_LIMIT  # also False for inf and nan
+    ok = well_conditioned(a_mat)
     b = np.where(np.arange(m_ch) == sig[..., None],
                  (m_ch * np.exp(-1j * omega * spec.delay_d))[..., None], 0j)
     f = np.zeros_like(b)
@@ -146,8 +185,8 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     failed = np.flatnonzero(~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1)))
     if failed.size:
         i = failed[0]
-        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i]
-                  else f"condition number {cond.flat[i]:.3g}")
+        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i] else
+                  f"condition number {np.linalg.cond(a_mat.reshape(-1, m_ch, m_ch)[i]):.3g}")
         raise SingularDesignError(float(omega.flat[i]), detail)
     return f
 
@@ -211,6 +250,16 @@ class FilterBank:
         return np.einsum("ml,mlw->mw", self.taps, table[m_idx + j_idx])
 
 
+def check_tap_window(spec: DesignSpec, m_channels: int):
+    """Raise ValueError unless every branch's L-tap window, centred on its
+    group delay d + m, lies inside the n_grid-point impulse response."""
+    n, h = spec.n_grid, spec.half_taps
+    if spec.delay_d - h < 0 or spec.delay_d + (m_channels - 1) + h >= n:
+        raise ValueError(
+            "delay_d leaves the tap window outside the design grid; "
+            f"need {h} <= delay_d <= {n - m_channels - h}")
+
+
 def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
                        spec: DesignSpec) -> FilterBank:
     """Solve the reconstruction condition on the design grid and extract taps.
@@ -227,10 +276,7 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     L = spec.taps
     d = spec.delay_d
     h = spec.half_taps
-    if d - h < 0 or d + (m_ch - 1) + h >= n:
-        raise ValueError(
-            "delay_d leaves the tap window outside the design grid; "
-            f"need {h} <= delay_d <= {n - m_ch - h}")
+    check_tap_window(spec, m_ch)
     half = n // 2
     grid = np.empty((m_ch, n), dtype=np.complex128)
     grid[:, 1:half] = solve_pr_at(TWO_PI * np.arange(1, half) / n, profile, config, spec).T
@@ -359,7 +405,7 @@ def read_bank_csv(path) -> FilterBank:
 
 
 def write_residual_csv(report: PRResidualReport, path):
-    np.savetxt(path, np.column_stack([report.omegas, report.residual_k0,
-                                      report.residual_alias]),
-               fmt="%.17g", delimiter=",", comments="",
-               header="omega_rad,residual_k0,residual_alias")
+    lines = ["omega_rad,residual_k0,residual_alias"]
+    lines += ["%.17g,%.17g,%.17g" % row for row in zip(
+        report.omegas.tolist(), report.residual_k0.tolist(), report.residual_alias.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n")

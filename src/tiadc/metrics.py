@@ -209,7 +209,10 @@ def enob_from_sinad(sinad_db: float) -> float:
 
 
 def _gathered_db(report: SpectrumReport, center: int, gather: int) -> float:
-    p = _pool_sum(report.mean_square, _bin_mask(report.n_bins, [center], gather))
+    # at most three bins: the builtin sum adds the np.float64 items in
+    # ascending order, uncompensated on every Python version
+    p = sum(report.mean_square[max(0, center - gather):
+                               min(report.n_bins - 1, center + gather) + 1])
     ref = (report.full_scale / 2.0) ** 2 / 2.0
     return 10.0 * np.log10(max(p / ref, 10.0 ** (DB_FLOOR / 10.0)))
 

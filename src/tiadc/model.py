@@ -288,7 +288,9 @@ def simulate_capture(tones: ToneSpec, config: TiadcConfig,
 
 def fold_frequency(freq_hz: float, fs: float) -> float:
     """Alias an analog frequency into the first Nyquist band [0, fs/2]."""
-    r = np.abs(freq_hz) % fs
+    # Python floats: the same IEEE operations as numpy scalars, without
+    # their per-call overhead
+    r = abs(float(freq_hz)) % fs
     return fs - r if r > fs / 2 else r
 
 

@@ -130,6 +130,50 @@ class TestEstimateMismatch:
         assert m.dt_s[0] == 0.0
 
 
+def reference_sine_fit(samples, freq_ratio):
+    """sine_fit as it was before the basis was shared: one basis per call."""
+    x = np.asarray(samples, dtype=np.float64)
+    i = np.arange(x.size)
+    theta = 2 * np.pi * freq_ratio * i
+    basis = np.column_stack([np.cos(theta), np.sin(theta), np.ones(x.size)])
+    coef, _, _, _ = np.linalg.lstsq(basis, x, rcond=None)
+    a, b, dc = coef
+    return float(np.hypot(a, b)), float(np.arctan2(-b, a)), float(dc)
+
+
+def reference_estimate(capture, f_in_hz, config):
+    """estimate_mismatch_at as a loop of per-channel sine fits."""
+    m_ch = config.m_channels
+    ratio_raw = (f_in_hz * m_ch / config.fs) % 1.0
+    flip = ratio_raw > 0.5
+    ratio = 1.0 - ratio_raw if flip else ratio_raw
+    fits = [reference_sine_fit(ch, ratio) for ch in tiadc.deinterleave(capture)]
+    amps = np.array([f[0] for f in fits])
+    phases = np.array([(-f[1] if flip else f[1]) for f in fits])
+    omega = 2 * np.pi * f_in_hz
+    gain = amps / amps[0]
+    gain[0] = 1.0
+    dphi = phases - phases[0] - omega * np.arange(m_ch) * config.ts
+    dt = ((dphi + np.pi) % (2 * np.pi) - np.pi) / omega
+    dt[0] = 0.0
+    return gain, dt, np.array([f[2] for f in fits]) / config.lsb
+
+
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("f_target", [2.1e8, 7.3e8, 0.62 * 1.6e9, 0.93 * 1.6e9],
+                         ids=["zone1-low", "zone1-high", "zone2-low", "zone2-high"])
+def test_shared_basis_equals_per_channel_fits(m, f_target):
+    cfg = tiadc.TiadcConfig(m_channels=m, fs=1.6e9, bits=14, full_scale=2.0)
+    truth = tiadc.make_reference_profile(cfg)
+    f = tiadc.coherent_bin(f_target, cfg.fs, 8192)[1]
+    cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, 8192)
+    got = tiadc.estimate_mismatch_at(cap, f, cfg)
+    gain, dt, offs = reference_estimate(cap, f, cfg)
+    assert np.array_equal(got.gain_rel, gain)
+    assert np.array_equal(got.dt_s, dt)
+    assert np.array_equal(got.offset_lsb, offs)
+
+
 class TestBuildProfile:
     def measurement(self, f, gain1):
         return tiadc.MismatchMeasurement(

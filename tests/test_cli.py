@@ -518,7 +518,21 @@ class TestPipeline:
         ({"thresholds": {**TINY_SCENARIO["thresholds"], "min_enob_after_bits": True}},
          "thresholds: min_enob_after_bits must be a finite number, got True"),
         ({"kind": "narrowband_contrast"}, "calibration: missing field 'freqs_hz'"),
-    ], ids=["n_fft", "bool-threshold", "contrast-without-freqs"])
+        ({"calibration": {**TINY_SCENARIO["calibration"], "n_samples": 1000}},
+         "calibration: n_samples must be a power of two"),
+        ({"design": {**TINY_SCENARIO["design"], "delay_d": 500}},
+         "design: delay_d leaves the tap window outside the design grid; "
+         "need 16 <= delay_d <= 492"),
+        ({"config": {**TINY_SCENARIO["config"], "m_channels": 3}},
+         "calibration: n_samples must be a multiple of m_channels = 3"),
+        ({"sweep": {**TINY_SCENARIO["sweep"], "n_samples": 4098}},
+         "sweep: n_samples must be a multiple of m_channels = 4"),
+        # 33 taps centred on delay_d 16: 33 transient samples at each end
+        ({"sweep": {**TINY_SCENARIO["sweep"], "n_samples": 2112}},
+         "sweep: n_samples 2112 leaves 2046 samples after the correction "
+         "transients, fewer than n_fft = 2048"),
+    ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
+            "delay-window", "cal-rows", "sweep-rows", "usable-samples"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tiadc
-from tiadc.design import DesignSpec, SingularDesignError, k_set, signal_row
+from tiadc import design
+from tiadc.design import (COND_LIMIT, DesignSpec, SingularDesignError, k_set,
+                          signal_row)
 
 
 @pytest.fixture
@@ -157,6 +160,74 @@ class TestSolve:
         assert np.allclose(f, expect, atol=1e-12)
 
 
+def matrix_stack(rng, m, log10_conds, complex_):
+    """Random m x m matrices with the given 2-norm condition numbers."""
+    def unitary():
+        z = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if complex_ else 0)
+        return np.linalg.qr(z)[0]
+    return np.stack([unitary() @ np.diag(np.logspace(0, -c, m)) @ unitary()
+                     for c in log10_conds])
+
+
+def svd_gate(a):
+    """The gate as it was: one SVD per matrix."""
+    try:
+        return np.linalg.cond(a) <= COND_LIMIT
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+class TestConditionGate:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 16),
+           bins=st.integers(1, 300), center=st.floats(4.0, 12.0),
+           complex_=st.booleans(), nan=st.booleans(), singular=st.booleans())
+    def test_equals_svd_gate(self, seed, m, bins, center, complex_, nan, singular):
+        # cond2 spread over two decades either side of a centre near
+        # COND_LIMIT, so the cond1 bound passes some matrices, fails some and
+        # leaves some open
+        rng = np.random.default_rng(seed)
+        a = matrix_stack(rng, m, center + rng.uniform(-2, 2, bins), complex_)
+        if nan:
+            a[rng.integers(bins), rng.integers(m), rng.integers(m)] = np.nan
+        if singular:
+            a[rng.integers(bins), :, rng.integers(m)] = 0.0  # exactly singular
+        want = svd_gate(a)
+        try:
+            got = design.well_conditioned(a)
+        except np.linalg.LinAlgError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_bound_decides_reference_designs(self, monkeypatch):
+        # cond2 is about 1 on the reference profiles: no bin needs an SVD
+        def no_svd(*args):
+            raise AssertionError("np.linalg.cond called")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        for m, n_grid, taps, zone in ((4, 1024, 65, 1), (4, 1024, 65, 2),
+                                      (16, 4096, 257, 1)):
+            cfg = tiadc.TiadcConfig(m_channels=m, fs=1.6e9, bits=14,
+                                    full_scale=2.0, quantize=False)
+            tiadc.design_filter_bank(tiadc.make_reference_profile(cfg), cfg,
+                                     DesignSpec(n_grid=n_grid, taps=taps, zone=zone))
+
+    @pytest.mark.parametrize("omegas", [[0.3, 0.7, 1.1], [0.0]], ids=["bounded", "singular"])
+    def test_error_names_cond2(self, cfg4, omegas):
+        # a full-period timing error on channel 1 makes its column equal to
+        # channel 0's, so every bin fails
+        prof = constant_profile([1, 1, 1, 1], [0, cfg4.ts, 0, 0], cfg4.fs)
+        spec = DesignSpec(n_grid=1024, taps=65)
+        a, _ = design.alias_system(np.array(omegas), prof, cfg4, 1)
+        with pytest.raises(SingularDesignError) as info:
+            tiadc.solve_pr_at(np.array(omegas), prof, cfg4, spec)
+        assert info.value.omega == omegas[0]
+        assert f"condition number {np.linalg.cond(a[0]):.3g})" in str(info.value)
+
+
 class TestDesignSpecValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -301,6 +372,23 @@ class TestPRResidual:
                                                n_check=256).max_alias(0.9)
         assert maxima[1024] <= 1.1 * maxima[512]
         assert maxima[2048] <= 1.1 * maxima[1024]
+
+
+def test_residual_csv_bytes_equal_savetxt(reference_bank, tmp_path):
+    cfg, truth, bank = reference_bank
+    reports = [tiadc.pr_residual(bank, truth, cfg, n_check=512),
+               design.PRResidualReport(
+                   omegas=np.array([0.0, 1e-300, np.pi, 5e-324]),
+                   residual_k0=np.array([0.1, 1 / 3, np.inf, 2.0 ** 60]),
+                   residual_alias=np.array([np.nan, -0.0, 1e300, 7.0]))]
+    for i, report in enumerate(reports):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        design.write_residual_csv(report, got)
+        np.savetxt(want, np.column_stack([report.omegas, report.residual_k0,
+                                          report.residual_alias]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header="omega_rad,residual_k0,residual_alias")
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestBankFiles:

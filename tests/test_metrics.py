@@ -318,6 +318,33 @@ class TestMetricPools:
         assert_matches_reference(rep, f_found, m_channels, harmonics, excl)
 
 
+def numpy_fold(freq_hz, fs):
+    """fold_frequency as it was, in numpy scalars."""
+    r = np.abs(np.float64(freq_hz)) % fs
+    return fs - r if r > fs / 2 else r
+
+
+class TestFolding:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(freq=st.floats(-1e11, 1e11, allow_nan=False),
+           fs=st.floats(1.0, 1e10), log2_n=st.integers(2, 20))
+    def test_equals_numpy_scalars(self, freq, fs, log2_n):
+        for f in (freq, np.float64(freq)):
+            assert tiadc.fold_frequency(f, fs) == numpy_fold(f, fs)
+        rep = metrics.SpectrumReport(
+            n_fft=2 ** log2_n, window="none", fs=fs, full_scale=2.0,
+            freqs_hz=np.zeros(1), power_dbfs=np.zeros(1), mean_square=np.zeros(1))
+        assert rep.bin_of(freq) == int(round(numpy_fold(freq, fs) / fs * rep.n_fft))
+
+    def test_equals_numpy_scalars_beyond_two_fs(self):
+        rng = np.random.default_rng(41)
+        fs = 1.6e9
+        freqs = np.concatenate([rng.uniform(-5 * fs, 5 * fs, 20000),
+                                np.arange(-10, 11) * fs / 8])
+        for f in freqs:
+            assert tiadc.fold_frequency(f, fs) == numpy_fold(f, fs)
+
+
 class TestImageSpurLevels:
     def test_ideal_profile_floor(self, cfg4, ideal4):
         _, f = tiadc.coherent_bin(1.7e8, cfg4.fs, 4096)
