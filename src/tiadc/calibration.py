@@ -9,9 +9,7 @@ mismatch profile.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -199,21 +197,9 @@ PLAN_CSV_HEADER = "freq_hz,amplitude_v,n_samples"
 
 
 def write_plan_csv(rows, path):
-    lines = [PLAN_CSV_HEADER]
-    for f, a, n in rows:
-        lines.append("%.17g,%.17g,%d" % (f, a, n))
-    Path(path).write_text("\n".join(lines) + "\n")
+    model.write_table(path, PLAN_CSV_HEADER, ["%.17g,%.17g,%d" % row for row in rows])
 
 
 def read_plan_csv(path):
     """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header).strip() != PLAN_CSV_HEADER:
-            raise TiadcError(f"{path}: not a calibration plan file")
-        rows = [model.csv_row(r, (float, float, int), f"{path}:{reader.line_num}")
-                for r in reader if r]
-    if not rows:
-        raise TiadcError(f"{path}: empty calibration plan")
-    return rows
+    return model.read_table(path, "calibration plan", PLAN_CSV_HEADER, (float, float, int))[1]

@@ -7,7 +7,6 @@ Every failure exits nonzero with a single "error: ..." line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -22,12 +21,10 @@ from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, _json_field
 
 
 def load_config(path) -> TiadcConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(model.read_json_object(path, "config"))
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
-    if not isinstance(raw, dict):
-        raise TiadcError("config must be a JSON object")
     return model.config_from_json(raw, "config")
 
 
@@ -61,9 +58,18 @@ def cmd_calibrate(args) -> int:
         raise TiadcError("calibration plan needs at least 2 frequencies")
     if args.captures:
         measurements = []
-        for i, (freq, _amp, _n) in enumerate(plan):
+        for i, (freq, _amp, n_samples) in enumerate(plan):
             path = Path(args.captures) / f"cal_{i:03d}.f64"
             capture = model.load_capture(path)
+            # the sidecar states how the capture was taken; it must be what
+            # the config and the plan row say
+            for key, value in vars(config).items():
+                if getattr(capture.config, key) != value:
+                    raise TiadcError(f"{path}.json: {key} = {getattr(capture.config, key)!r}, "
+                                     f"but {args.config} has {key} = {value!r}")
+            if capture.n != n_samples:
+                raise TiadcError(f"{path}.json: n = {capture.n}, but the plan row "
+                                 f"asks for n_samples = {n_samples}")
             measurements.append(calibration.estimate_mismatch_at(capture, freq, config))
     else:
         if not args.truth_profile:
@@ -179,15 +185,10 @@ SCENARIO_KINDS = ("sweep", "two_tone", "narrowband_contrast")
 
 
 def load_scenario(name_or_path) -> dict:
-    text = str(name_or_path)
-    if text in BUNDLED_SCENARIOS:
-        data = resources.files("tiadc.scenarios").joinpath(f"{text}.json").read_text()
-    else:
-        data = Path(text).read_text()
-    scenario = json.loads(data)
-    if not isinstance(scenario, dict):
-        raise TiadcError(f"{text}: scenario must be a JSON object")
-    return scenario
+    path = name_or_path
+    if str(path) in BUNDLED_SCENARIOS:
+        path = resources.files("tiadc.scenarios").joinpath(f"{path}.json")
+    return model.read_json_object(path, "scenario")
 
 
 @dataclass(frozen=True)
@@ -452,14 +453,14 @@ def _threshold_failures(sc: Scenario, rows: list) -> list:
     return failures
 
 
+SUMMARY_COLUMNS = ("f_in_hz", "enob_before", "enob_after", "max_image_dbc_before",
+                   "max_image_dbc_after")
+
+
 def _write_summary(rows: list, out_dir: Path) -> Path:
     path = out_dir / "summary.csv"
-    lines = ["f_in_hz,enob_before,enob_after,max_image_dbc_before,max_image_dbc_after"]
-    for r in rows:
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            r["f_in_hz"], r["enob_before"], r["enob_after"],
-            r["max_image_dbc_before"], r["max_image_dbc_after"]))
-    path.write_text("\n".join(lines) + "\n")
+    model.write_table(path, ",".join(SUMMARY_COLUMNS), [
+        ",".join("%.17g" % r[key] for key in SUMMARY_COLUMNS) for r in rows])
     return path
 
 

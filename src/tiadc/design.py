@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from tiadc.model import (MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
-                         channel_response, csv_row)
+                         channel_response, csv_row, read_table, write_table)
 
 COND_LIMIT = 1e8
 
@@ -346,66 +345,42 @@ def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,
 # --- file formats ------------------------------------------------------------
 
 BANK_CSV_COLUMNS = "channel,tap_index,coefficient"
+BANK_META_KEYS = ("m_channels", "taps", "n_grid", "delay_d", "zone", "window",
+                  "kaiser_beta", "fs_hz")
 
 
 def write_bank_csv(bank: FilterBank, path):
-    spec = bank.spec
-    lines = [
-        f"# m_channels,{bank.m_channels}",
-        f"# taps,{spec.taps}",
-        f"# n_grid,{spec.n_grid}",
-        f"# delay_d,{spec.delay_d}",
-        f"# zone,{spec.zone}",
-        f"# window,{spec.window}",
-        "# kaiser_beta,%.17g" % spec.kaiser_beta,
-        "# fs_hz,%.17g" % bank.fs,
-        BANK_CSV_COLUMNS,
-    ]
-    for m in range(bank.m_channels):
-        for j in range(spec.taps):
-            lines.append("%d,%d,%.17g" % (m, bank.tap_offset + m + j, bank.taps[m, j]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    spec, taps = bank.spec, bank.taps.tolist()
+    meta = (bank.m_channels, spec.taps, spec.n_grid, spec.delay_d, spec.zone, spec.window,
+            "%.17g" % spec.kaiser_beta, "%.17g" % bank.fs)
+    write_table(path, BANK_CSV_COLUMNS, [
+        "%d,%d,%.17g" % (m, bank.tap_offset + m + j, taps[m][j])
+        for m in range(bank.m_channels) for j in range(spec.taps)], zip(BANK_META_KEYS, meta))
 
 
 def read_bank_csv(path) -> FilterBank:
-    meta = {}
-    rows = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, value = csv_row(line[1:].split(",", 1), (str, str), f"{path}:{i}")
-            meta[key.strip()] = value.strip()
-        elif line != BANK_CSV_COLUMNS:
-            rows.append(csv_row(line.split(","), (int, int, float), f"{path}:{i}"))
+    meta, rows = read_table(path, "filter bank", BANK_CSV_COLUMNS, (int, int, float),
+                            BANK_META_KEYS)
+    m_ch, n_taps, n_grid, delay_d, zone, window, beta, fs = csv_row(
+        [meta[key] for key in BANK_META_KEYS], (int, int, int, int, int, str, float, float),
+        path)
     try:
-        spec = DesignSpec(
-            n_grid=int(meta["n_grid"]), taps=int(meta["taps"]),
-            delay_d=int(meta["delay_d"]), window=meta["window"],
-            kaiser_beta=float(meta["kaiser_beta"]), zone=int(meta["zone"]))
-        m_ch = int(meta["m_channels"])
-        fs = float(meta["fs_hz"])
-    except KeyError as exc:
-        raise TiadcError(f"{path}: missing bank header field {exc}") from None
-    except ValueError as exc:
-        raise TiadcError(f"{path}: {exc}") from None
-    offset = spec.delay_d - spec.half_taps
-    coefs = {(ch, idx - offset - ch): coef for ch, idx, coef in rows}
-    keys = sorted(coefs)
-    # the count first: a huge m_channels must not build a huge key list
-    if len(rows) != m_ch * spec.taps or keys != [
-            (m, j) for m in range(m_ch) for j in range(spec.taps)]:
-        raise TiadcError(f"{path}: bank must list each of its {m_ch} x {spec.taps} taps once")
-    taps = np.array([coefs[key] for key in keys]).reshape(m_ch, spec.taps)
-    try:
+        spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay_d, window=window,
+                          kaiser_beta=beta, zone=zone)
+        offset = spec.delay_d - spec.half_taps
+        coefs = {(ch, idx - offset - ch): coef for ch, idx, coef in rows}
+        keys = sorted(coefs)
+        # the count first: a huge m_channels must not build a huge key list
+        if len(rows) != m_ch * n_taps or keys != [
+                (m, j) for m in range(m_ch) for j in range(n_taps)]:
+            raise TiadcError(f"{path}: bank must list each of its {m_ch} x {n_taps} taps once")
+        taps = np.array([coefs[key] for key in keys]).reshape(m_ch, n_taps)
         return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=fs)
     except ValueError as exc:
         raise TiadcError(f"{path}: {exc}") from None
 
 
 def write_residual_csv(report: PRResidualReport, path):
-    lines = ["omega_rad,residual_k0,residual_alias"]
-    lines += ["%.17g,%.17g,%.17g" % row for row in zip(
-        report.omegas.tolist(), report.residual_k0.tolist(), report.residual_alias.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "omega_rad,residual_k0,residual_alias", [
+        "%.17g,%.17g,%.17g" % row for row in zip(
+            report.omegas.tolist(), report.residual_k0.tolist(), report.residual_alias.tolist())])

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from tiadc.design import window_taps
-from tiadc.model import Capture, TiadcError, fold_frequency
+from tiadc.model import Capture, TiadcError, fold_frequency, write_table
 
 DB_FLOOR = -300.0
 
@@ -31,22 +30,8 @@ def coherent_bin(f_target: float, fs: float, n_fft: int):
         raise ValueError("f_target must lie in (0, fs)")
     if n_fft < 4 or n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
-    x = f_target * n_fft / fs
-    best = None
-    j0 = int(round(x))
-    for step in range(n_fft):
-        for j in sorted({j0 - step, j0 + step}):
-            if j < 1 or j >= n_fft:
-                continue
-            if j % 2 == 1 and math.gcd(j, n_fft) == 1:
-                cand = (abs(j - x), j)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None and step > best[0] + 1:
-            break
-    if best is None:
-        raise ValueError(f"no usable coherent bin near {f_target} Hz")
-    j = best[1]
+    # n_fft is a power of two, so every odd J is coprime to it
+    j = min(max(2 * math.ceil(f_target * n_fft / fs / 2 - 1) + 1, 1), n_fft - 1)
     return j, j * fs / n_fft
 
 
@@ -105,9 +90,11 @@ def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumRepo
     x = x[:n_fft]
     if window not in ANALYSIS_WINDOWS:
         raise ValueError(f"unknown analysis window {window!r}")
-    w = window_taps(window, n_fft)
-    cg = w.mean()
-    bins = np.fft.rfft(x * w)
+    if window == "none":
+        bins, cg = np.fft.rfft(x), 1.0
+    else:
+        w = window_taps(window, n_fft)
+        bins, cg = np.fft.rfft(x * w), w.mean()
     amp = np.abs(bins) / (n_fft * cg)
     amp[1:-1] *= 2.0  # interior bins carry both spectral halves
     ref = capture.config.full_scale / 2.0
@@ -244,24 +231,20 @@ def image_spur_levels(report: SpectrumReport, f_fund_hz: float, fs: float,
 # --- file formats ------------------------------------------------------------
 
 def write_spectrum_csv(report: SpectrumReport, path):
-    lines = ["freq_hz,power_dbfs"]
-    for i in range(report.n_bins):
-        lines.append("%.17g,%.17g" % (report.freqs_hz[i], report.power_dbfs[i]))
+    """The spectrum table; a report with metrics adds them as `# metric,value`
+    lines after the rows."""
+    lines = ["%.17g,%.17g" % row for row in zip(report.freqs_hz.tolist(),
+                                                report.power_dbfs.tolist())]
     if report.sinad_db is not None:
-        lines += [
-            "# snr_db,%.17g" % report.snr_db,
-            "# sinad_db,%.17g" % report.sinad_db,
-            "# thd_db,%.17g" % report.thd_db,
-            "# sfdr_db,%.17g" % report.sfdr_db,
-            "# enob_bits,%.17g" % report.enob_bits,
-            "# fundamental_hz,%.17g" % report.freqs_hz[report.fundamental_bin],
-        ]
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines += ["# %s,%.17g" % item for item in (
+            ("snr_db", report.snr_db), ("sinad_db", report.sinad_db),
+            ("thd_db", report.thd_db), ("sfdr_db", report.sfdr_db),
+            ("enob_bits", report.enob_bits),
+            ("fundamental_hz", report.freqs_hz[report.fundamental_bin]))]
+    write_table(path, "freq_hz,power_dbfs", lines)
 
 
 def write_spur_csv(spurs, path):
-    lines = ["k,freq_hz,dbc,kind"]
-    for s in spurs:
-        kind = s.kind + ("+collision" if s.collision else "")
-        lines.append("%d,%.17g,%.17g,%s" % (s.k, s.freq_hz, s.dbc, kind))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, "k,freq_hz,dbc,kind", [
+        "%d,%.17g,%.17g,%s%s" % (s.k, s.freq_hz, s.dbc, s.kind,
+                                 "+collision" if s.collision else "") for s in spurs])

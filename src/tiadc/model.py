@@ -421,18 +421,15 @@ def make_reference_profile(config: TiadcConfig, n_rows: int = 65) -> MismatchPro
 
 
 # --- file formats ------------------------------------------------------------
+#
+# Every CSV file tiadc exchanges is a table: a block of `# key,value` meta
+# lines, the column header, then one row per line.
 
-PROFILE_CSV_HEADER = "channel,freq_hz,gain,dt_s,offset_lsb"
-
-
-def write_profile_csv(profile: MismatchProfile, path):
-    lines = [PROFILE_CSV_HEADER]
-    for m in range(profile.m_channels):
-        for r in range(profile.n_rows):
-            lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (
-                m, profile.freqs_hz[r], profile.gain[m, r],
-                profile.dt_s[m, r], profile.offset_lsb[m]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_table(path, header: str, lines, meta=()):
+    """Write a table: one `# key,value` line per (key, value) pair of meta,
+    the header, then the rows, each already formatted as text."""
+    text = [*(f"# {key},{value}" for key, value in meta), header, *lines]
+    Path(path).write_text("\n".join(text) + "\n")
 
 
 def csv_row(fields, kinds, where) -> tuple:
@@ -447,36 +444,89 @@ def csv_row(fields, kinds, where) -> tuple:
         raise TiadcError(f"{where}: {exc}") from None
 
 
-def read_profile_csv(path) -> MismatchProfile:
-    lines = [(i, line) for i, line in enumerate(Path(path).read_text().splitlines(), 1)
-             if line.strip()]
-    if not lines or lines[0][1].strip() != PROFILE_CSV_HEADER:
-        raise TiadcError(f"{path}: not a mismatch profile file")
-    rows = {}
-    for i, line in lines[1:]:
-        ch, f, g, d, o = csv_row(line.split(","), (int, float, float, float, float),
-                                 f"{path}:{i}")
-        rows.setdefault(ch, []).append((f, g, d, o))
-    if not rows:
-        raise TiadcError(f"{path}: empty profile")
-    m_ch = len(rows)
-    if sorted(rows) != list(range(m_ch)):
-        raise TiadcError(f"{path}: missing channels")
-    freqs = np.array([r[0] for r in rows[0]])
-    gain = np.empty((m_ch, freqs.size))
-    dt = np.empty((m_ch, freqs.size))
-    offs = np.empty(m_ch)
-    for m in range(m_ch):
-        tab = np.array(rows[m])
-        if tab.shape[0] != freqs.size or not np.array_equal(tab[:, 0], freqs):
-            raise TiadcError(f"{path}: channels do not share one frequency grid")
-        gain[m] = tab[:, 1]
-        dt[m] = tab[:, 2]
-        # offset is a constant column; averaging only matters for hand-edited files
-        col = tab[:, 3]
-        offs[m] = col[0] if np.all(col == col[0]) else col.mean()
+def read_table(path, what: str, header: str, kinds, meta_keys=()):
+    """The meta block and the rows of a table file, as (meta, rows).
+
+    Blank lines are skipped. Each of meta_keys appears exactly once, in a
+    `# key,value` line before the header, and no other key does; meta maps
+    each key to its value text. The header is required, and every line
+    after it is one csv_row of the given kinds; there is at least one. Any
+    other file raises a TiadcError naming the file, and the line where
+    there is one."""
     try:
-        return MismatchProfile(freqs_hz=freqs, gain=gain, dt_s=dt, offset_lsb=offs)
+        lines = Path(path).read_text().splitlines()
+    except ValueError as exc:  # not UTF-8 text
+        raise TiadcError(f"{path}: {exc}") from None
+    meta, rows, body = {}, [], False
+    for i, line in enumerate(lines, 1):
+        line, where = line.strip(), f"{path}:{i}"
+        if not line:
+            continue
+        if body:
+            rows.append(csv_row(line.split(","), kinds, where))
+        elif line == header:
+            body = True
+        elif not line.startswith("#"):
+            raise TiadcError(f"{where}: not a {what} file: expected the header {header!r}")
+        else:
+            key, value = (s.strip() for s in csv_row(line[1:].split(",", 1), (str, str), where))
+            if key not in meta_keys:
+                raise TiadcError(f"{where}: unknown {what} field {key!r}")
+            if key in meta:
+                raise TiadcError(f"{where}: {what} field {key!r} given twice")
+            meta[key] = value
+    if not body:
+        raise TiadcError(f"{path}: not a {what} file: no {header!r} header")
+    missing = [key for key in meta_keys if key not in meta]
+    if missing:
+        raise TiadcError(f"{path}: missing {what} field {missing[0]!r}")
+    if not rows:
+        raise TiadcError(f"{path}: empty {what}")
+    return meta, rows
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object held by the file at path; malformed JSON, or any other
+    JSON value, raises a TiadcError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON, or not UTF-8 text
+        raise TiadcError(f"{path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise TiadcError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
+PROFILE_CSV_HEADER = "channel,freq_hz,gain,dt_s,offset_lsb"
+
+
+def write_profile_csv(profile: MismatchProfile, path):
+    freqs, gain, dt = profile.freqs_hz.tolist(), profile.gain.tolist(), profile.dt_s.tolist()
+    write_table(path, PROFILE_CSV_HEADER, [
+        "%d,%.17g,%.17g,%.17g,%.17g" % (m, freqs[r], gain[m][r], dt[m][r], offset)
+        for m, offset in enumerate(profile.offset_lsb.tolist()) for r in range(len(freqs))])
+
+
+def read_profile_csv(path) -> MismatchProfile:
+    """A profile file: each channel's rows list the same frequencies and one
+    offset_lsb."""
+    _, table = read_table(path, "mismatch profile", PROFILE_CSV_HEADER,
+                          (int, float, float, float, float))
+    channels = {}
+    for ch, *row in table:
+        channels.setdefault(ch, []).append(row)
+    if sorted(channels) != list(range(len(channels))):
+        raise TiadcError(f"{path}: missing channels")
+    tab = [np.array(channels[m]) for m in range(len(channels))]
+    if any(t.shape != tab[0].shape or not np.array_equal(t[:, 0], tab[0][:, 0]) for t in tab):
+        raise TiadcError(f"{path}: channels do not share one frequency grid")
+    tab = np.array(tab)  # (channel, row, field)
+    for m in range(len(tab)):
+        if np.unique(tab[m, :, 3]).size > 1:
+            raise TiadcError(f"{path}: channel {m} rows disagree on offset_lsb")
+    try:
+        return MismatchProfile(freqs_hz=tab[0, :, 0], gain=tab[:, :, 1], dt_s=tab[:, :, 2],
+                               offset_lsb=tab[:, 0, 3])
     except ValueError as exc:
         raise TiadcError(f"{path}: {exc}") from None
 
@@ -567,9 +617,7 @@ def capture_header(path) -> tuple[int, dict]:
         raise FileNotFoundError(f"capture file not found: {path}")
     if not sidecar.exists():
         raise FileNotFoundError(f"capture sidecar not found: {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    if not isinstance(meta, dict):
-        raise TiadcError(f"{sidecar}: sidecar must be a JSON object")
+    meta = read_json_object(sidecar, "sidecar")
     n = _json_field(meta, "n", "int", sidecar)
     try:
         config = config_from_json(meta, sidecar)

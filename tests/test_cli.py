@@ -82,7 +82,8 @@ class TestSimulate:
                    "--tone", "0.9:2e8", "--n", "8192",
                    "--out", str(tmp / "cap.f64")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp / 'list.json'}: config must be a JSON object\n")
 
 
     @pytest.mark.parametrize("field, value, expect", [
@@ -159,6 +160,46 @@ class TestCalibrate:
                    "--out", str(tmp / "m.csv")])
         assert rc != 0
         assert "cal_000.f64" in capsys.readouterr().err
+
+    def record_captures(self, tmp, plan_path, config_path, n=None):
+        """cal_NNN.f64 for each plan row, simulated from truth.csv by `simulate`."""
+        (tmp / "caps").mkdir(exist_ok=True)
+        for i, (f, amp, n_samples) in enumerate(calibration.read_plan_csv(plan_path)):
+            assert main(["simulate", "--config", str(config_path),
+                         "--profile", str(tmp / "truth.csv"), "--tone", f"{amp}:{f}",
+                         "--n", str(n or n_samples),
+                         "--out", str(tmp / "caps" / f"cal_{i:03d}.f64")]) == 0
+
+    def test_ingest_matches_truth_profile_run(self, workdir, capsys):
+        # the recorded captures are the ones --truth-profile simulates
+        tmp, cfg = workdir
+        plan_path, _ = self.plan(tmp, cfg, n=3)
+        self.record_captures(tmp, plan_path, tmp / "config.json")
+        for source, out in ((["--captures", str(tmp / "caps")], "ingested.csv"),
+                            (["--truth-profile", str(tmp / "truth.csv")], "simulated.csv")):
+            assert main(["calibrate", "--config", str(tmp / "config.json"),
+                         "--plan", str(plan_path), *source, "--out", str(tmp / out)]) == 0
+        assert (tmp / "ingested.csv").read_bytes() == (tmp / "simulated.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit, n, expect", [
+        ({"m_channels": 8}, None, "m_channels = 4, but {config} has m_channels = 8"),
+        ({"bits": 12, "full_scale_v": 1.0}, None, "bits = 14, but {config} has bits = 12"),
+        ({"full_scale_v": 1.0}, None, "full_scale = 2.0, but {config} has full_scale = 1.0"),
+        ({}, 2048, "n = 2048, but the plan row asks for n_samples = 4096"),
+    ], ids=["channels", "bits", "full-scale", "length"])
+    def test_ingest_checks_each_sidecar(self, workdir, capsys, edit, n, expect):
+        tmp, cfg = workdir
+        plan_path, _ = self.plan(tmp, cfg, n=3)
+        self.record_captures(tmp, plan_path, tmp / "config.json", n)
+        config = tmp / "other.json"
+        config.write_text(json.dumps({**CONFIG, **edit}))
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(config), "--plan", str(plan_path),
+                     "--captures", str(tmp / "caps"), "--out", str(tmp / "m.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp / 'caps' / 'cal_000.f64.json'}: "
+            + expect.format(config=config) + "\n")
+        assert not (tmp / "m.csv").exists()
 
 
 class TestDesign:

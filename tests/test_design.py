@@ -423,3 +423,26 @@ class TestBankFiles:
         path.write_text("channel,tap_index,coefficient\n0,0,1.0\n")
         with pytest.raises(tiadc.TiadcError):
             tiadc.read_bank_csv(path)
+
+    @pytest.mark.parametrize("edit, expect", [
+        (lambda meta, head, rows: meta + ["# bogus,1"] + head + rows,
+         "unknown filter bank field 'bogus'"),
+        (lambda meta, head, rows: meta + ["# zone,2"] + head + rows,
+         "filter bank field 'zone' given twice"),
+        (lambda meta, head, rows: meta[1:] + head + rows, "missing filter bank field"),
+        (lambda meta, head, rows: meta + head + ["# window,hann"] + rows, "expected 3 fields"),
+        (lambda meta, head, rows: meta + rows, "not a filter bank file"),
+        (lambda meta, head, rows: meta + rows + head, "not a filter bank file"),
+    ], ids=["unknown-key", "duplicate-key", "missing-key", "meta-after-header",
+            "no-header", "header-last"])
+    def test_meta_block_and_header_checked(self, reference_bank, tmp_path, edit, expect):
+        # each meta key once, before the header; the header itself required
+        _, _, bank = reference_bank
+        path = tmp_path / "bank.csv"
+        tiadc.write_bank_csv(bank, path)
+        lines = path.read_text().splitlines()
+        head = lines.index("channel,tap_index,coefficient")
+        path.write_text("\n".join(edit(lines[:head], lines[head:head + 1],
+                                       lines[head + 1:])) + "\n")
+        with pytest.raises(tiadc.TiadcError, match=expect):
+            tiadc.read_bank_csv(path)

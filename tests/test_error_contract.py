@@ -152,6 +152,28 @@ def test_pipeline_mutated_scenario(files, capsys, edits):
     assert_contract(rc, capsys.readouterr().err, ["threshold violation: "])
 
 
+@pytest.mark.parametrize("kind", ["config", "scenario", "sidecar"])
+def test_malformed_json_names_file(files, capsys, kind):
+    tmp, _ = files
+    bad = '{"m_channels": 4,, "fs_hz": 1.6e9}'
+    if kind == "sidecar":
+        path = tmp / "broken.f64.json"
+        (tmp / "broken.f64").write_bytes(bytes(8 * 512))
+        argv = ["analyze", "--capture", str(tmp / "broken.f64"), "--out-prefix", str(tmp / "b")]
+    else:
+        path = tmp / f"broken_{kind}.json"
+        argv = {"config": ["simulate", "--config", str(path), "--profile", str(tmp / "truth.csv"),
+                           "--tone", "0.9:2e8", "--n", "256", "--out", str(tmp / "b.f64")],
+                "scenario": ["pipeline", "--scenario", str(path),
+                             "--out-dir", str(tmp / "broken")]}[kind]
+    path.write_text(bad)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "line 1 column 18" in err
+    assert len(err.splitlines()) == 1
+
+
 # --- row-level mutations of the plan, profile and bank files -----------------
 
 FIELD_SWAPS = ["x", "", "nan", "inf", "1e999", "-0"]
@@ -269,19 +291,23 @@ def test_correct_mutated_bank(row_files, capsys, edits):
                  "--out", str(tmp / "fixed.f64")])
 
 
-@pytest.mark.parametrize("name, line, expect", [
-    ("plan.csv", "100000000,0.9", "expected 3 fields, got 2"),
-    ("plan.csv", "100000000,0.9,512,7", "expected 3 fields, got 4"),
-    ("plan.csv", "100000000,0.9,5x", "invalid literal for int()"),
-    ("small.csv", "0,1e8,1.0", "expected 5 fields, got 3"),
-    ("bank.csv", "0,1", "expected 3 fields, got 2"),
-    ("bank.csv", "# taps", "expected 2 fields, got 1"),
-], ids=["plan-short", "plan-long", "plan-int", "profile-short", "bank-short",
-        "bank-header"])
-def test_bad_row_names_file_and_line(row_files, capsys, name, line, expect):
+@pytest.mark.parametrize("name, at, line, expect", [
+    ("plan.csv", 2, "100000000,0.9", "expected 3 fields, got 2"),
+    ("plan.csv", 2, "100000000,0.9,512,7", "expected 3 fields, got 4"),
+    ("plan.csv", 2, "100000000,0.9,5x", "invalid literal for int()"),
+    # fields are split on commas and never unquoted, in every table
+    ("plan.csv", 2, '"1e8",0.9,512', "could not convert string to float"),
+    ("small.csv", 2, "0,1e8,1.0", "expected 5 fields, got 3"),
+    ("small.csv", 2, '0,1e8,1.0,0.0,"0"', "could not convert string to float"),
+    # below the column header, which follows the bank's eight meta lines
+    ("bank.csv", 9, "0,1", "expected 3 fields, got 2"),
+    ("bank.csv", 2, "# taps", "expected 2 fields, got 1"),
+], ids=["plan-short", "plan-long", "plan-int", "plan-quoted", "profile-short",
+        "profile-quoted", "bank-short", "bank-header"])
+def test_bad_row_names_file_and_line(row_files, capsys, name, at, line, expect):
     tmp, text = row_files
     lines = text[name].splitlines()
-    lines.insert(2, line)
+    lines.insert(at, line)
     path = tmp / f"mutated_{name}"
     argv = {"plan.csv": ["calibrate", "--config", str(tmp / "config.json"),
                          "--plan", str(path), "--truth-profile", str(tmp / "small.csv"),
@@ -294,5 +320,5 @@ def test_bad_row_names_file_and_line(row_files, capsys, name, line, expect):
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:3: ") and expect in err
+    assert err.startswith(f"error: {path}:{at + 1}: ") and expect in err
     assert len(err.splitlines()) == 1

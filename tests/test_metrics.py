@@ -1,5 +1,6 @@
 """Coherent bin selection, spectra, and sine-test dynamic metrics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +54,38 @@ class TestCoherentBin:
         assert f > 0.8e9 and j % 2 == 1
 
 
+def searched_coherent_bin(f_target, fs, n_fft):
+    """The J of coherent_bin found by searching outward from round(x) for
+    the nearest odd J coprime to n_fft, as coherent_bin once did."""
+    x = f_target * n_fft / fs
+    best = None
+    j0 = int(round(x))
+    for step in range(n_fft):
+        for j in sorted({j0 - step, j0 + step}):
+            if 1 <= j < n_fft and j % 2 == 1 and math.gcd(j, n_fft) == 1:
+                cand = (abs(j - x), j)
+                if best is None or cand < best:
+                    best = cand
+        if best is not None and step > best[0] + 1:
+            break
+    return best[1]
+
+
+class TestCoherentBinClosedForm:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(log2_n=st.integers(2, 20), fs=st.floats(1.0, 1e10),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), tie=st.booleans())
+    def test_equals_search(self, log2_n, fs, u, tie):
+        # a tie puts the target on an even bin, halfway between two odd ones
+        n = 2 ** log2_n
+        f = 2 * max(round(u * n / 2), 1) * fs / n if tie else u * fs
+        if not 0 < f < fs:
+            return
+        j, f_act = tiadc.coherent_bin(f, fs, n)
+        assert j == searched_coherent_bin(f, fs, n)
+        assert f_act == j * fs / n
+
+
 class TestSpectrum:
     def coherent_capture(self, cfg, profile, amp, f_target, n):
         _, f = tiadc.coherent_bin(f_target, cfg.fs, n)
@@ -91,6 +124,16 @@ class TestSpectrum:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="power of two"):
                     tiadc.spectrum(cap, n_fft)
+
+    def test_no_window_equals_window_of_ones(self, cfg4, monkeypatch):
+        # "none" skips the window; the result is that of a window of ones
+        x = np.random.default_rng(5).normal(0.0, 0.3, 4096)
+        cap = tiadc.Capture(samples=x, config=cfg4)
+        got = tiadc.spectrum(cap, 4096, "none")
+        monkeypatch.setattr(metrics, "window_taps", lambda name, n: np.ones(n))
+        want = tiadc.spectrum(cap, 4096, "hann")
+        assert np.array_equal(got.power_dbfs, want.power_dbfs)
+        assert np.array_equal(got.mean_square, want.mean_square)
 
     def test_transients_excluded(self, cfg4, ideal4):
         # tone coherent on the 4096-sample analysis window, captured longer

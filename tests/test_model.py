@@ -330,3 +330,15 @@ class TestProfileFiles:
         path.write_text("hello,world\n")
         with pytest.raises(tiadc.TiadcError):
             tiadc.read_profile_csv(path)
+
+    def test_offset_constant_within_channel(self, cfg4, tmp_path):
+        path = tmp_path / "profile.csv"
+        tiadc.write_profile_csv(tiadc.make_reference_profile(cfg4, n_rows=5), path)
+        lines = path.read_text().splitlines()
+        # the first row of channel 1, whose offset is 1.9 LSB elsewhere
+        fields = lines[6].split(",")
+        assert fields[0] == "1" and fields[4] == "1.8999999999999999"
+        lines[6] = ",".join(fields[:4] + ["5"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(tiadc.TiadcError, match="channel 1 rows disagree on offset_lsb"):
+            tiadc.read_profile_csv(path)
