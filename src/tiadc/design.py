@@ -125,38 +125,32 @@ def alias_system(omegas, profile: MismatchProfile, config: TiadcConfig, zone: in
 _GATE_SLICE = 128
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """Induced 1-norm (largest column sum of magnitudes) of each matrix."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
 def well_conditioned(a: np.ndarray) -> np.ndarray:
     """cond2(a) <= COND_LIMIT for each matrix of a stack, shape a.shape[:-2].
 
-    The 1-norm condition number bounds the 2-norm one: cond1/M <= cond2 <=
-    M*cond1 (Golub & Van Loan, Matrix Computations, sec. 2.3). cond1 comes
-    from batched inverses; the SVD of np.linalg.cond runs only on the
-    matrices that bound leaves open, those with a NaN or infinite cond1, or
-    the whole stack when one matrix is exactly singular.
+    A Gram-matrix certificate settles the well-conditioned matrices: with
+    G = A^H A, c = tr(G)/M and rho = ||I - G/c||_F, every eigenvalue of G/c
+    lies within ||I - G/c||_2 <= rho of 1 (Weyl's inequality), so rho <= 1/2
+    proves cond2(A)^2 = lambda_max/lambda_min <= 3, far inside COND_LIMIT.
+    The SVD of np.linalg.cond runs only on the other matrices: those with
+    rho > 1/2 or a rho that is not finite (NaN entries, a zero matrix), which
+    includes every singular matrix, since rho >= 1 there.
     """
     m = a.shape[-1]
     stack = a.reshape(-1, m, m)
-    cond1 = np.empty(len(stack))
-    try:
-        # a slice of matrices at a time, so the inverses add little memory to
-        # the solve that follows
+    rho = np.empty(len(stack))
+    eye = np.eye(m)
+    # a slice of matrices at a time, so the Gram matrices add little memory
+    # to the solve that follows
+    with np.errstate(all="ignore"):
         for lo in range(0, len(stack), _GATE_SLICE):
             part = stack[lo:lo + _GATE_SLICE]
-            cond1[lo:lo + _GATE_SLICE] = _norm1(part) * _norm1(np.linalg.inv(part))
-    except np.linalg.LinAlgError:
-        return np.linalg.cond(a) <= COND_LIMIT  # also False for inf and nan
-    # both condition numbers carry rounding errors far below this slack, so
-    # the bound decides a matrix only with room to spare
-    slack = 1.001
-    ok = m * cond1 * slack <= COND_LIMIT
-    open_ = ~ok & ~(np.isfinite(cond1) & (cond1 > m * COND_LIMIT * slack))
-    if open_.any():
-        ok[open_] = np.linalg.cond(stack[open_]) <= COND_LIMIT
+            g = part.conj().swapaxes(-1, -2) @ part
+            c = np.trace(g, axis1=-2, axis2=-1).real / m
+            rho[lo:lo + _GATE_SLICE] = np.linalg.norm(eye - g / c[:, None, None], axis=(-2, -1))
+    ok = rho <= 0.5  # False for NaN
+    if not ok.all():
+        ok[~ok] = np.linalg.cond(stack[~ok]) <= COND_LIMIT  # also False for inf and nan
     return ok.reshape(a.shape[:-2])
 
 
@@ -168,8 +162,10 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     row of the signal alias index equals M*exp(-1j*omega*d) and every other
     row is zero. Returns shape omega.shape + (M,); the first frequency whose
     system is ill-conditioned or unsolved raises SingularDesignError.
-    The gate is on the 2-norm condition number; cond1 only decides the bins
-    it bounds (see well_conditioned).
+    The gate is on the 2-norm condition number; a Gram-matrix certificate
+    passes the bins with cond2 <= sqrt(3) and the SVD decides the rest (see
+    well_conditioned). When every bin passes, the stack is solved in place
+    of a boolean-masked copy.
     """
     m_ch = config.m_channels
     omega = np.asarray(omega, dtype=np.float64)
@@ -178,8 +174,9 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     b = np.where(np.arange(m_ch) == sig[..., None],
                  (m_ch * np.exp(-1j * omega * spec.delay_d))[..., None], 0j)
     f = np.zeros_like(b)
+    sel = ... if ok.all() else ok  # a view of the stack, not a masked copy
     # numpy 2 reads any b with more than one axis as matrices: solve one column
-    f[ok] = np.linalg.solve(a_mat[ok], b[ok][..., None])[..., 0]
+    f[sel] = np.linalg.solve(a_mat[sel], b[sel][..., None])[..., 0]
     resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
     failed = np.flatnonzero(~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1)))
     if failed.size:
@@ -240,13 +237,13 @@ class FilterBank:
     def branch_response(self, omega) -> np.ndarray:
         """F_m(e^{j*omega}) of the truncated, windowed taps; shape (M, len(omega))."""
         omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-        m_idx = np.arange(self.m_channels)[:, None]
-        j_idx = np.arange(self.spec.taps)[None, :]
+        L = self.spec.taps
         # tap (m, j) sits at delay tap_offset + m + j: M + L - 1 distinct
-        # delays, each exponential computed once
-        delays = self.tap_offset + np.arange(self.m_channels + self.spec.taps - 1)
+        # delays, each exponential computed once; branch m reads rows m..m+L-1
+        delays = self.tap_offset + np.arange(self.m_channels + L - 1)
         table = np.exp(-1j * delays[:, None] * omega[None, :])
-        return np.einsum("ml,mlw->mw", self.taps, table[m_idx + j_idx])
+        return np.stack([np.einsum("l,lw->w", self.taps[m], table[m:m + L])
+                         for m in range(self.m_channels)])
 
 
 def check_tap_window(spec: DesignSpec, m_channels: int):
@@ -350,11 +347,11 @@ BANK_META_KEYS = ("m_channels", "taps", "n_grid", "delay_d", "zone", "window",
 
 
 def write_bank_csv(bank: FilterBank, path):
-    spec, taps = bank.spec, bank.taps.tolist()
+    spec, taps, offset = bank.spec, bank.taps.tolist(), bank.tap_offset
     meta = (bank.m_channels, spec.taps, spec.n_grid, spec.delay_d, spec.zone, spec.window,
             "%.17g" % spec.kaiser_beta, "%.17g" % bank.fs)
     write_table(path, BANK_CSV_COLUMNS, [
-        "%d,%d,%.17g" % (m, bank.tap_offset + m + j, taps[m][j])
+        "%d,%d,%.17g" % (m, offset + m + j, taps[m][j])
         for m in range(bank.m_channels) for j in range(spec.taps)], zip(BANK_META_KEYS, meta))
 
 

@@ -1,5 +1,7 @@
 """Alias-index sets, per-frequency solves, tap extraction, and residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,13 +162,25 @@ class TestSolve:
         assert np.allclose(f, expect, atol=1e-12)
 
 
+def gaussian(rng, m, complex_):
+    return rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if complex_ else 0)
+
+
+def unitary(rng, m, complex_):
+    return np.linalg.qr(gaussian(rng, m, complex_))[0]
+
+
 def matrix_stack(rng, m, log10_conds, complex_):
     """Random m x m matrices with the given 2-norm condition numbers."""
-    def unitary():
-        z = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if complex_ else 0)
-        return np.linalg.qr(z)[0]
-    return np.stack([unitary() @ np.diag(np.logspace(0, -c, m)) @ unitary()
-                     for c in log10_conds])
+    return np.stack([unitary(rng, m, complex_) @ np.diag(np.logspace(0, -c, m))
+                     @ unitary(rng, m, complex_) for c in log10_conds])
+
+
+def gram_rho(a):
+    """||I - G/c||_F with G = A^H A and c = tr(G)/M, one matrix at a time."""
+    g = a.conj().T @ a
+    with np.errstate(all="ignore"):
+        return np.linalg.norm(np.eye(len(a)) - g / (np.trace(g).real / len(a)))
 
 
 def svd_gate(a):
@@ -201,6 +215,50 @@ class TestConditionGate:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 16),
+           bins=st.integers(1, 300), complex_=st.booleans(), nan=st.booleans(),
+           zero=st.booleans(), singular=st.booleans())
+    def test_certificate_equals_svd_gate(self, seed, m, bins, complex_, nan, zero,
+                                         singular):
+        # sqrt(M) U + E with ||E|| spread over three decades: rho falls on both
+        # sides of 1/2 (about 0.01 to 20)
+        rng = np.random.default_rng(seed)
+        a = np.stack([np.sqrt(m) * unitary(rng, m, complex_)
+                      + 10.0 ** rng.uniform(-2.5, 0.5) * gaussian(rng, m, complex_)
+                      for _ in range(bins)])
+        if nan:
+            a[rng.integers(bins), rng.integers(m), rng.integers(m)] = np.nan
+        if zero:
+            a[rng.integers(bins)] = 0.0
+        if singular:
+            a[rng.integers(bins), :, rng.integers(m)] = 0.0  # exactly singular
+        want = svd_gate(a)
+        cond, seen = np.linalg.cond, []
+
+        def recording_cond(x, *args):
+            seen.append(x.copy())
+            return cond(x, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "cond", recording_cond)
+            try:
+                got = design.well_conditioned(a)
+            except np.linalg.LinAlgError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        # the SVD sees exactly the matrices the certificate leaves open, and
+        # every certified matrix has cond2 <= sqrt(3)
+        open_ = ~(np.array([gram_rho(x) for x in a]) <= 0.5)
+        if open_.any():
+            assert len(seen) == 1 and np.array_equal(seen[0], a[open_], equal_nan=True)
+        else:
+            assert seen == []
+        assert np.all(cond(a[~open_]) <= np.sqrt(3) * (1 + 1e-12))
 
     def test_bound_decides_reference_designs(self, monkeypatch):
         # cond2 is about 1 on the reference profiles: no bin needs an SVD
@@ -372,6 +430,48 @@ class TestPRResidual:
                                                n_check=256).max_alias(0.9)
         assert maxima[1024] <= 1.1 * maxima[512]
         assert maxima[2048] <= 1.1 * maxima[1024]
+
+
+def raised_design(m, n_grid, taps, zone):
+    cfg = tiadc.TiadcConfig(m_channels=m, fs=1.6e9, bits=14, full_scale=2.0,
+                            quantize=False)
+    truth = tiadc.make_reference_profile(cfg)
+    return cfg, truth, tiadc.design_filter_bank(
+        truth, cfg, DesignSpec(n_grid=n_grid, taps=taps, zone=zone))
+
+
+def gathered_branch_response(bank, omega):
+    """branch_response as it was: one einsum over an (M, L, n) gathered table."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
+    m_idx = np.arange(bank.m_channels)[:, None]
+    j_idx = np.arange(bank.spec.taps)[None, :]
+    delays = bank.tap_offset + np.arange(bank.m_channels + bank.spec.taps - 1)
+    table = np.exp(-1j * delays[:, None] * omega[None, :])
+    return np.einsum("ml,mlw->mw", bank.taps, table[m_idx + j_idx])
+
+
+@pytest.mark.parametrize("zone", [1, 2])
+@pytest.mark.parametrize("m, n_grid, taps", [(4, 1024, 65), (8, 2048, 129), (16, 4096, 257)])
+def test_branch_response_equals_gathered_table(m, n_grid, taps, zone):
+    _, _, bank = raised_design(m, n_grid, taps, zone)
+    for omega in (np.pi * np.arange(512) / 512, 0.37):
+        assert np.array_equal(bank.branch_response(omega),
+                              gathered_branch_response(bank, omega))
+
+
+def test_pr_residual_memory_m16():
+    # numpy reports its buffers to tracemalloc; the gathered (M, L, n) table
+    # alone was 33.7 MB at this size
+    cfg, truth, bank = raised_design(16, 4096, 257, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        design.pr_residual(bank, truth, cfg, n_check=512)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_residual_csv_bytes_equal_savetxt(reference_bank, tmp_path):
