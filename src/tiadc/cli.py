@@ -82,17 +82,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _zone_band(zone: int, fs: float):
-    return (0.0, fs / 2) if zone == 1 else (fs / 2, fs)
-
-
 def cmd_design(args) -> int:
     config = load_config(args.config)
     profile = model.read_profile_csv(args.profile)
     spec = design.DesignSpec(
         n_grid=args.n_grid, taps=args.taps, delay_d=args.delay,
         window=args.window, kaiser_beta=args.kaiser_beta, zone=args.zone)
-    lo, hi = _zone_band(spec.zone, config.fs)
+    lo, hi = spec.band_hz(config.fs)
     if profile.freqs_hz[0] > lo + 1e-6 * config.fs or profile.freqs_hz[-1] < hi - 1e-6 * config.fs:
         print(f"warning: profile table covers [{profile.freqs_hz[0]:g}, "
               f"{profile.freqs_hz[-1]:g}] Hz but zone {spec.zone} needs "

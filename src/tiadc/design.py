@@ -67,26 +67,28 @@ class DesignSpec:
     def half_taps(self) -> int:
         return (self.taps - 1) // 2
 
+    def band_hz(self, fs: float) -> tuple[float, float]:
+        """The analog band [(zone - 1)*fs/2, zone*fs/2] the design corrects."""
+        return (self.zone - 1) * fs / 2, self.zone * fs / 2
+
 
 def k_set(omega, m_channels: int, zone: int) -> np.ndarray:
     """Alias indices contributing at digital frequencies omega in [0, pi).
 
-    Zone 1 keeps k with -pi <= omega - 2*pi*k/M < pi; zone 2 keeps k with
-    pi <= |omega - 2*pi*k/M| < 2*pi (half-open at the lower magnitude end).
-    The half-open conventions give exactly M members for every omega,
-    returned increasing along the last axis of shape omega.shape + (M,).
+    Zone z keeps the k whose alias argument omega - 2*pi*k/M lies in
+    [(z-1)*pi, z*pi) or in [-z*pi, -(z-1)*pi). With a = M*omega/(2*pi),
+    lo = (z-1)*M/2 and hi = z*M/2 these are the n_pos integers in
+    (a - hi, a - lo] and the integers in (a + lo, a + hi]: exactly M members
+    for every omega, returned increasing along the last axis of shape
+    omega.shape + (M,).
     """
     a = m_channels * np.asarray(omega, dtype=np.float64)[..., None] / TWO_PI
-    half = m_channels / 2.0
+    lo, hi = (zone - 1) * m_channels / 2.0, zone * m_channels / 2.0
     j = np.arange(m_channels)
-    if zone == 1:
-        return (np.floor(a - half) + 1 + j).astype(np.int64)
-    if zone == 2:
-        n_left = np.floor(a - half) - np.floor(a - m_channels)
-        left = np.floor(a - m_channels) + 1 + j
-        right = np.floor(a + half) + 1 + (j - n_left)
-        return np.where(j < n_left, left, right).astype(np.int64)
-    raise ValueError("zone must be 1 or 2")
+    n_pos = np.floor(a - lo) - np.floor(a - hi)
+    pos = np.floor(a - hi) + 1 + j
+    neg = np.floor(a + lo) + 1 + (j - n_pos)
+    return np.where(j < n_pos, pos, neg).astype(np.int64)
 
 
 def signal_row(ks, m_channels: int):
@@ -116,10 +118,7 @@ def alias_system(omegas, profile: MismatchProfile, config: TiadcConfig, zone: in
     omegas = np.asarray(omegas, dtype=np.float64)
     ks = k_set(omegas, m_ch, zone)
     omega_analog = (omegas[..., None] - TWO_PI * ks / m_ch) / config.ts
-    a = np.empty(ks.shape + (m_ch,), dtype=np.complex128)
-    for m in range(m_ch):
-        a[..., m] = channel_response(profile, config, m, omega_analog)
-    return a, signal_row(ks, m_ch)
+    return channel_response(profile, config, omega_analog), signal_row(ks, m_ch)
 
 
 _GATE_SLICE = 128
@@ -318,17 +317,13 @@ class PRResidualReport:
 
 
 def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,
-                n_check: int = 512, zone: int | None = None) -> PRResidualReport:
-    """Recompute the reconstruction condition from the windowed taps.
-
-    zone defaults to the zone the bank was designed for; passing the other
-    zone evaluates the bank against that zone's alias set (negative control).
-    """
+                n_check: int = 512) -> PRResidualReport:
+    """Recompute the reconstruction condition from the windowed taps, against
+    the alias set of the zone in the bank's spec."""
     if n_check < 64:
         raise ValueError("n_check must be >= 64")
-    zone = bank.spec.zone if zone is None else zone
     omegas = np.pi * np.arange(n_check) / n_check
-    h_mat, sig = alias_system(omegas, profile, config, zone)
+    h_mat, sig = alias_system(omegas, profile, config, bank.spec.zone)
     gamma = (h_mat @ bank.branch_response(omegas).T[..., None])[..., 0]  # (n_check, M)
     rows = np.arange(n_check)
     gamma[rows, sig] -= bank.m_channels * np.exp(-1j * omegas * bank.spec.delay_d)

@@ -158,7 +158,7 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
     spur_entries = []
     spur_centers = []
     if m_channels > 1:
-        for entry in image_spur_levels(report, f_fund, report.fs, m_channels):
+        for entry in image_spur_levels(report, f_fund, m_channels):
             spur_entries.append(entry)
             if not entry.collision:
                 spur_centers.append(report.bin_of(entry.freq_hz))
@@ -204,8 +204,7 @@ def _gathered_db(report: SpectrumReport, center: int, gather: int) -> float:
     return 10.0 * np.log10(max(p / ref, 10.0 ** (DB_FLOOR / 10.0)))
 
 
-def image_spur_levels(report: SpectrumReport, f_fund_hz: float, fs: float,
-                      m_channels: int):
+def image_spur_levels(report: SpectrumReport, f_fund_hz: float, m_channels: int):
     """Power at the folded interleave-image frequencies, relative to the
     fundamental. Images that land on the fundamental bin are flagged as
     collisions instead of being reported as spurs."""
@@ -216,7 +215,7 @@ def image_spur_levels(report: SpectrumReport, f_fund_hz: float, fs: float,
     seen = set()
     for k in range(1, m_channels):
         for sign in (+1, -1):
-            f_img = fold_frequency(k * fs / m_channels + sign * f_fund_hz, fs)
+            f_img = fold_frequency(k * report.fs / m_channels + sign * f_fund_hz, report.fs)
             b = report.bin_of(f_img)
             if b in seen:
                 continue

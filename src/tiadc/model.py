@@ -125,24 +125,26 @@ class MismatchProfile:
         return np.interp(freq_hz, self.freqs_hz, self.dt_s[m])
 
 
-def channel_response(profile: MismatchProfile, config: TiadcConfig, m: int,
-                     omega_rad_s):
-    """Complex response g_m * exp(j*omega*(m*ts + dt_m)) of channel m.
+def channel_response(profile: MismatchProfile, config: TiadcConfig, omega_rad_s):
+    """Complex responses g_m * exp(j*omega*(m*ts + dt_m)) of all M channels,
+    shape omega.shape + (M,).
 
     Gain and timing error are interpolated from the profile at |omega|; the
     signed exponent makes negative-frequency queries the conjugate of the
     positive-frequency ones, as required for real hardware.
     """
-    if not 0 <= m < profile.m_channels:
-        raise ValueError(f"channel index {m} out of range")
+    if profile.m_channels != config.m_channels:
+        raise ValueError("profile channel count does not match config")
     omega = np.asarray(omega_rad_s, dtype=np.float64)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
     f_abs = np.abs(omega) / TWO_PI
-    g = profile.gain_at(m, f_abs)
-    dt = profile.dt_at(m, f_abs)
-    h = g * np.exp(1j * omega * (m * config.ts + dt))
-    return complex(h) if np.isscalar(omega_rad_s) else h
+    h = np.empty(omega.shape + (config.m_channels,), dtype=np.complex128)
+    for m in range(config.m_channels):
+        g = profile.gain_at(m, f_abs)
+        dt = profile.dt_at(m, f_abs)
+        h[..., m] = g * np.exp(1j * omega * (m * config.ts + dt))
+    return h
 
 
 @dataclass(frozen=True)

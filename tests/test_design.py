@@ -1,6 +1,7 @@
 """Alias-index sets, per-frequency solves, tap extraction, and residuals."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,43 @@ def constant_profile(gains, dts, f_max):
         offset_lsb=np.zeros(m))
 
 
+def k_set_two_branch(omega, m_channels, zone):
+    """k_set as it was before the closed form: one branch per zone."""
+    a = m_channels * np.asarray(omega, dtype=np.float64)[..., None] / (2 * np.pi)
+    half = m_channels / 2.0
+    j = np.arange(m_channels)
+    if zone == 1:
+        return (np.floor(a - half) + 1 + j).astype(np.int64)
+    n_left = np.floor(a - half) - np.floor(a - m_channels)
+    left = np.floor(a - m_channels) + 1 + j
+    right = np.floor(a + half) + 1 + (j - n_left)
+    return np.where(j < n_left, left, right).astype(np.int64)
+
+
+@st.composite
+def k_set_points(draw):
+    """M, a zone, and design-grid bins 2*pi*n/N in [0, pi] plus every band
+    edge pi*q/M and 2*pi*q/M in [0, pi] with its nextafter neighbours."""
+    m = draw(st.integers(2, 16))
+    zone = draw(st.sampled_from([1, 2]))
+    n_grid = draw(st.sampled_from([512, 1024, 2048, 4096, 8192]) | st.integers(512, 8192))
+    bins = draw(st.lists(st.integers(0, n_grid // 2), min_size=1, max_size=64))
+    edges = np.concatenate([np.pi * np.arange(m + 1) / m,
+                            2 * np.pi * np.arange(m // 2 + 1) / m])
+    edges = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 4.0)])
+    omegas = np.concatenate([2 * np.pi * np.array(bins) / n_grid, edges])
+    return m, zone, omegas[(omegas >= 0) & (omegas <= np.pi)]
+
+
 class TestKSet:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(points=k_set_points())
+    def test_closed_form_equals_two_branch(self, points):
+        m, zone, omegas = points
+        assert np.array_equal(k_set(omegas, m, zone), k_set_two_branch(omegas, m, zone))
+        assert np.array_equal(k_set(float(omegas[0]), m, zone),
+                              k_set_two_branch(float(omegas[0]), m, zone))
+
     def test_examples(self):
         assert k_set(0.3 * np.pi, 4, 1).tolist() == [-1, 0, 1, 2]
         assert k_set(0.3 * np.pi, 4, 2).tolist() == [-3, -2, 3, 4]
@@ -115,10 +152,8 @@ class TestSolve:
         for omega in rng.uniform(0, np.pi, 25):
             ks = k_set(float(omega), 4, 1)
             f = tiadc.solve_pr_at(float(omega), truth, cfg4, spec)
-            a = np.empty((4, 4), dtype=complex)
-            for m in range(4):
-                om_an = (omega - 2 * np.pi * np.array(ks) / 4) / cfg4.ts
-                a[:, m] = tiadc.channel_response(truth, cfg4, m, om_an)
+            om_an = (omega - 2 * np.pi * np.array(ks) / 4) / cfg4.ts
+            a = tiadc.channel_response(truth, cfg4, om_an)
             b = np.zeros(4, dtype=complex)
             b[signal_row(ks, 4)] = 4 * np.exp(-1j * omega * spec.delay_d)
             assert np.linalg.norm(a @ f - b) <= 1e-10 * np.linalg.norm(b)
@@ -198,8 +233,8 @@ class TestConditionGate:
            complex_=st.booleans(), nan=st.booleans(), singular=st.booleans())
     def test_equals_svd_gate(self, seed, m, bins, center, complex_, nan, singular):
         # cond2 spread over two decades either side of a centre near
-        # COND_LIMIT, so the cond1 bound passes some matrices, fails some and
-        # leaves some open
+        # COND_LIMIT, so the gate passes some matrices and fails some; every
+        # stack is far from the Gram certificate and reaches the SVD tier
         rng = np.random.default_rng(seed)
         a = matrix_stack(rng, m, center + rng.uniform(-2, 2, bins), complex_)
         if nan:
@@ -401,7 +436,8 @@ class TestPRResidual:
         spec2 = DesignSpec(n_grid=1024, taps=65, zone=2)
         bank2 = tiadc.design_filter_bank(truth, cfg4, spec2)
         own = tiadc.pr_residual(bank2, truth, cfg4, n_check=128)
-        cross = tiadc.pr_residual(bank2, truth, cfg4, n_check=128, zone=1)
+        bank2_as_zone1 = replace(bank2, spec=replace(bank2.spec, zone=1))
+        cross = tiadc.pr_residual(bank2_as_zone1, truth, cfg4, n_check=128)
         assert np.median(own.residual_alias) < 2e-4
         assert np.median(cross.residual_alias) > 100 * np.median(own.residual_alias)
 

@@ -253,7 +253,7 @@ def reference_metrics(report, f_fund, m_channels, harmonics=5, exclude_freqs=())
         return 10.0 * np.log10(max(p / ref, 10.0 ** (metrics.DB_FLOOR / 10.0)))
 
     spur_centers, image_dbc, dbc = [], [], {}
-    for e in tiadc.image_spur_levels(report, f_fund, report.fs, m_channels):
+    for e in tiadc.image_spur_levels(report, f_fund, m_channels):
         if not e.collision:
             spur_centers.append(report.bin_of(e.freq_hz))
             image_dbc.append(level(spur_centers[-1]) - level(fund_bin))
@@ -318,7 +318,7 @@ class TestMetricPools:
         f = 511.3 * cfg.fs / 4096
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, 4096)
         rep = tiadc.spectrum(cap, 4096, "hann")
-        images = [rep.bin_of(e.freq_hz) for e in tiadc.image_spur_levels(rep, f, cfg.fs, 4)]
+        images = [rep.bin_of(e.freq_hz) for e in tiadc.image_spur_levels(rep, f, 4)]
         assert rep.bin_of(f) == 511 and {513, 1535} <= set(images)
         assert rep.bin_of(3 * rep.freqs_hz[511]) == 1533
         excl = [1023 * cfg.fs / 4096]  # its gather touches the 2f and fs/4 gathers
@@ -394,7 +394,7 @@ class TestImageSpurLevels:
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
                                      ideal4, 4096)
         rep = tiadc.spectrum(cap, 4096)
-        for entry in tiadc.image_spur_levels(rep, f, cfg4.fs, 4):
+        for entry in tiadc.image_spur_levels(rep, f, 4):
             assert entry.dbc < -120.0
 
     def test_fold_positions_170mhz(self, cfg4):
@@ -404,7 +404,7 @@ class TestImageSpurLevels:
                                      truth, 4096)
         rep = tiadc.spectrum(cap, 4096)
         freqs = sorted({e.freq_hz for e in
-                        tiadc.image_spur_levels(rep, f, cfg4.fs, 4)})
+                        tiadc.image_spur_levels(rep, f, 4)})
         assert freqs == pytest.approx(
             sorted({tiadc.fold_frequency(k * 4e8 + s * f, cfg4.fs)
                     for k in (1, 2, 3) for s in (1, -1)}), abs=1.0)
@@ -415,7 +415,7 @@ class TestImageSpurLevels:
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
                                      truth, 4096)
         rep = tiadc.spectrum(cap, 4096)
-        entries = tiadc.image_spur_levels(rep, f, cfg4.fs, 4)
+        entries = tiadc.image_spur_levels(rep, f, 4)
         collisions = [e for e in entries if e.collision]
         assert len(collisions) == 1 and collisions[0].k == 1
 

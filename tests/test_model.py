@@ -46,20 +46,21 @@ class TestConfig:
 
 class TestChannelResponse:
     def test_ideal_reference_channel(self, cfg4, ideal4):
-        h = tiadc.channel_response(ideal4, cfg4, 0, 2 * np.pi * 123e6)
-        assert h == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        h = tiadc.channel_response(ideal4, cfg4, 2 * np.pi * 123e6)
+        assert h.shape == (4,)
+        assert h[0] == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_pure_interleave_phase(self, cfg4, ideal4):
-        # omega*m*ts = pi/2 for m=1 gives exactly +j
+        # omega*m*ts = m*pi/2 gives exactly j**m
         omega = (np.pi / 2) / cfg4.ts
-        h = tiadc.channel_response(ideal4, cfg4, 1, omega)
-        assert h == pytest.approx(1j, abs=1e-12)
+        h = tiadc.channel_response(ideal4, cfg4, omega)
+        assert h == pytest.approx(1j ** np.arange(4), abs=1e-12)
 
     def test_gain_and_timing(self, cfg4):
         prof = constant_profile(4, [0.98, 1, 1, 1], [1e-12, 0, 0, 0],
                                 [0, 0, 0, 0], cfg4.fs)
         omega = 2 * np.pi * 200e6
-        h = tiadc.channel_response(prof, cfg4, 0, omega)
+        h = tiadc.channel_response(prof, cfg4, omega)[0]
         assert abs(h) == pytest.approx(0.98, abs=1e-12)
         assert np.angle(h) == pytest.approx(omega * 1e-12, abs=1e-15)
         assert np.angle(h) == pytest.approx(1.2566370614359172e-3, rel=1e-9)
@@ -67,17 +68,34 @@ class TestChannelResponse:
     def test_conjugate_symmetry(self, cfg4):
         truth = tiadc.make_reference_profile(cfg4)
         rng = np.random.default_rng(3)
-        for omega in rng.uniform(0, 2 * np.pi * 1.5e9, 50):
-            for m in range(4):
-                hp = tiadc.channel_response(truth, cfg4, m, omega)
-                hn = tiadc.channel_response(truth, cfg4, m, -omega)
-                assert hn == pytest.approx(np.conj(hp), rel=1e-12)
+        omegas = rng.uniform(0, 2 * np.pi * 1.5e9, 50)
+        hp = tiadc.channel_response(truth, cfg4, omegas)
+        hn = tiadc.channel_response(truth, cfg4, -omegas)
+        assert hp.shape == (50, 4)
+        assert np.allclose(hn, np.conj(hp), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m_ch", [4, 16])
+    def test_equals_per_channel_formula(self, m_ch):
+        cfg = tiadc.TiadcConfig(m_channels=m_ch, fs=1.6e9, bits=14,
+                                full_scale=2.0, quantize=False)
+        truth = tiadc.make_reference_profile(cfg)
+        rng = np.random.default_rng(m_ch)
+        scalar = 2 * np.pi * 0.37e9
+        grid = rng.uniform(-2 * np.pi * 1.6e9, 2 * np.pi * 1.6e9, (33, m_ch))
+        for omega in (scalar, grid):
+            h = tiadc.channel_response(truth, cfg, omega)
+            f_abs = np.abs(omega) / (2 * np.pi)
+            assert h.shape == np.shape(omega) + (m_ch,)
+            for m in range(m_ch):
+                expect = truth.gain_at(m, f_abs) * np.exp(
+                    1j * omega * (m * cfg.ts + truth.dt_at(m, f_abs)))
+                assert np.array_equal(h[..., m], expect)
 
     def test_bad_channel(self, cfg4, ideal4):
+        with pytest.raises(ValueError, match="channel count"):
+            tiadc.channel_response(tiadc.MismatchProfile.ideal(2, cfg4.fs), cfg4, 1e9)
         with pytest.raises(ValueError):
-            tiadc.channel_response(ideal4, cfg4, 4, 1e9)
-        with pytest.raises(ValueError):
-            tiadc.channel_response(ideal4, cfg4, 0, np.nan)
+            tiadc.channel_response(ideal4, cfg4, np.nan)
 
 
 class TestProfileInterpolation:
