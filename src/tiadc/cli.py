@@ -199,7 +199,7 @@ class Scenario:
     cal_plan: tuple  # (freq_hz, amplitude_v, n_samples) rows, coherent and distinct
     spec: design.DesignSpec
     sim_config: TiadcConfig
-    n_sim: int
+    n_read: int  # samples a sweep point simulates and corrects: all its analysis reads
     n_fft: int
     points: tuple  # sweep points, each a tuple of (freq_hz, amplitude_v) tones
     min_drop: float | None
@@ -302,6 +302,8 @@ def parse_scenario(raw: dict) -> Scenario:
         if usable < n_fft:
             raise ValueError(f"n_samples {n_sim} leaves {usable} samples after the "
                              f"correction transients, fewer than n_fft = {n_fft}")
+        # n_fft samples between the two transients, in whole rows of M: at most n_sim
+        n_read = -(-(n_sim - usable + n_fft) // config.m_channels) * config.m_channels
         sim_config = replace(config, quantize=_json_field(sweep, "quantize", "bool", at, True))
         amp = _json_field(sweep, "amplitude_v", "real", at)
         if kind == "two_tone":
@@ -329,7 +331,7 @@ def parse_scenario(raw: dict) -> Scenario:
     return Scenario(
         kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,
         cal_config=cal_config, cal_plan=tuple((f, cal_amp, n_cal) for f in cal_freqs),
-        spec=spec, sim_config=sim_config, n_sim=n_sim, n_fft=n_fft, points=points,
+        spec=spec, sim_config=sim_config, n_read=n_read, n_fft=n_fft, points=points,
         min_drop=min_drop, min_gain=min_gain, min_after=min_after,
         floor_dbfs=floor_dbfs, design_tone=design_tone)
 
@@ -378,12 +380,12 @@ def _design(sc: Scenario, measured, out_dir: Path, log: list):
 
 
 def _sweep_point(sc: Scenario, point, truth, measured, bank):
-    """Simulate one sweep point, correct it, and measure it before and after
-    correction: one summary row per tone, plus the number of image lines
-    below the spur floor."""
+    """Simulate one sweep point's first sc.n_read samples, all its spectra read (the
+    bank is causal), correct them and measure them before and after correction: one
+    summary row per tone, plus the number of image lines below the spur floor."""
     fs = sc.config.fs
     tones = ToneSpec(tones=tuple(Tone(a, f) for f, a in point))
-    capture = model.simulate_capture(tones, sc.sim_config, truth, sc.n_sim)
+    capture = model.simulate_capture(tones, sc.sim_config, truth, sc.n_read)
     corrected = correction.correct(correction.correct_offsets(capture, measured), bank)
     lines = model.predict_output_spectrum(tones, sc.config, truth)
     rep_before = metrics.spectrum(capture, sc.n_fft, "none")

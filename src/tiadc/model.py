@@ -220,14 +220,13 @@ def midtread_quantize(x, config: TiadcConfig):
     return codes * lsb
 
 
-def sample_channels(tones: ToneSpec, config: TiadcConfig,
-                    profile: MismatchProfile, n_total: int):
-    """Per-channel sample sequences for a multi-tone input.
+SIMULATION_BLOCK = 1 << 14  # samples simulated at a time: temporaries stay cache-sized
 
-    Channel m sees each tone through its own gain and timing error (looked up
-    at the tone frequency), then its offset, then the quantizer if enabled.
-    Returns a list of m_channels arrays of n_total / m_channels samples.
-    """
+
+def _sample_matrix(tones: ToneSpec, config: TiadcConfig,
+                   profile: MismatchProfile, n_total: int):
+    """The (n_total / M, M) sample matrix, whose column m is channel m: each tone through
+    its gain and timing error (at the tone frequency), its offset, then the quantizer."""
     m_ch = config.m_channels
     if n_total <= 0 or n_total % m_ch != 0:
         raise ValueError("n_total must be a positive multiple of m_channels")
@@ -235,37 +234,34 @@ def sample_channels(tones: ToneSpec, config: TiadcConfig,
         raise ValueError("profile channel count does not match config")
     if tones.peak_sum() > config.full_scale / 2:
         warnings.warn("tone amplitudes exceed half the full-scale range; "
-                      "the capture may clip", stacklevel=2)
-    per = n_total // m_ch
-    channels = []
-    for m in range(m_ch):
-        idx = np.arange(per) * m_ch + m
-        t_nominal = idx * config.ts
-        x = np.full(per, tones.dc + profile.offset_lsb[m] * config.lsb)
-        for tone in tones.tones:
-            omega = TWO_PI * tone.freq_hz
-            g = float(profile.gain_at(m, tone.freq_hz))
-            dt = float(profile.dt_at(m, tone.freq_hz))
-            x += g * tone.amplitude * np.cos(omega * (t_nominal + dt) + tone.phase_rad)
+                      "the capture may clip", stacklevel=3)
+    x = np.tile(tones.dc + profile.offset_lsb * config.lsb, (n_total // m_ch, 1))
+    gain_dt = [np.array([(profile.gain_at(m, tone.freq_hz), profile.dt_at(m, tone.freq_hz))
+                         for m in range(m_ch)]).T for tone in tones.tones]
+    step = max(SIMULATION_BLOCK // m_ch, 1)
+    for r in range(0, x.shape[0], step):
+        xb = x[r:r + step]  # rows r to r + step - 1, filled in place
+        t = np.arange(r * m_ch, r * m_ch + xb.size).reshape(xb.shape) * config.ts
+        for tone, (g, dt) in zip(tones.tones, gain_dt):
+            xb += g * tone.amplitude * np.cos(TWO_PI * tone.freq_hz * (t + dt) + tone.phase_rad)
         if config.quantize:
-            x = midtread_quantize(x, config)
-        channels.append(x)
-    return channels
+            xb[:] = midtread_quantize(xb, config)
+    return x
+
+
+def sample_channels(tones: ToneSpec, config: TiadcConfig,
+                    profile: MismatchProfile, n_total: int):
+    """The m_channels per-channel sample sequences of a multi-tone input."""
+    return list(np.ascontiguousarray(_sample_matrix(tones, config, profile, n_total).T))
 
 
 def interleave(channels, config: TiadcConfig) -> Capture:
     """Round-robin merge: output[i*M + m] = channels[m][i]."""
-    m_ch = len(channels)
-    if m_ch != config.m_channels:
+    if len(channels) != config.m_channels:
         raise ValueError("channel count does not match config")
-    lengths = {len(c) for c in channels}
-    if len(lengths) != 1:
-        raise ValueError("ragged channel lengths")
-    per = lengths.pop()
-    y = np.empty(per * m_ch)
-    for m, c in enumerate(channels):
-        y[m::m_ch] = c
-    return Capture(samples=y, config=config)
+    if len({np.shape(c) for c in channels}) != 1 or np.ndim(channels[0]) != 1:
+        raise ValueError("channels must be 1-d and of one length")
+    return Capture(samples=np.stack(channels, axis=1).ravel(), config=config)
 
 
 def deinterleave(capture, m_channels=None):
@@ -285,7 +281,9 @@ def deinterleave(capture, m_channels=None):
 
 def simulate_capture(tones: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> Capture:
-    return interleave(sample_channels(tones, config, profile, n_total), config)
+    """The interleaved capture of a multi-tone input: the sample matrix, row by row."""
+    return Capture(samples=_sample_matrix(tones, config, profile, n_total).ravel(),
+                   config=config)
 
 
 def fold_frequency(freq_hz: float, fs: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tiadc
+from tiadc import cli
 from tiadc.design import DesignSpec
 
 
@@ -173,3 +174,27 @@ class TestCorrect:
         img_a = {s.freq_hz: s.dbc for s in after.spurs if s.kind == "image"}
         for freq, level in img_b.items():
             assert img_a[freq] <= level - 30.0
+
+
+@pytest.mark.parametrize("m_ch, n_grid, n_taps, n_read", [(4, 1024, 65, 4228),
+                                                         (16, 4096, 257, 4624)])
+def test_prefix_corrects_like_whole_capture(m_ch, n_grid, n_taps, n_read):
+    # a sweep point corrects only the n_read samples its analysis reads: the
+    # bank is causal, so a prefix corrects to the prefix of the whole output
+    raw = cli.load_scenario("wideband_zone1")
+    raw["config"]["m_channels"] = m_ch
+    raw["design"].update(n_grid=n_grid, taps=n_taps)
+    sc = cli.parse_scenario(raw)
+    assert sc.n_read == n_read
+    bank = tiadc.design_filter_bank(tiadc.make_reference_profile(sc.config),
+                                    sc.config, sc.spec)
+    rng = np.random.default_rng(m_ch)
+    x = rng.normal(size=raw["sweep"]["n_samples"])
+    for block in (tiadc.correction.DEFAULT_BLOCK, None):
+        whole = tiadc.correct(make_capture(sc.config, x), bank, block_size=block)
+        for n in (n_read, -(-n_taps // m_ch) * m_ch):
+            part = tiadc.correct(make_capture(sc.config, x[:n]), bank, block_size=block)
+            assert part.samples.tobytes() == whole.samples[:n].tobytes(), (block, n)
+            if n == n_read:  # the analysis reads the same samples
+                assert (tiadc.spectrum(part, sc.n_fft).mean_square.tobytes()
+                        == tiadc.spectrum(whole, sc.n_fft).mean_square.tobytes())

@@ -1,11 +1,14 @@
 """Acquisition model: channel response, sampling, interleaving, quantizer,
 and the analytic spectrum oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tiadc
-from tiadc.model import Tone
+from tiadc.model import TWO_PI, Tone
 
 
 @pytest.fixture
@@ -157,6 +160,62 @@ class TestSampleChannels:
         n = np.arange(4096)
         ref = 0.9 * np.cos(2 * np.pi * f * (n * cfg4.ts) + phi)
         assert np.array_equal(cap.samples, ref)
+
+
+def reference_channels(tones, config, profile, n_total):
+    """Per-channel simulation, one channel at a time: the loop one-pass
+    simulation replaced, kept as its reference."""
+    m_ch = config.m_channels
+    per = n_total // m_ch
+    channels = []
+    for m in range(m_ch):
+        t_nominal = (np.arange(per) * m_ch + m) * config.ts
+        x = np.full(per, tones.dc + profile.offset_lsb[m] * config.lsb)
+        for tone in tones.tones:
+            g = float(profile.gain_at(m, tone.freq_hz))
+            dt = float(profile.dt_at(m, tone.freq_hz))
+            x += g * tone.amplitude * np.cos(
+                TWO_PI * tone.freq_hz * (t_nominal + dt) + tone.phase_rad)
+        channels.append(tiadc.midtread_quantize(x, config) if config.quantize else x)
+    return channels
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m_ch=st.integers(2, 16), n_tones=st.integers(1, 3),
+       quantize=st.booleans(), with_dc=st.booleans())
+def test_one_pass_equals_per_channel_loop(data, m_ch, n_tones, quantize, with_dc):
+    cfg = tiadc.TiadcConfig(m_channels=m_ch, fs=1.6e9, bits=12, full_scale=2.0,
+                            quantize=quantize)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    knots = int(rng.integers(2, 9))  # a random profile over [0, fs]
+    profile = tiadc.MismatchProfile(
+        freqs_hz=np.linspace(0.0, cfg.fs, knots),
+        gain=1.0 + 0.01 * rng.uniform(-1, 1, (m_ch, knots)),
+        dt_s=2e-12 * rng.uniform(-1, 1, (m_ch, knots)),
+        offset_lsb=rng.uniform(-2, 2, m_ch))
+    # zone-1 and zone-2 tones; amplitudes up to 0.6 V may clip together
+    tones = tiadc.ToneSpec(tones=tuple(
+        Tone(data.draw(st.floats(0.0, 0.6)),
+             data.draw(st.floats(0.0, cfg.fs / 2) | st.floats(cfg.fs / 2, cfg.fs)),
+             data.draw(st.floats(0.0, 2 * np.pi)))
+        for _ in range(n_tones)), dc=data.draw(st.floats(-0.1, 0.1)) if with_dc else 0.0)
+    # from one row to three blocks and a ragged tail
+    n = m_ch * data.draw(st.integers(1, 700) | st.integers(
+        1, 3 * tiadc.model.SIMULATION_BLOCK // m_ch + 5), label="rows")
+    ref = reference_channels(tones, cfg, profile, n)
+    clips = tones.peak_sum() > cfg.full_scale / 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cap = tiadc.simulate_capture(tones, cfg, profile, n)
+        chans = tiadc.sample_channels(tones, cfg, profile, n)
+    assert [str(w.message)[:22] for w in caught] == ["tone amplitudes exceed"] * 2 * clips
+    merged = np.empty(n)
+    for m, c in enumerate(ref):
+        merged[m::m_ch] = c  # the strided round-robin merge
+    assert np.array_equal(cap.samples, merged)
+    assert np.array_equal(tiadc.interleave(ref, cfg).samples, merged)
+    assert len(chans) == m_ch
+    assert all(np.array_equal(c, r) for c, r in zip(chans, ref))
 
 
 class TestInterleave:
