@@ -37,6 +37,33 @@ def _parse_tone(text: str) -> Tone:
     return Tone(amplitude=amp, freq_hz=freq, phase_rad=phase)
 
 
+# --- stages shared by the subcommands and the pipeline -----------------------
+
+def _calibrate(measurements, config: TiadcConfig, path, report):
+    """Turn the measurements into a profile and write it to path."""
+    if len(measurements) == 1:
+        profile = calibration.constant_profile(measurements[0], config)
+    else:
+        profile = calibration.build_profile(measurements, config)
+    model.write_profile_csv(profile, path)
+    report(f"calibrated {len(measurements)} frequencies -> {path}")
+    return profile
+
+
+def _design(profile, config: TiadcConfig, spec: design.DesignSpec, path,
+            residual_path, report):
+    """Design the bank and check its PR residual; write the bank to path and,
+    when residual_path is given, the residual to it."""
+    bank = design.design_filter_bank(profile, config, spec)
+    design.write_bank_csv(bank, path)
+    residual = design.pr_residual(bank, profile, config, n_check=512)
+    if residual_path:
+        design.write_residual_csv(residual, residual_path)
+    report(f"designed bank {bank.bank_id} -> {path}; "
+           f"max alias residual = {residual.max_alias():.3e}")
+    return bank
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -76,9 +103,7 @@ def cmd_calibrate(args) -> int:
             raise TiadcError("either --captures or --truth-profile is required")
         truth = model.read_profile_csv(args.truth_profile)
         measurements = calibration.measure_plan(plan, config, truth)
-    profile = calibration.build_profile(measurements, config)
-    model.write_profile_csv(profile, args.out)
-    print(f"calibrated {len(measurements)} frequencies -> {args.out}")
+    _calibrate(measurements, config, args.out, print)
     return 0
 
 
@@ -94,13 +119,7 @@ def cmd_design(args) -> int:
               f"{profile.freqs_hz[-1]:g}] Hz but zone {spec.zone} needs "
               f"[{lo:g}, {hi:g}] Hz; clamped end values will be used",
               file=sys.stderr)
-    bank = design.design_filter_bank(profile, config, spec)
-    design.write_bank_csv(bank, args.out)
-    report = design.pr_residual(bank, profile, config, n_check=512)
-    if args.residual_out:
-        design.write_residual_csv(report, args.residual_out)
-    print(f"designed bank {bank.bank_id} -> {args.out}; "
-          f"max alias residual = {report.max_alias():.3e}")
+    _design(profile, config, spec, args.out, args.residual_out, print)
     return 0
 
 
@@ -112,9 +131,7 @@ def cmd_correct(args) -> int:
     config = fields["config"]
     m_ch = config.m_channels
     bank = design.read_bank_csv(args.bank)
-    shift = None
-    if args.profile:
-        shift = correction.offset_shift(model.read_profile_csv(args.profile), config, n)
+    profile = model.read_profile_csv(args.profile) if args.profile else None
     stream = correction.bank_stream(bank, config, n)
     block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
     y = np.empty(stream.out_size(block))
@@ -123,12 +140,11 @@ def cmd_correct(args) -> int:
     try:
         with open(args.capture, "rb") as src, open(part, "wb") as dst:
             for a in range(0, n, block):
-                x = np.fromfile(src, dtype="<f8", count=min(block, n - a))
-                if not np.all(np.isfinite(x)):
-                    raise ValueError("samples contain non-finite values")
-                if shift is not None:
-                    x = (x.reshape(-1, m_ch) - shift).ravel()
-                y[:stream.push(x, y)].astype("<f8", copy=False).tofile(dst)
+                x = model.Capture(np.fromfile(src, dtype="<f8", count=min(block, n - a)),
+                                  config)
+                if profile is not None:
+                    x = correction.correct_offsets(x, profile)
+                y[:stream.push(x.samples, y)].astype("<f8", copy=False).tofile(dst)
             y[:stream.finish(y)].astype("<f8", copy=False).tofile(dst)
         os.replace(part, out)
     finally:
@@ -354,31 +370,6 @@ def _truth_profile(sc: Scenario):
     return model.read_profile_csv(sc.truth_path)
 
 
-def _calibrate(sc: Scenario, truth, out_dir: Path, log: list):
-    """Measure the truth profile at the plan's tones; write measured_profile.csv."""
-    measurements = calibration.measure_plan(sc.cal_plan, sc.cal_config, truth)
-    if len(measurements) == 1:
-        measured = calibration.constant_profile(measurements[0], sc.config)
-    else:
-        measured = calibration.build_profile(measurements, sc.config)
-    path = out_dir / "measured_profile.csv"
-    model.write_profile_csv(measured, path)
-    log.append(f"calibrated {len(measurements)} frequencies -> {path}")
-    return measured
-
-
-def _design(sc: Scenario, measured, out_dir: Path, log: list):
-    """Design the bank and check its PR residual; write bank.csv and pr_residual.csv."""
-    bank = design.design_filter_bank(measured, sc.config, sc.spec)
-    path = out_dir / "bank.csv"
-    design.write_bank_csv(bank, path)
-    residual = design.pr_residual(bank, measured, sc.config, n_check=512)
-    design.write_residual_csv(residual, out_dir / "pr_residual.csv")
-    log.append(f"designed bank {bank.bank_id}; max alias residual "
-               f"{residual.max_alias():.3e} -> {path}")
-    return bank
-
-
 def _sweep_point(sc: Scenario, point, truth, measured, bank):
     """Simulate one sweep point's first sc.n_read samples, all its spectra read (the
     bank is causal), correct them and measure them before and after correction: one
@@ -472,9 +463,11 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
     with _stage("truth-profile"):
         truth = _truth_profile(sc)
     with _stage("calibrate"):
-        measured = _calibrate(sc, truth, out_dir, log)
+        measured = _calibrate(calibration.measure_plan(sc.cal_plan, sc.cal_config, truth),
+                              sc.config, out_dir / "measured_profile.csv", log.append)
     with _stage("design"):
-        bank = _design(sc, measured, out_dir, log)
+        bank = _design(measured, sc.config, sc.spec, out_dir / "bank.csv",
+                       out_dir / "pr_residual.csv", log.append)
     rows, skipped = [], 0
     with _stage("sweep"):
         for point in sc.points:

@@ -21,20 +21,14 @@ from tiadc import kernels
 DEFAULT_BLOCK = 1 << 16
 
 
-def offset_shift(profile: MismatchProfile, config: TiadcConfig, n: int) -> np.ndarray:
-    """Per-channel offsets in volts, to subtract from an n-sample record
-    reshaped to (n/M, M) rows."""
-    if profile.m_channels != config.m_channels:
-        raise ValueError("profile channel count does not match capture")
-    if n % config.m_channels != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
-    return profile.offset_lsb * config.lsb
-
-
 def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
     """Subtract each channel's calibrated offset (in LSB) from its samples."""
     m_ch = capture.config.m_channels
-    shift = offset_shift(profile, capture.config, capture.n)
+    if profile.m_channels != m_ch:
+        raise ValueError("profile channel count does not match capture")
+    if capture.n % m_ch != 0:
+        raise ValueError("capture length must be a multiple of the channel count")
+    shift = profile.offset_lsb * capture.config.lsb
     out = (capture.samples.reshape(-1, m_ch) - shift).ravel()
     return replace(capture, samples=out)
 

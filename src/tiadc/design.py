@@ -309,11 +309,8 @@ class PRResidualReport:
     residual_k0: np.ndarray
     residual_alias: np.ndarray
 
-    def max_alias(self, central_fraction: float = 1.0) -> float:
-        n = self.omegas.size
-        trim = int(round(n * (1.0 - central_fraction) / 2.0))
-        sel = slice(trim, n - trim if trim else n)
-        return float(np.max(self.residual_alias[sel]))
+    def max_alias(self) -> float:
+        return float(np.max(self.residual_alias))
 
 
 def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,

@@ -137,6 +137,10 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
     second tone of a two-tone test) removed from the noise and spur pools.
     SFDR is the fundamental over the largest bin of the SINAD pool.
     """
+    if harmonics < 0:
+        raise ValueError(f"harmonics must be >= 0, got {harmonics}")
+    if f_fund_hz is not None and not np.isfinite(f_fund_hz):
+        raise ValueError(f"fundamental frequency must be finite, got {f_fund_hz}")
     n_bins = report.n_bins
     n_half = n_bins - 1
     ms = report.mean_square

@@ -167,10 +167,14 @@ class ToneSpec:
         )
         object.__setattr__(self, "tones", tones)
         for t in tones:
-            if t.amplitude < 0:
-                raise ValueError("tone amplitudes must be >= 0")
+            if not np.isfinite(t.amplitude) or t.amplitude < 0:
+                raise ValueError("tone amplitudes must be finite and >= 0")
             if not np.isfinite(t.freq_hz) or t.freq_hz < 0:
                 raise ValueError("tone frequencies must be finite and >= 0")
+            if not np.isfinite(t.phase_rad):
+                raise ValueError("tone phases must be finite")
+        if not np.isfinite(self.dc):
+            raise ValueError("dc must be finite")
 
     @classmethod
     def single(cls, amplitude, freq_hz, phase_rad=0.0, dc=0.0):

@@ -7,7 +7,7 @@ import pytest
 
 import tiadc
 from tiadc import calibration, correction, metrics
-from tiadc.cli import main, load_scenario, run_pipeline
+from tiadc.cli import main, load_scenario, parse_scenario, run_pipeline
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
@@ -105,6 +105,22 @@ class TestSimulate:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
         assert expect in err
+
+    @pytest.mark.parametrize("tone, dc, expect", [
+        ("0.5:1e8", "inf", "dc must be finite"),
+        ("inf:1e8", "0", "tone amplitudes must be finite and >= 0"),
+        ("nan:1e8", "0", "tone amplitudes must be finite and >= 0"),
+        ("0.5:1e8:inf", "0", "tone phases must be finite"),
+    ], ids=["dc", "inf-amplitude", "nan-amplitude", "phase"])
+    def test_non_finite_tone_field_rejected(self, workdir, capsys, tone, dc, expect):
+        tmp, _ = workdir
+        rc = main(["simulate", "--config", str(tmp / "config.json"),
+                   "--profile", str(tmp / "truth.csv"), "--tone", tone, "--dc", dc,
+                   "--n", "256", "--out", str(tmp / "cap.f64")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {expect}\n"
+        assert not (tmp / "cap.f64").exists()
+        assert not (tmp / "cap.f64.json").exists()
 
     def test_integral_float_config_accepted(self, workdir):
         tmp, _ = workdir
@@ -359,6 +375,39 @@ class TestCorrectAnalyze:
         assert not (tmp / "fixed.f64.part").exists()
         assert not (tmp / "fixed.f64.json").exists()
 
+    def test_profile_channel_mismatch_leaves_no_output(self, workdir, capsys):
+        tmp, cfg = workdir
+        tiadc.write_profile_csv(tiadc.MismatchProfile.ideal(8, cfg.fs), tmp / "ideal8.csv")
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "ideal.csv"),
+                     "--out", str(tmp / "bank.csv")]) == 0
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 4096)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        capsys.readouterr()
+        assert main(["correct", "--capture", str(tmp / "cap.f64"),
+                     "--bank", str(tmp / "bank.csv"), "--profile", str(tmp / "ideal8.csv"),
+                     "--out", str(tmp / "fixed.f64")]) == 1
+        assert capsys.readouterr().err == (
+            "error: profile channel count does not match capture\n")
+        assert not (tmp / "fixed.f64").exists()
+        assert not (tmp / "fixed.f64.part").exists()
+        assert not (tmp / "fixed.f64.json").exists()
+
+    @pytest.mark.parametrize("flag, value, expect", [
+        ("--harmonics", "-3", "harmonics must be >= 0, got -3"),
+        ("--f-fund", "nan", "fundamental frequency must be finite, got nan"),
+    ], ids=["negative-harmonics", "nan-fundamental"])
+    def test_analyze_bad_metric_argument(self, workdir, capsys, flag, value, expect):
+        tmp, cfg = workdir
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 4096)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        assert main(["analyze", "--capture", str(tmp / "cap.f64"), "--n-fft", "4096",
+                     flag, value, "--out-prefix", str(tmp / "a")]) == 1
+        assert capsys.readouterr().err == f"error: {expect}\n"
+        assert not (tmp / "a_spectrum.csv").exists()
+
 
 DROP = object()
 
@@ -444,6 +493,32 @@ class TestPipeline:
         header = outs[0].decode().splitlines()[0]
         assert header == ("f_in_hz,enob_before,enob_after,"
                           "max_image_dbc_before,max_image_dbc_after")
+
+    def test_subcommands_write_the_pipeline_files(self, tmp_path, capsys):
+        # calibrate and design run the pipeline's stage code: same bytes, same lines
+        sc = parse_scenario(TINY_SCENARIO)
+        scen_path = tmp_path / "tiny.json"
+        scen_path.write_text(json.dumps(TINY_SCENARIO))
+        assert main(["pipeline", "--scenario", str(scen_path),
+                     "--out-dir", str(tmp_path / "pipe")]) == 0
+        piped = capsys.readouterr().out.replace(str(tmp_path / "pipe"), str(tmp_path / "sub"))
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "config.json").write_text(json.dumps({**TINY_SCENARIO["config"],
+                                                     "quantize": True}))
+        tiadc.write_profile_csv(tiadc.make_reference_profile(sc.config), sub / "truth.csv")
+        calibration.write_plan_csv(sc.cal_plan, sub / "plan.csv")
+        assert main(["calibrate", "--config", str(sub / "config.json"),
+                     "--plan", str(sub / "plan.csv"), "--truth-profile", str(sub / "truth.csv"),
+                     "--out", str(sub / "measured_profile.csv")]) == 0
+        assert main(["design", "--config", str(sub / "config.json"),
+                     "--profile", str(sub / "measured_profile.csv"),
+                     "--n-grid", "512", "--taps", "33", "--window", "kaiser",
+                     "--kaiser-beta", "8.0", "--zone", "1", "--out", str(sub / "bank.csv"),
+                     "--residual-out", str(sub / "pr_residual.csv")]) == 0
+        assert piped.startswith(capsys.readouterr().out)
+        for name in ("measured_profile.csv", "bank.csv", "pr_residual.csv"):
+            assert (sub / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
 
     def test_threshold_violation_exits_nonzero(self, tmp_path, capsys):
         scen = json.loads(json.dumps(TINY_SCENARIO))

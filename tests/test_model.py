@@ -218,6 +218,20 @@ def test_one_pass_equals_per_channel_loop(data, m_ch, n_tones, quantize, with_dc
     assert all(np.array_equal(c, r) for c, r in zip(chans, ref))
 
 
+class TestToneSpec:
+    @pytest.mark.parametrize("tone, dc, expect", [
+        (Tone(np.nan, 1e8), 0.0, "tone amplitudes must be finite and >= 0"),
+        (Tone(np.inf, 1e8), 0.0, "tone amplitudes must be finite and >= 0"),
+        (Tone(0.5, np.nan), 0.0, "tone frequencies must be finite and >= 0"),
+        (Tone(0.5, 1e8, np.inf), 0.0, "tone phases must be finite"),
+        (Tone(0.5, 1e8), np.inf, "dc must be finite"),
+        (Tone(0.5, 1e8), np.nan, "dc must be finite"),
+    ], ids=["nan-amplitude", "inf-amplitude", "nan-frequency", "phase", "inf-dc", "nan-dc"])
+    def test_non_finite_field_named(self, tone, dc, expect):
+        with pytest.raises(ValueError, match=expect):
+            tiadc.ToneSpec(tones=(tone,), dc=dc)
+
+
 class TestInterleave:
     def test_round_robin_m2(self):
         cfg = tiadc.TiadcConfig(m_channels=2, fs=1e9, bits=8, full_scale=2.0)
