@@ -10,15 +10,12 @@ from tiadc.model import (
     Tone,
     ToneSpec,
     channel_response,
-    deinterleave,
     fold_frequency,
-    interleave,
     load_capture,
     make_reference_profile,
     midtread_quantize,
     predict_output_spectrum,
     read_profile_csv,
-    sample_channels,
     save_capture,
     simulate_capture,
     write_profile_csv,

@@ -15,7 +15,7 @@ import numpy as np
 
 from tiadc import model
 from tiadc.model import (Capture, MismatchProfile, TiadcConfig, TiadcError,
-                         ToneSpec, TWO_PI, deinterleave)
+                         ToneSpec, TWO_PI)
 
 
 class DegenerateInputError(TiadcError):
@@ -95,16 +95,17 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
     frequency; for under-sampled captures pass the analog frequency, not its
     alias). Phase differences are unwrapped to the 2*pi multiple that
     minimizes |dt|, which limits usable timing errors to |dt| < pi/omega.
+    A config given must equal capture.config.
     """
-    config = config or capture.config
+    if config is not None and config != capture.config:
+        raise ValueError("config does not match the capture's config")
+    config = capture.config
     m_ch = config.m_channels
-    if capture.n % m_ch != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
     cycles = f_in_hz * capture.n / config.fs
     if abs(cycles - round(cycles)) > 1e-6 * max(1.0, abs(cycles)):
         raise ValueError(
             f"tone at {f_in_hz} Hz is not coherent with a {capture.n}-sample record")
-    channels = deinterleave(capture.samples, m_ch)
+    rows = capture.samples.reshape(-1, m_ch)  # column m is channel m
     ratio_raw = (f_in_hz * m_ch / config.fs) % 1.0
     if min(ratio_raw, abs(ratio_raw - 0.5), 1.0 - ratio_raw) < 1e-12:
         raise DegenerateInputError(
@@ -113,8 +114,8 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
     ratio = 1.0 - ratio_raw if flip else ratio_raw
     # every channel of the tone shares one basis; one lstsq per channel keeps
     # each fit's arithmetic that of sine_fit
-    basis = fit_basis(channels[0].size, ratio)
-    fits = [_fit(basis, ch, ratio) for ch in channels]
+    basis = fit_basis(rows.shape[0], ratio)
+    fits = [_fit(basis, rows[:, m], ratio) for m in range(m_ch)]
     for m, fit in enumerate(fits):
         if fit.amplitude < 10.0 * fit.rms_residual:
             raise UnreliableMeasurementError(

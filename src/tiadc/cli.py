@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -110,9 +110,9 @@ def cmd_calibrate(args) -> int:
 def cmd_design(args) -> int:
     config = load_config(args.config)
     profile = model.read_profile_csv(args.profile)
-    spec = design.DesignSpec(
-        n_grid=args.n_grid, taps=args.taps, delay_d=args.delay,
-        window=args.window, kaiser_beta=args.kaiser_beta, zone=args.zone)
+    # options left out are absent from args, so DesignSpec supplies them
+    spec = design.DesignSpec(**{f.name: getattr(args, f.name)
+                                for f in fields(design.DesignSpec) if hasattr(args, f.name)})
     lo, hi = spec.band_hz(config.fs)
     if profile.freqs_hz[0] > lo + 1e-6 * config.fs or profile.freqs_hz[-1] < hi - 1e-6 * config.fs:
         print(f"warning: profile table covers [{profile.freqs_hz[0]:g}, "
@@ -127,12 +127,12 @@ def cmd_correct(args) -> int:
     """Correct the capture block by block: memory use does not grow with its
     length. The output goes to <out>.part, which replaces <out> once it is
     whole; the sidecar is written last."""
-    n, fields = model.capture_header(args.capture)
-    config = fields["config"]
+    n, header = model.capture_header(args.capture)
+    config = header["config"]
     m_ch = config.m_channels
     bank = design.read_bank_csv(args.bank)
     profile = model.read_profile_csv(args.profile) if args.profile else None
-    stream = correction.bank_stream(bank, config, n)
+    stream = correction.PolyphaseStream(bank, config, n)
     block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
     y = np.empty(stream.out_size(block))
     out = Path(args.out)
@@ -150,7 +150,7 @@ def cmd_correct(args) -> int:
     finally:
         part.unlink(missing_ok=True)
     transient = correction.transient_samples(bank.spec)
-    model.write_sidecar(out, n, **dict(fields, transient_samples=transient,
+    model.write_sidecar(out, n, **dict(header, transient_samples=transient,
                                        corrected=True, bank_id=bank.bank_id))
     print(f"corrected {n} samples with bank {bank.bank_id} "
           f"({transient} transient samples flagged)")
@@ -293,13 +293,12 @@ def parse_scenario(raw: dict) -> Scenario:
 
         dsn = _json_field(raw, "design", "object", where)
         at = f"{where}: design"
-        spec = design.DesignSpec(
-            n_grid=_json_field(dsn, "n_grid", "int", at, 1024),
-            taps=_json_field(dsn, "taps", "int", at, 65),
-            delay_d=_json_field(dsn, "delay_d", "int", at, None),
-            window=_json_field(dsn, "window", "str", at, "kaiser"),
-            kaiser_beta=_json_field(dsn, "kaiser_beta", "real", at, 8.0),
-            zone=_json_field(dsn, "zone", "int", at, 1))
+        # fields left out, and a null delay_d, take DesignSpec's defaults
+        spec = design.DesignSpec(**{
+            key: _json_field(dsn, key, kind, at)
+            for key, kind in (("n_grid", "int"), ("taps", "int"), ("delay_d", "int"),
+                              ("window", "str"), ("kaiser_beta", "real"), ("zone", "int"))
+            if key in dsn and not (key == "delay_d" and dsn[key] is None)})
         design.check_tap_window(spec, config.m_channels)
 
         thresholds = _json_field(raw, "thresholds", "object", where, {})
@@ -512,12 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="design a correction filter bank")
     p.add_argument("--config", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--n-grid", type=int, default=1024)
-    p.add_argument("--taps", type=int, default=65)
-    p.add_argument("--delay", type=int, default=None)
-    p.add_argument("--window", default="kaiser", choices=design.WINDOWS)
-    p.add_argument("--kaiser-beta", type=float, default=8.0)
-    p.add_argument("--zone", type=int, default=1, choices=(1, 2))
+    # the design options default to DesignSpec's own defaults
+    p.add_argument("--n-grid", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--taps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--delay", dest="delay_d", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--window", choices=design.WINDOWS, default=argparse.SUPPRESS)
+    p.add_argument("--kaiser-beta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--zone", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.add_argument("--residual-out")
     p.set_defaults(func=cmd_design)

@@ -1,11 +1,23 @@
 """Offset removal and synthesis filter-bank correction of interleaved records.
 
-Correction streams the record through one ``kernels.PolyphaseStream`` block
-by block; the stream carries its filter state from block to block, so the
-output is bit-identical to one-shot convolution for every block size.
-Samples outside the record are treated as zero, so the first and last
-taps-plus-offset output samples are transient and flagged on the returned
-capture.
+Output sample n = tap_offset + r*M + p (row r, phase p) reads the input
+samples ending at row r's last channel, each weighted by the tap of the
+branch that owns its channel. Written per row, that is the bank's polyphase
+(MIMO) form: with J = ceil((L - 1)/M) + 1, the M outputs of row r are the
+J*M input samples ``flat[r*M : r*M + J*M]`` of the zero-padded record times
+one fixed (J*M, M) matrix G, so the record is a dense product that BLAS runs
+at full speed.
+
+``PolyphaseStream`` runs that product over a record pushed in pieces of any
+size. It builds G, one (CHUNK_ROWS, J*M) window buffer and a staging array
+once per record, and carries the last (J - 1)*M input samples from one
+chunk to the next. Every product has exactly the same shape (the last chunk
+is padded with zero rows) and each output row depends only on its own J*M
+inputs, so any split of the record into pushes, one-shot included, gives
+bit-identical output. CHUNK_ROWS rows keep the window buffer in L2 cache
+(278 KB at M = 16, L = 257). Samples outside the record are treated as zero,
+so the first and last taps-plus-offset output samples are transient and
+flagged on the corrected capture.
 """
 
 from __future__ import annotations
@@ -16,9 +28,9 @@ import numpy as np
 
 from tiadc.model import Capture, MismatchProfile, TiadcConfig
 from tiadc.design import DesignSpec, FilterBank
-from tiadc import kernels
 
 DEFAULT_BLOCK = 1 << 16
+CHUNK_ROWS = 128
 
 
 def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
@@ -26,27 +38,116 @@ def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
     m_ch = capture.config.m_channels
     if profile.m_channels != m_ch:
         raise ValueError("profile channel count does not match capture")
-    if capture.n % m_ch != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
     shift = profile.offset_lsb * capture.config.lsb
     out = (capture.samples.reshape(-1, m_ch) - shift).ravel()
     return replace(capture, samples=out)
 
 
-def bank_stream(bank: FilterBank, config: TiadcConfig, n: int) -> kernels.PolyphaseStream:
-    """A stream that corrects one n-sample record captured with config."""
-    m_ch = config.m_channels
-    if bank.m_channels != m_ch:
-        raise ValueError(
-            f"bank has {bank.m_channels} channels, capture has {m_ch}")
-    if bank.fs != config.fs:
-        raise ValueError(f"bank is for fs = {bank.fs:g} Hz, capture has fs = {config.fs:g} Hz")
-    L = bank.spec.taps
-    if n < L:
-        raise ValueError(f"capture shorter than the filter length ({n} < {L})")
-    if n % m_ch != 0:
-        raise ValueError("capture length must be a multiple of the channel count")
-    return kernels.PolyphaseStream(bank.taps, m_ch, bank.tap_offset, n)
+def polyphase_matrix(taps, m_channels):
+    """G[(q - q_min)*M + c, p] = taps[c, p - c - q*M] where that tap exists.
+
+    q runs from q_min = floor((1 - L)/M) to 0: the row offsets, relative to
+    the output's own row, of the input samples any tap can reach.
+    """
+    n_taps = taps.shape[1]
+    q_min = (1 - n_taps) // m_channels
+    q = np.arange(q_min, 1)[:, None, None]
+    c = np.arange(m_channels)[None, :, None]
+    p = np.arange(m_channels)[None, None, :]
+    j = p - c - q * m_channels
+    valid = (j >= 0) & (j < n_taps)
+    g = np.where(valid, taps[c, np.where(valid, j, 0)], 0.0)
+    return g.reshape(-1, m_channels)
+
+
+class PolyphaseStream:
+    """The bank's M-branch synthesis over one n-sample record captured with
+    config, pushed in pieces.
+
+    Tap j of branch m acts at delay ``bank.tap_offset + m + j``. ``push``
+    and ``finish`` write the output samples they complete to the front of
+    ``out`` (a contiguous float64 array) and return how many they wrote;
+    output sample k of the record is the k-th sample written over all calls.
+    ``finish`` pads the record with zeros until all n are written. Samples
+    pushed beyond n are ignored.
+    """
+
+    def __init__(self, bank: FilterBank, config: TiadcConfig, n: int):
+        m_ch = config.m_channels
+        if bank.m_channels != m_ch:
+            raise ValueError(
+                f"bank has {bank.m_channels} channels, capture has {m_ch}")
+        if bank.fs != config.fs:
+            raise ValueError(f"bank is for fs = {bank.fs:g} Hz, capture has fs = {config.fs:g} Hz")
+        L = bank.spec.taps
+        if n < L:
+            raise ValueError(f"capture shorter than the filter length ({n} < {L})")
+        self._g = polyphase_matrix(bank.taps, m_ch)
+        width = self._g.shape[0]
+        self._chunk = CHUNK_ROWS * m_ch
+        self._history = width - m_ch
+        self._stage = np.zeros(self._history + self._chunk)
+        # overlapping rows with row stride M, viewed on the staging buffer;
+        # built with as_strided instead, ~9,000 calls left a ~1 MB block at
+        # the top of the heap that kept it from being trimmed (about 30 MB
+        # more peak RSS in long runs of the M = 16 correction)
+        self._windows = np.ndarray(
+            (CHUNK_ROWS, width), buffer=self._stage,
+            strides=(m_ch * self._stage.itemsize, self._stage.itemsize))
+        self._buf = np.empty((CHUNK_ROWS, width))
+        self._scratch = np.empty((CHUNK_ROWS, m_ch))
+        self._fill = self._history
+        self._lead = min(bank.tap_offset, n)  # leading zeros not yet written
+        self._left = n  # output samples not yet written
+
+    def out_size(self, k):
+        """Room in ``out`` that a push of k samples may need."""
+        return k + self._lead + self._chunk
+
+    def _start(self, out):
+        if not out.flags.c_contiguous or out.dtype != np.float64:
+            raise ValueError("out must be a contiguous float64 array")
+        lead, self._lead = self._lead, 0
+        out[:lead] = 0.0
+        self._left -= lead
+        return lead
+
+    def _run(self, out):
+        """Multiply the staged chunk into out, keep its last inputs as the
+        next chunk's history, and return the outputs written."""
+        written = min(self._left, self._chunk)
+        if written:
+            self._buf[:] = self._windows
+            if written == self._chunk:
+                np.matmul(self._buf, self._g,
+                          out=out[:written].reshape(CHUNK_ROWS, -1))
+            else:  # the chunk runs past the end of the record
+                np.matmul(self._buf, self._g, out=self._scratch)
+                out[:written] = self._scratch.reshape(-1)[:written]
+            self._left -= written
+        self._stage[:self._history] = self._stage[self._chunk:]
+        self._fill = self._history
+        return written
+
+    def push(self, samples, out):
+        k = self._start(out)
+        samples = np.asarray(samples, dtype=np.float64).reshape(-1)
+        i = 0
+        while i < samples.size and self._left:
+            take = min(samples.size - i, self._stage.size - self._fill)
+            self._stage[self._fill:self._fill + take] = samples[i:i + take]
+            self._fill += take
+            i += take
+            if self._fill == self._stage.size:
+                k += self._run(out[k:])
+        return k
+
+    def finish(self, out):
+        k = self._start(out)
+        while self._left:
+            self._stage[self._fill:] = 0.0
+            k += self._run(out[k:])
+        return k
 
 
 def transient_samples(spec: DesignSpec) -> int:
@@ -61,12 +162,12 @@ def correct(capture: Capture, bank: FilterBank,
 
     Output y[n] = sum_m sum_i f_m[n - i*M] x_m[i] with x_m[i] = input[i*M+m],
     has the same length as the input, and is delayed by the bank's design
-    delay. The record is pushed through the stream block_size samples at a
-    time (block_size=None pushes it whole); every block size gives
-    bit-identical output.
+    delay. The record is pushed through one PolyphaseStream block_size
+    samples at a time (block_size=None pushes it whole); every block size
+    gives bit-identical output.
     """
     n = capture.n
-    stream = bank_stream(bank, capture.config, n)
+    stream = PolyphaseStream(bank, capture.config, n)
     step = n if block_size is None else block_size
     if step < 1:
         raise ValueError("block_size must be positive")

@@ -53,11 +53,6 @@ class TiadcConfig:
         return 1.0 / self.fs
 
     @property
-    def t1(self) -> float:
-        """Per-channel sampling period (m_channels * ts)."""
-        return self.m_channels / self.fs
-
-    @property
     def lsb(self) -> float:
         return self.full_scale / 2 ** self.bits
 
@@ -102,10 +97,6 @@ class MismatchProfile:
     @property
     def m_channels(self) -> int:
         return self.gain.shape[0]
-
-    @property
-    def n_rows(self) -> int:
-        return self.freqs_hz.size
 
     @classmethod
     def ideal(cls, m_channels: int, f_max: float) -> "MismatchProfile":
@@ -186,8 +177,9 @@ class ToneSpec:
 
 @dataclass(init=False)
 class Capture:
-    """An interleaved sample record plus its acquisition configuration; the
-    sample rate is config.fs, and an ``fs`` passed in must equal it."""
+    """An interleaved sample record of whole rows, one sample per channel
+    each, plus its acquisition configuration; the sample rate is config.fs,
+    and an ``fs`` passed in must equal it."""
 
     samples: np.ndarray
     config: TiadcConfig
@@ -204,6 +196,8 @@ class Capture:
         self.corrected, self.bank_id = corrected, bank_id
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
+        if self.samples.size % config.m_channels:
+            raise ValueError("capture length must be a multiple of the channel count")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
 
@@ -253,36 +247,6 @@ def _sample_matrix(tones: ToneSpec, config: TiadcConfig,
     return x
 
 
-def sample_channels(tones: ToneSpec, config: TiadcConfig,
-                    profile: MismatchProfile, n_total: int):
-    """The m_channels per-channel sample sequences of a multi-tone input."""
-    return list(np.ascontiguousarray(_sample_matrix(tones, config, profile, n_total).T))
-
-
-def interleave(channels, config: TiadcConfig) -> Capture:
-    """Round-robin merge: output[i*M + m] = channels[m][i]."""
-    if len(channels) != config.m_channels:
-        raise ValueError("channel count does not match config")
-    if len({np.shape(c) for c in channels}) != 1 or np.ndim(channels[0]) != 1:
-        raise ValueError("channels must be 1-d and of one length")
-    return Capture(samples=np.stack(channels, axis=1).ravel(), config=config)
-
-
-def deinterleave(capture, m_channels=None):
-    """Split an interleaved record back into its per-channel streams."""
-    if isinstance(capture, Capture):
-        x = capture.samples
-        m_ch = capture.config.m_channels
-    else:
-        x = np.asarray(capture, dtype=np.float64)
-        m_ch = m_channels
-        if m_ch is None:
-            raise ValueError("m_channels required for a bare array")
-    if x.size % m_ch != 0:
-        raise ValueError("record length is not a multiple of the channel count")
-    return [x[m::m_ch].copy() for m in range(m_ch)]
-
-
 def simulate_capture(tones: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> Capture:
     """The interleaved capture of a multi-tone input: the sample matrix, row by row."""
@@ -306,10 +270,6 @@ class PredictedLine:
     amplitude_v: float
     kind: str  # "fundamental", "image", or "offset_spur"
     k: int
-
-    @property
-    def label(self) -> str:
-        return self.kind if self.kind == "fundamental" else f"{self.kind}({self.k})"
 
 
 def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,

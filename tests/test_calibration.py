@@ -1,5 +1,7 @@
 """Sine-fit estimator and mismatch profile assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,17 @@ class TestEstimateMismatch:
         with pytest.raises(tiadc.UnreliableMeasurementError):
             tiadc.estimate_mismatch_at(cap, f, cfg)
 
+    @pytest.mark.parametrize("change", [dict(m_channels=8), dict(fs=1e9),
+                                        dict(quantize=True)])
+    def test_config_must_match_capture(self, cfg4, change):
+        # an M = 4 capture read with an M = 8 config once gave 8 channels
+        f = self.coherent(3e8, cfg4, 4096)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
+                                     tiadc.MismatchProfile.ideal(4, cfg4.fs), 4096)
+        with pytest.raises(ValueError, match="config does not match the capture's config"):
+            tiadc.estimate_mismatch_at(cap, f, replace(cfg4, **change))
+        assert tiadc.estimate_mismatch_at(cap, f).m_channels == 4
+
     def test_reference_channel_pinned(self, cfg4):
         truth = tiadc.make_reference_profile(cfg4)
         f = self.coherent(2e8, cfg4, 4096)
@@ -147,7 +160,8 @@ def reference_estimate(capture, f_in_hz, config):
     ratio_raw = (f_in_hz * m_ch / config.fs) % 1.0
     flip = ratio_raw > 0.5
     ratio = 1.0 - ratio_raw if flip else ratio_raw
-    fits = [reference_sine_fit(ch, ratio) for ch in tiadc.deinterleave(capture)]
+    x = capture.samples
+    fits = [reference_sine_fit(x[m::m_ch].copy(), ratio) for m in range(m_ch)]
     amps = np.array([f[0] for f in fits])
     phases = np.array([(-f[1] if flip else f[1]) for f in fits])
     omega = 2 * np.pi * f_in_hz

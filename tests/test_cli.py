@@ -251,6 +251,30 @@ class TestDesign:
         assert "clamped" in capsys.readouterr().err
 
 
+    def test_zone_checked_by_design_spec(self, workdir, capsys):
+        # DesignSpec, not argparse, limits the zone: exit 1 with one error line
+        tmp, _ = workdir
+        rc = main(["design", "--config", str(tmp / "config.json"),
+                   "--profile", str(tmp / "ideal.csv"), "--zone", "3",
+                   "--out", str(tmp / "bank.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: zone must be 1 or 2\n"
+        assert not (tmp / "bank.csv").exists()
+
+    def test_defaults_are_design_spec_defaults(self, workdir):
+        # `tiadc design` without design options and a scenario without design
+        # fields, or with a null delay_d, both design with DesignSpec()
+        tmp, _ = workdir
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "ideal.csv"), "--out", str(tmp / "bank.csv")]) == 0
+        assert tiadc.read_bank_csv(tmp / "bank.csv").spec == tiadc.DesignSpec()
+        for block in ({}, {"delay_d": None}):
+            assert parse_scenario({**TINY_SCENARIO, "design": block}).spec == tiadc.DesignSpec()
+        with pytest.raises(tiadc.TiadcError,
+                           match="design: taps must be an integral number, got None"):
+            parse_scenario({**TINY_SCENARIO, "design": {"taps": None}})
+
+
 class TestCorrectAnalyze:
     def test_end_to_end_files(self, workdir, capsys):
         tmp, cfg = workdir
@@ -420,10 +444,11 @@ class TestCaptureSidecar:
         _, f = tiadc.coherent_bin(3e8, cfg.fs, 4096)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg,
                                      tiadc.MismatchProfile.ideal(4, cfg.fs), 8192)
-        cap = tiadc.Capture(samples=cap.samples[:n], config=cfg,
-                            transient_samples=65, corrected=True, bank_id="abc")
+        # raw bytes: n need not be whole rows of M, which a Capture would be
         path = tmp / "cap.f64"
-        tiadc.save_capture(cap, path)
+        path.write_bytes(cap.samples[:n].astype("<f8").tobytes())
+        tiadc.model.write_sidecar(path, n, cfg, transient_samples=65, corrected=True,
+                                  bank_id="abc")
         sidecar = tmp / "cap.f64.json"
         meta = json.loads(sidecar.read_text())
         for key, value in edits.items():

@@ -1,4 +1,4 @@
-"""The polyphase filter-bank kernel against a dense per-sample reference."""
+"""The polyphase filter-bank stream against a dense per-sample reference."""
 
 import itertools
 
@@ -7,14 +7,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tiadc
-from tiadc import correction, kernels
+from tiadc import correction
 from tiadc.design import DesignSpec, FilterBank
 
 
-def run_stream(x, taps, m_ch, offset):
+def make_bank(taps, tap_offset):
+    """A FilterBank holding `taps` (odd length) whose delay gives `tap_offset`."""
+    m_ch, n_taps = taps.shape
+    half = (n_taps - 1) // 2
+    delay = tap_offset + half
+    n_grid = 4
+    while n_grid < max(4 * n_taps, delay + 1):
+        n_grid *= 2
+    spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay)
+    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=1.6e9)
+
+
+def bank_config(bank, **changes):
+    """The config of a capture the bank corrects, with any field changed."""
+    fields = dict(m_channels=bank.m_channels, fs=bank.fs, bits=14,
+                  full_scale=2.0, quantize=False)
+    return tiadc.TiadcConfig(**{**fields, **changes})
+
+
+def run_stream(x, bank):
     """The whole record pushed through one stream at once, then finished."""
     y = np.empty(x.size)
-    stream = kernels.PolyphaseStream(taps, m_ch, offset, x.size)
+    stream = correction.PolyphaseStream(bank, bank_config(bank), x.size)
     stream.finish(y[stream.push(x, y):])
     return y
 
@@ -36,21 +55,21 @@ def dense_reference(x, taps, m_ch, offset):
 def test_matches_dense_reference(m_ch, n_taps, offset):
     rng = np.random.default_rng(7)
     x = rng.normal(size=m_ch * 40)
-    taps = rng.normal(size=(m_ch, n_taps))
-    y = run_stream(x, taps, m_ch, offset)
-    ref = dense_reference(x, taps, m_ch, offset)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
+    y = run_stream(x, bank)
+    ref = dense_reference(x, bank.taps, m_ch, offset)
     assert np.max(np.abs(y - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,offset", [(24, 24), (24, 31), (5, 0), (8, 2)])
 def test_edges_match_dense_reference(n, offset):
-    # offset >= n leaves the whole output in the zero-padded edge; n < L
-    # gives every phase at most two rows
+    # offset >= n leaves the whole output in the zero-padded edge; n = L
+    # (n = 5) and n = L + 1 (n = 8) give every phase at most two rows
     rng = np.random.default_rng(11)
     x = rng.normal(size=n)
-    taps = rng.normal(size=(4, 9))
-    y = run_stream(x, taps, 4, offset)
-    ref = dense_reference(x, taps, 4, offset)
+    bank = make_bank(rng.normal(size=(4, min(9, n - 1 + n % 2))), offset)
+    y = run_stream(x, bank)
+    ref = dense_reference(x, bank.taps, 4, offset)
     assert y.shape == (n,)
     assert np.max(np.abs(y - ref)) <= 1e-12
     if offset >= n:
@@ -58,29 +77,33 @@ def test_edges_match_dense_reference(n, offset):
 
 
 def test_stream_validates():
-    with pytest.raises(ValueError, match="shape"):
-        kernels.PolyphaseStream(np.zeros((2, 3)), 4, 0, 8)
-    with pytest.raises(ValueError, match="tap_offset"):
-        kernels.PolyphaseStream(np.zeros((4, 3)), 4, -1, 8)
+    bank = make_bank(np.zeros((4, 9)), 0)
+    with pytest.raises(ValueError, match="bank has 4 channels, capture has 2"):
+        correction.PolyphaseStream(bank, bank_config(bank, m_channels=2), 16)
+    with pytest.raises(ValueError, match="bank is for fs"):
+        correction.PolyphaseStream(bank, bank_config(bank, fs=1e9), 16)
+    with pytest.raises(ValueError, match=r"filter length \(8 < 9\)"):
+        correction.PolyphaseStream(bank, bank_config(bank), 8)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), m_ch=st.integers(1, 16), n_taps=st.integers(1, 300))
+@given(data=st.data(), m_ch=st.integers(2, 16),
+       n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_stream_push_splits_property(data, m_ch, n_taps):
     # one record pushed in pieces: single samples, sizes that are not
     # multiples of M, and pushes spanning several chunks, cycled until the
     # record is used up
-    chunk = kernels.CHUNK_ROWS * m_ch
-    n = data.draw(st.integers(1, 3 * chunk + 7 * m_ch), label="n")
+    chunk = correction.CHUNK_ROWS * m_ch
+    n = data.draw(st.integers(n_taps, n_taps + 3 * chunk + 7 * m_ch), label="n")
     offset = data.draw(st.integers(0, n + 5), label="offset")
     sizes = data.draw(st.lists(st.one_of(
         st.just(1), st.integers(2, 3 * m_ch + 1), st.integers(chunk, 3 * chunk)),
         min_size=1, max_size=6), label="sizes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
-    taps = rng.normal(size=(m_ch, n_taps))
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
     y = np.empty(n)
-    stream = kernels.PolyphaseStream(taps, m_ch, offset, n)
+    stream = correction.PolyphaseStream(bank, bank_config(bank), n)
     done = a = 0
     for size in itertools.cycle(sizes):
         if a >= n:
@@ -89,40 +112,27 @@ def test_stream_push_splits_property(data, m_ch, n_taps):
         a += size
     done += stream.finish(y[done:])
     assert done == n
-    assert np.array_equal(y, run_stream(x, taps, m_ch, offset))
-
-
-def make_bank(taps, tap_offset):
-    """A FilterBank holding `taps` whose delay gives `tap_offset`."""
-    m_ch, n_taps = taps.shape
-    half = (n_taps - 1) // 2
-    delay = tap_offset + half
-    n_grid = 4
-    while n_grid < max(4 * n_taps, delay + 1):
-        n_grid *= 2
-    spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay)
-    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=1.6e9)
+    assert np.array_equal(y, run_stream(x, bank))
 
 
 def correct_samples(x, bank, block_size):
-    cfg = tiadc.TiadcConfig(m_channels=bank.m_channels, fs=bank.fs, bits=14,
-                            full_scale=2.0, quantize=False)
-    cap = tiadc.Capture(samples=x, config=cfg)
+    cap = tiadc.Capture(samples=x, config=bank_config(bank))
     return correction.correct(cap, bank, block_size=block_size).samples
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), m_ch=st.integers(1, 16), n_taps=st.integers(1, 300))
+@given(data=st.data(), m_ch=st.integers(2, 16),
+       n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_kernel_property(data, m_ch, n_taps):
-    # any M, L and length, L <= M and tap_offset >= n included
-    n = data.draw(st.integers(1, 200), label="n")
+    # any M >= 2, odd L and length n >= L, L <= M and tap_offset >= n included
+    n = data.draw(st.integers(n_taps, n_taps + 200), label="n")
     offset = data.draw(st.integers(0, n + 5), label="offset")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
-    taps = rng.normal(size=(m_ch, n_taps))
-    y = run_stream(x, taps, m_ch, offset)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
+    y = run_stream(x, bank)
     assert y.shape == (n,)
-    assert np.max(np.abs(y - dense_reference(x, taps, m_ch, offset))) <= 1e-12
+    assert np.max(np.abs(y - dense_reference(x, bank.taps, m_ch, offset))) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -131,7 +141,7 @@ def test_kernel_property(data, m_ch, n_taps):
 def test_blocked_equals_one_shot_property(data, m_ch, n_taps):
     # from under one chunk of rows to several, through correction.correct
     rows = data.draw(st.integers(-(-n_taps // m_ch),
-                                 3 * kernels.CHUNK_ROWS + 7), label="rows")
+                                 3 * correction.CHUNK_ROWS + 7), label="rows")
     n = rows * m_ch
     offset = data.draw(st.integers(0, n + 5), label="offset")
     block = data.draw(st.one_of(st.sampled_from([4, 12, 60]),

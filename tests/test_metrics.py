@@ -351,6 +351,8 @@ class TestMetricPools:
         x = (rng.uniform(0.1, 1.0) * np.sin(2 * np.pi * f * t + rng.uniform(0, 6))
              + rng.normal(0, 10 ** rng.uniform(-6, -1), n)
              + 0.01 * rng.uniform() * np.sin(2 * np.pi * 3 * f * t))
+        # whole rows of M samples; the spectrum reads the first n
+        x = np.pad(x, (0, -n % cfg.m_channels))
         rep = tiadc.spectrum(tiadc.Capture(samples=x, config=cfg), n, window)
         excl = list(rng.uniform(0, fs, n_excl))
         f_fund = f if give_fund else None

@@ -33,7 +33,6 @@ def constant_profile(m, gains, dts, offsets, f_max):
 class TestConfig:
     def test_derived_periods(self, cfg4):
         assert cfg4.ts == 1.0 / 1.6e9
-        assert cfg4.t1 == 4 / 1.6e9
         assert cfg4.lsb == 2.0 / 2 ** 14
 
     @pytest.mark.parametrize("kwargs", [
@@ -124,34 +123,38 @@ class TestProfileInterpolation:
                                   dt_s=[[0, 0]], offset_lsb=[0])
 
 
+def channel_rows(tones, config, profile, n_total):
+    """The simulated capture as rows of M samples: column m is channel m."""
+    cap = tiadc.simulate_capture(tones, config, profile, n_total)
+    return cap.samples.reshape(-1, config.m_channels)
+
+
 class TestSampleChannels:
     def test_cosine_at_zero_phase(self, cfg4, ideal4):
         tones = tiadc.ToneSpec.single(1.0, cfg4.fs / 16)
-        chans = tiadc.sample_channels(tones, cfg4, ideal4, 64)
-        assert chans[0][0] == pytest.approx(1.0, abs=1e-15)
+        rows = channel_rows(tones, cfg4, ideal4, 64)
+        assert rows[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_gain(self, cfg4):
         prof = constant_profile(4, [0.5, 1, 1, 1], [0] * 4, [0] * 4, cfg4.fs)
         tones = tiadc.ToneSpec.single(1.0, cfg4.fs / 16)
-        chans = tiadc.sample_channels(tones, cfg4, prof, 64)
-        assert chans[0][0] == pytest.approx(0.5, abs=1e-15)
+        rows = channel_rows(tones, cfg4, prof, 64)
+        assert rows[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_offset_only(self, cfg4):
         prof = constant_profile(4, [1] * 4, [0] * 4, [0, 0, 3.0, 0], cfg4.fs)
         tones = tiadc.ToneSpec(tones=(Tone(0.0, 1e8),))
-        chans = tiadc.sample_channels(tones, cfg4, prof, 64)
-        assert np.allclose(chans[2], 3.0 * cfg4.lsb, atol=1e-18)
-        assert np.allclose(chans[0], 0.0)
+        rows = channel_rows(tones, cfg4, prof, 64)
+        assert np.allclose(rows[:, 2], 3.0 * cfg4.lsb, atol=1e-18)
+        assert np.allclose(rows[:, 0], 0.0)
 
     def test_length_validation(self, cfg4, ideal4):
-        with pytest.raises(ValueError):
-            tiadc.sample_channels(tiadc.ToneSpec.single(0.5, 1e8), cfg4,
-                                  ideal4, 66)
+        with pytest.raises(ValueError, match="multiple of m_channels"):
+            channel_rows(tiadc.ToneSpec.single(0.5, 1e8), cfg4, ideal4, 66)
 
     def test_clip_warning(self, cfg4, ideal4):
         with pytest.warns(UserWarning):
-            tiadc.sample_channels(tiadc.ToneSpec.single(1.5, 1e8), cfg4,
-                                  ideal4, 64)
+            channel_rows(tiadc.ToneSpec.single(1.5, 1e8), cfg4, ideal4, 64)
 
     def test_ideal_equals_single_adc(self, cfg4, ideal4):
         f, phi = 123.4e6, 0.37
@@ -207,15 +210,9 @@ def test_one_pass_equals_per_channel_loop(data, m_ch, n_tones, quantize, with_dc
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cap = tiadc.simulate_capture(tones, cfg, profile, n)
-        chans = tiadc.sample_channels(tones, cfg, profile, n)
-    assert [str(w.message)[:22] for w in caught] == ["tone amplitudes exceed"] * 2 * clips
-    merged = np.empty(n)
-    for m, c in enumerate(ref):
-        merged[m::m_ch] = c  # the strided round-robin merge
-    assert np.array_equal(cap.samples, merged)
-    assert np.array_equal(tiadc.interleave(ref, cfg).samples, merged)
-    assert len(chans) == m_ch
-    assert all(np.array_equal(c, r) for c, r in zip(chans, ref))
+    assert [str(w.message)[:22] for w in caught] == ["tone amplitudes exceed"] * clips
+    # the round-robin merge: sample i*M + m is sample i of channel m
+    assert np.array_equal(cap.samples, np.stack(ref, axis=1).ravel())
 
 
 class TestToneSpec:
@@ -230,37 +227,6 @@ class TestToneSpec:
     def test_non_finite_field_named(self, tone, dc, expect):
         with pytest.raises(ValueError, match=expect):
             tiadc.ToneSpec(tones=(tone,), dc=dc)
-
-
-class TestInterleave:
-    def test_round_robin_m2(self):
-        cfg = tiadc.TiadcConfig(m_channels=2, fs=1e9, bits=8, full_scale=2.0)
-        cap = tiadc.interleave([np.array([1.0, 2.0]), np.array([10.0, 20.0])], cfg)
-        assert list(cap.samples) == [1.0, 10.0, 2.0, 20.0]
-
-    def test_exhaustive_m3(self):
-        cfg = tiadc.TiadcConfig(m_channels=3, fs=1e9, bits=8, full_scale=2.0)
-        chans = [np.array([10.0 * m, 10.0 * m + 1]) for m in range(3)]
-        cap = tiadc.interleave(chans, cfg)
-        assert cap.n == 6
-        for i in range(2):
-            for m in range(3):
-                assert cap.samples[i * 3 + m] == chans[m][i]
-
-    def test_constant(self, cfg4):
-        cap = tiadc.interleave([np.full(5, 3.25)] * 4, cfg4)
-        assert np.all(cap.samples == 3.25)
-
-    def test_ragged_rejected(self, cfg4):
-        with pytest.raises(ValueError):
-            tiadc.interleave([np.zeros(3), np.zeros(3), np.zeros(3),
-                              np.zeros(4)], cfg4)
-
-    def test_deinterleave_round_trip(self, cfg4, ideal4):
-        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.7, 2e8), cfg4,
-                                     ideal4, 128)
-        back = tiadc.interleave(tiadc.deinterleave(cap), cfg4)
-        assert np.array_equal(back.samples, cap.samples)
 
 
 class TestQuantizer:
@@ -397,6 +363,12 @@ class TestCaptureFiles:
         assert tiadc.Capture(samples=np.zeros(8), config=cfg4, fs=cfg4.fs).fs == cfg4.fs
         with pytest.raises(ValueError, match="does not match config.fs"):
             tiadc.Capture(samples=np.zeros(8), config=cfg4, fs=1e9)
+
+    @pytest.mark.parametrize("n", [1, 6, 4099])
+    def test_partial_row_rejected(self, cfg4, n):
+        with pytest.raises(ValueError,
+                           match="capture length must be a multiple of the channel count"):
+            tiadc.Capture(samples=np.zeros(n), config=cfg4)
 
     def test_missing_sidecar(self, cfg4, tmp_path):
         path = tmp_path / "cap.f64"
