@@ -201,6 +201,15 @@ def write_plan_csv(rows, path):
     model.write_table(path, PLAN_CSV_HEADER, ["%.17g,%.17g,%d" % row for row in rows])
 
 
-def read_plan_csv(path):
-    """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples."""
-    return model.read_table(path, "calibration plan", PLAN_CSV_HEADER, (float, float, int))[1]
+def read_plan_csv(path, m_channels: int = 1):
+    """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples; each
+    n_samples must be a positive multiple of m_channels."""
+    def n_samples(text):
+        n = int(text)
+        if n <= 0 or n % m_channels:
+            raise ValueError(f"n_samples must be a positive multiple of m_channels = "
+                             f"{m_channels}, got {n}")
+        return n
+
+    return model.read_table(path, "calibration plan", PLAN_CSV_HEADER,
+                            (float, float, n_samples))[1]

@@ -29,12 +29,23 @@ def config_from_dict(raw: dict) -> TiadcConfig:
 
 
 def _parse_tone(text: str) -> Tone:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise TiadcError(f"tone must be AMPLITUDE:FREQ_HZ[:PHASE_RAD], got {text!r}")
-    amp, freq = float(parts[0]), float(parts[1])
-    phase = float(parts[2]) if len(parts) == 3 else 0.0
-    return Tone(amplitude=amp, freq_hz=freq, phase_rad=phase)
+    try:
+        values = [float(part) for part in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) not in (2, 3):
+        raise TiadcError(f"--tone must be AMPLITUDE:FREQ_HZ[:PHASE_RAD] in numbers, "
+                         f"got {text!r}")
+    return Tone(*values)
+
+
+def _read_profile(path, m_channels: int, owner: str):
+    """The profile file at path, which must have the m_channels channels of owner."""
+    profile = model.read_profile_csv(path)
+    if profile.m_channels != m_channels:
+        raise TiadcError(f"{path}: profile has {profile.m_channels} channels, "
+                         f"but {owner} has m_channels = {m_channels}")
+    return profile
 
 
 # --- stages shared by the subcommands and the pipeline -----------------------
@@ -68,7 +79,10 @@ def _design(profile, config: TiadcConfig, spec: design.DesignSpec, path,
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    profile = model.read_profile_csv(args.profile)
+    if args.n <= 0 or args.n % config.m_channels:
+        raise TiadcError(f"--n must be a positive multiple of m_channels = "
+                         f"{config.m_channels}, got {args.n}")
+    profile = _read_profile(args.profile, config.m_channels, args.config)
     tones = ToneSpec(tones=tuple(_parse_tone(t) for t in args.tone), dc=args.dc)
     capture = model.simulate_capture(tones, config, profile, args.n)
     model.save_capture(capture, args.out)
@@ -80,7 +94,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = load_config(args.config)
-    plan = calibration.read_plan_csv(args.plan)
+    plan = calibration.read_plan_csv(args.plan, config.m_channels)
     if len(plan) < 2:
         raise TiadcError("calibration plan needs at least 2 frequencies")
     if args.captures:
@@ -101,7 +115,7 @@ def cmd_calibrate(args) -> int:
     else:
         if not args.truth_profile:
             raise TiadcError("either --captures or --truth-profile is required")
-        truth = model.read_profile_csv(args.truth_profile)
+        truth = _read_profile(args.truth_profile, config.m_channels, args.config)
         measurements = calibration.measure_plan(plan, config, truth)
     _calibrate(measurements, config, args.out, print)
     return 0
@@ -109,7 +123,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_design(args) -> int:
     config = load_config(args.config)
-    profile = model.read_profile_csv(args.profile)
+    profile = _read_profile(args.profile, config.m_channels, args.config)
     # options left out are absent from args, so DesignSpec supplies them
     spec = design.DesignSpec(**{f.name: getattr(args, f.name)
                                 for f in fields(design.DesignSpec) if hasattr(args, f.name)})
@@ -131,7 +145,8 @@ def cmd_correct(args) -> int:
     config = header["config"]
     m_ch = config.m_channels
     bank = design.read_bank_csv(args.bank)
-    profile = model.read_profile_csv(args.profile) if args.profile else None
+    profile = (_read_profile(args.profile, m_ch, f"the capture {args.capture}")
+               if args.profile else None)
     stream = correction.PolyphaseStream(bank, config, n)
     block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
     y = np.empty(stream.out_size(block))
@@ -366,7 +381,7 @@ def _truth_profile(sc: Scenario):
         return model.make_reference_profile(sc.config)
     if sc.truth_type == "ideal":
         return model.MismatchProfile.ideal(sc.config.m_channels, sc.config.fs)
-    return model.read_profile_csv(sc.truth_path)
+    return _read_profile(sc.truth_path, sc.config.m_channels, "the scenario config")
 
 
 def _sweep_point(sc: Scenario, point, truth, measured, bank):

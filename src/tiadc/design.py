@@ -15,7 +15,7 @@ latency.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class DesignSpec:
             raise ValueError(f"window must be one of {WINDOWS}")
         if self.zone not in (1, 2):
             raise ValueError("zone must be 1 or 2")
+        if not 0 <= self.kaiser_beta < np.inf:  # False for NaN
+            raise ValueError(f"kaiser_beta must be finite and >= 0, got {self.kaiser_beta!r}")
         if self.delay_d is None:
             object.__setattr__(self, "delay_d", (L - 1) // 2)
         if not 0 <= self.delay_d < n:
@@ -112,16 +114,24 @@ def alias_system(omegas, profile: MismatchProfile, config: TiadcConfig, zone: in
     signal rows, for every digital frequency in omegas.
 
     Negative analog frequencies enter through the conjugate symmetry of the
-    channel responses.
+    channel responses. The alias frequencies of a grid repeat (about four
+    times each on a power-of-two grid), and channel_response is elementwise,
+    so it runs once per distinct frequency and the matrices gather its rows.
     """
     m_ch = config.m_channels
     omegas = np.asarray(omegas, dtype=np.float64)
     ks = k_set(omegas, m_ch, zone)
     omega_analog = (omegas[..., None] - TWO_PI * ks / m_ch) / config.ts
-    return channel_response(profile, config, omega_analog), signal_row(ks, m_ch)
+    distinct, inverse = np.unique(omega_analog, return_inverse=True)
+    h = channel_response(profile, config, distinct)
+    return h[inverse.reshape(omega_analog.shape)], signal_row(ks, m_ch)
 
 
 _GATE_SLICE = 128
+
+# rho^2 = ||G||_F^2/c^2 - M subtracts M from a number near M, which costs a
+# few times M ulps; a bin certifies only at this margin below 1/4, far wider
+_GATE_RHO2 = 0.25 * (1 - 1e-9)
 
 
 def well_conditioned(a: np.ndarray) -> np.ndarray:
@@ -131,14 +141,16 @@ def well_conditioned(a: np.ndarray) -> np.ndarray:
     G = A^H A, c = tr(G)/M and rho = ||I - G/c||_F, every eigenvalue of G/c
     lies within ||I - G/c||_2 <= rho of 1 (Weyl's inequality), so rho <= 1/2
     proves cond2(A)^2 = lambda_max/lambda_min <= 3, far inside COND_LIMIT.
-    The SVD of np.linalg.cond runs only on the other matrices: those with
-    rho > 1/2 or a rho that is not finite (NaN entries, a zero matrix), which
-    includes every singular matrix, since rho >= 1 there.
+    Since tr(G/c) = M, rho^2 = ||G||_F^2/c^2 - M, which takes one Gram product
+    and one sum of squares per matrix; a matrix passes when
+    rho^2 <= (1/4)*(1 - 1e-9), a margin far wider than the rounding of the
+    cancellation. The SVD of np.linalg.cond runs only on the other matrices:
+    those above the margin or with a rho^2 that is not finite (NaN entries, a
+    zero matrix), which includes every singular matrix, since rho >= 1 there.
     """
     m = a.shape[-1]
     stack = a.reshape(-1, m, m)
-    rho = np.empty(len(stack))
-    eye = np.eye(m)
+    rho2 = np.empty(len(stack))
     # a slice of matrices at a time, so the Gram matrices add little memory
     # to the solve that follows
     with np.errstate(all="ignore"):
@@ -146,11 +158,40 @@ def well_conditioned(a: np.ndarray) -> np.ndarray:
             part = stack[lo:lo + _GATE_SLICE]
             g = part.conj().swapaxes(-1, -2) @ part
             c = np.trace(g, axis1=-2, axis2=-1).real / m
-            rho[lo:lo + _GATE_SLICE] = np.linalg.norm(eye - g / c[:, None, None], axis=(-2, -1))
-    ok = rho <= 0.5  # False for NaN
+            parts = g.view(np.float64).reshape(len(g), -1)
+            rho2[lo:lo + _GATE_SLICE] = np.einsum("ij,ij->i", parts, parts) / (c * c) - m
+    ok = rho2 <= _GATE_RHO2  # False for NaN
     if not ok.all():
         ok[~ok] = np.linalg.cond(stack[~ok]) <= COND_LIMIT  # also False for inf and nan
     return ok.reshape(a.shape[:-2])
+
+
+def _solve(a_mat, sig, omega, delay_d: int, must_pass=True):
+    """Branch responses F of a stack of alias systems at the frequencies omega,
+    and the mask of the bins whose system is ill-conditioned or unsolved.
+
+    The first failing bin of must_pass (a mask broadcast to omega.shape)
+    raises SingularDesignError; any other failing bin is left to the caller.
+    When every bin passes the gate, the stack is solved in place of a
+    boolean-masked copy.
+    """
+    m_ch = a_mat.shape[-1]
+    ok = well_conditioned(a_mat)
+    b = np.where(np.arange(m_ch) == sig[..., None],
+                 (m_ch * np.exp(-1j * omega * delay_d))[..., None], 0j)
+    f = np.zeros_like(b)
+    sel = ... if ok.all() else ok  # a view of the stack, not a masked copy
+    # numpy 2 reads any b with more than one axis as matrices: solve one column
+    f[sel] = np.linalg.solve(a_mat[sel], b[sel][..., None])[..., 0]
+    resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
+    failed = ~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1))
+    fatal = np.flatnonzero(failed & must_pass)
+    if fatal.size:
+        i = fatal[0]
+        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i] else
+                  f"condition number {np.linalg.cond(a_mat.reshape(-1, m_ch, m_ch)[i]):.3g}")
+        raise SingularDesignError(float(omega.flat[i]), detail)
+    return f, failed
 
 
 def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
@@ -163,27 +204,11 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     system is ill-conditioned or unsolved raises SingularDesignError.
     The gate is on the 2-norm condition number; a Gram-matrix certificate
     passes the bins with cond2 <= sqrt(3) and the SVD decides the rest (see
-    well_conditioned). When every bin passes, the stack is solved in place
-    of a boolean-masked copy.
+    well_conditioned).
     """
-    m_ch = config.m_channels
     omega = np.asarray(omega, dtype=np.float64)
     a_mat, sig = alias_system(omega, profile, config, spec.zone)
-    ok = well_conditioned(a_mat)
-    b = np.where(np.arange(m_ch) == sig[..., None],
-                 (m_ch * np.exp(-1j * omega * spec.delay_d))[..., None], 0j)
-    f = np.zeros_like(b)
-    sel = ... if ok.all() else ok  # a view of the stack, not a masked copy
-    # numpy 2 reads any b with more than one axis as matrices: solve one column
-    f[sel] = np.linalg.solve(a_mat[sel], b[sel][..., None])[..., 0]
-    resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
-    failed = np.flatnonzero(~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1)))
-    if failed.size:
-        i = failed[0]
-        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i] else
-                  f"condition number {np.linalg.cond(a_mat.reshape(-1, m_ch, m_ch)[i]):.3g}")
-        raise SingularDesignError(float(omega.flat[i]), detail)
-    return f
+    return _solve(a_mat, sig, omega, spec.delay_d)[0]
 
 
 def window_taps(name: str, length: int, beta: float = 8.0) -> np.ndarray:
@@ -199,6 +224,17 @@ def window_taps(name: str, length: int, beta: float = 8.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _DesignAlias:
+    """The alias systems of a design on bins 0..n_grid/2 (alias_system's
+    matrices and signal rows), and the profile and config they were built from."""
+
+    a_mat: np.ndarray
+    sig: np.ndarray
+    profile: MismatchProfile
+    config: TiadcConfig
+
+
+@dataclass(frozen=True)
 class FilterBank:
     """M real FIR branches plus the design metadata they were built with.
 
@@ -210,6 +246,10 @@ class FilterBank:
     spec: DesignSpec
     m_channels: int
     fs: float
+    # the design's alias systems, set by design_filter_bank for pr_residual;
+    # not an init field, so a bank read from a file or rebuilt with
+    # dataclasses.replace has none
+    _alias: _DesignAlias | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -260,11 +300,12 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     """Solve the reconstruction condition on the design grid and extract taps.
 
     Responses are solved for grid frequencies 2*pi*n/N up to and including
-    the half-band bin; the upper half of the grid is filled by conjugate
-    symmetry so the inverse DFT is real. If the system is singular exactly at
-    DC or the half-band bin, the adjacent bin's solution is reused there.
-    Branch m keeps L taps centered on its group delay d + m, then the window
-    is applied.
+    the half-band bin, all from one alias_system build; the upper half of the
+    grid is filled by conjugate symmetry so the inverse DFT is real. If the
+    system is singular exactly at DC or the half-band bin, the adjacent bin's
+    solution is reused there. Branch m keeps L taps centered on its group
+    delay d + m, then the window is applied. The bank keeps the alias systems
+    for the pr_residual check that follows, which drops them.
     """
     m_ch = config.m_channels
     n = spec.n_grid
@@ -273,13 +314,16 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     h = spec.half_taps
     check_tap_window(spec, m_ch)
     half = n // 2
+    omegas = TWO_PI * np.arange(half + 1) / n
+    a_mat, sig = alias_system(omegas, profile, config, spec.zone)
+    interior = np.ones(half + 1, dtype=bool)
+    interior[[0, half]] = False
+    f, failed = _solve(a_mat, sig, omegas, d, must_pass=interior)
     grid = np.empty((m_ch, n), dtype=np.complex128)
-    grid[:, 1:half] = solve_pr_at(TWO_PI * np.arange(1, half) / n, profile, config, spec).T
+    grid[:, :half + 1] = f.T
     # bins 1 and half - 1 are interior (n >= 4), so a neighbor always exists
     for edge, neighbor in ((0, 1), (half, half - 1)):
-        try:
-            grid[:, edge] = solve_pr_at(TWO_PI * edge / n, profile, config, spec)
-        except SingularDesignError:
+        if failed[edge]:
             grid[:, edge] = grid[:, neighbor]
     # real responses at the self-conjugate bins, then Hermitian fill
     grid[:, 0] = grid[:, 0].real
@@ -294,7 +338,9 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     win = window_taps(spec.window, L, spec.kaiser_beta)
     window_idx = d - h + np.arange(m_ch)[:, None] + np.arange(L)
     taps = np.take_along_axis(impulse, window_idx, axis=1) * win
-    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
+    bank = FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
+    object.__setattr__(bank, "_alias", _DesignAlias(a_mat, sig, profile, config))
+    return bank
 
 
 @dataclass(frozen=True)
@@ -316,11 +362,26 @@ class PRResidualReport:
 def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,
                 n_check: int = 512) -> PRResidualReport:
     """Recompute the reconstruction condition from the windowed taps, against
-    the alias set of the zone in the bank's spec."""
+    the alias set of the zone in the bank's spec, at omega = pi*i/n_check.
+
+    A bank fresh from design_filter_bank carries its design's alias systems.
+    When n_grid is a multiple of 2*n_check, check frequency i is design bin
+    i*n_grid/(2*n_check), the same double, so the check reads the design's
+    matrices there, provided it is given the design's own profile object and
+    an equal config. Otherwise (a bank read from a file or rebuilt with
+    dataclasses.replace, a coarser grid, another profile or config) it builds
+    its own. Either way the bank's alias systems are dropped here.
+    """
     if n_check < 64:
         raise ValueError("n_check must be >= 64")
+    shared, step = bank._alias, bank.spec.n_grid // (2 * n_check)
+    object.__setattr__(bank, "_alias", None)
     omegas = np.pi * np.arange(n_check) / n_check
-    h_mat, sig = alias_system(omegas, profile, config, bank.spec.zone)
+    if (shared is not None and step * 2 * n_check == bank.spec.n_grid
+            and shared.profile is profile and shared.config == config):
+        h_mat, sig = shared.a_mat[:-1:step], shared.sig[:-1:step]
+    else:
+        h_mat, sig = alias_system(omegas, profile, config, bank.spec.zone)
     gamma = (h_mat @ bank.branch_response(omegas).T[..., None])[..., 0]  # (n_check, M)
     rows = np.arange(n_check)
     gamma[rows, sig] -= bank.m_channels * np.exp(-1j * omegas * bank.spec.delay_d)

@@ -130,11 +130,12 @@ def channel_response(profile: MismatchProfile, config: TiadcConfig, omega_rad_s)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
     f_abs = np.abs(omega) / TWO_PI
+    j_omega = 1j * omega
     h = np.empty(omega.shape + (config.m_channels,), dtype=np.complex128)
     for m in range(config.m_channels):
         g = profile.gain_at(m, f_abs)
         dt = profile.dt_at(m, f_abs)
-        h[..., m] = g * np.exp(1j * omega * (m * config.ts + dt))
+        h[..., m] = g * np.exp(j_omega * (m * config.ts + dt))
     return h
 
 

@@ -74,6 +74,26 @@ class TestSimulate:
         assert rc != 0
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bad_length_names_option(self, workdir, capsys):
+        tmp, _ = workdir
+        for n in ("8190", "0"):
+            assert main(["simulate", "--config", str(tmp / "config.json"),
+                         "--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                         "--n", n, "--out", str(tmp / "cap.f64")]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --n must be a positive multiple of m_channels = 4, got {n}\n")
+        assert not (tmp / "cap.f64").exists()
+
+    @pytest.mark.parametrize("tone", ["0.9:abc", "0.9", "0.9:2e8:0:1", "x:2e8:0"])
+    def test_bad_tone_names_option(self, workdir, capsys, tone):
+        tmp, _ = workdir
+        assert main(["simulate", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "truth.csv"), "--tone", tone,
+                     "--n", "256", "--out", str(tmp / "cap.f64")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --tone must be AMPLITUDE:FREQ_HZ[:PHASE_RAD] in numbers, got {tone!r}\n")
+        assert not (tmp / "cap.f64").exists()
+
     def test_non_object_config_rejected(self, workdir, capsys):
         tmp, _ = workdir
         (tmp / "list.json").write_text("[]")
@@ -167,6 +187,21 @@ class TestCalibrate:
         assert rc != 0
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_samples", [4094, 0])
+    def test_plan_n_samples_names_file_and_line(self, workdir, capsys, n_samples):
+        tmp, cfg = workdir
+        plan_path, freqs = self.plan(tmp, cfg, n=3)
+        rows = [(f, 0.9, 4096) for f in freqs]
+        rows[1] = (freqs[1], 0.9, n_samples)
+        tiadc.calibration.write_plan_csv(rows, plan_path)
+        assert main(["calibrate", "--config", str(tmp / "config.json"),
+                     "--plan", str(plan_path), "--truth-profile", str(tmp / "truth.csv"),
+                     "--out", str(tmp / "m.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {plan_path}:3: n_samples must be a positive multiple of "
+            f"m_channels = 4, got {n_samples}\n")
+        assert not (tmp / "m.csv").exists()
+
     def test_ingest_missing_capture_named(self, workdir, capsys):
         tmp, cfg = workdir
         plan_path, _ = self.plan(tmp, cfg, n=3)
@@ -250,6 +285,17 @@ class TestDesign:
         assert rc == 0
         assert "clamped" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_kaiser_beta_checked_by_design_spec(self, workdir, capsys, beta):
+        tmp, _ = workdir
+        rc = main(["design", "--config", str(tmp / "config.json"),
+                   "--profile", str(tmp / "ideal.csv"), "--kaiser-beta", beta,
+                   "--out", str(tmp / "bank.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: kaiser_beta must be finite and >= 0, got {float(beta)!r}\n")
+        assert not (tmp / "bank.csv").exists()
 
     def test_zone_checked_by_design_spec(self, workdir, capsys):
         # DesignSpec, not argparse, limits the zone: exit 1 with one error line
@@ -413,7 +459,8 @@ class TestCorrectAnalyze:
                      "--bank", str(tmp / "bank.csv"), "--profile", str(tmp / "ideal8.csv"),
                      "--out", str(tmp / "fixed.f64")]) == 1
         assert capsys.readouterr().err == (
-            "error: profile channel count does not match capture\n")
+            f"error: {tmp / 'ideal8.csv'}: profile has 8 channels, "
+            f"but the capture {tmp / 'cap.f64'} has m_channels = 4\n")
         assert not (tmp / "fixed.f64").exists()
         assert not (tmp / "fixed.f64.part").exists()
         assert not (tmp / "fixed.f64.json").exists()
@@ -431,6 +478,47 @@ class TestCorrectAnalyze:
                      flag, value, "--out-prefix", str(tmp / "a")]) == 1
         assert capsys.readouterr().err == f"error: {expect}\n"
         assert not (tmp / "a_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "design", "calibrate", "correct",
+                                     "pipeline"])
+def test_profile_channel_count_names_file(workdir, capsys, command):
+    # an 8-channel profile given with a 4-channel config or capture
+    tmp, cfg = workdir
+    prof8 = tmp / "ideal8.csv"
+    tiadc.write_profile_csv(tiadc.MismatchProfile.ideal(8, cfg.fs), prof8)
+    config = str(tmp / "config.json")
+    owner = config
+    if command == "simulate":
+        argv = ["--config", config, "--profile", str(prof8), "--tone", "0.9:2e8",
+                "--n", "256", "--out", str(tmp / "out.f64")]
+    elif command == "design":
+        argv = ["--config", config, "--profile", str(prof8), "--out", str(tmp / "out.csv")]
+    elif command == "calibrate":
+        freqs = [tiadc.coherent_bin(f, cfg.fs, 4096)[1] for f in (2e8, 5e8)]
+        tiadc.calibration.write_plan_csv([(f, 0.9, 4096) for f in freqs], tmp / "plan.csv")
+        argv = ["--config", config, "--plan", str(tmp / "plan.csv"),
+                "--truth-profile", str(prof8), "--out", str(tmp / "out.csv")]
+    elif command == "correct":
+        assert main(["design", "--config", config, "--profile", str(tmp / "ideal.csv"),
+                     "--out", str(tmp / "bank.csv")]) == 0
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.MismatchProfile.ideal(4, cfg.fs), 4096)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        owner = f"the capture {tmp / 'cap.f64'}"
+        argv = ["--capture", str(tmp / "cap.f64"), "--bank", str(tmp / "bank.csv"),
+                "--profile", str(prof8), "--out", str(tmp / "out.f64")]
+    else:
+        scen = {**TINY_SCENARIO, "truth_profile": {"type": "csv", "path": str(prof8)}}
+        (tmp / "scen.json").write_text(json.dumps(scen))
+        owner = "the scenario config"
+        argv = ["--scenario", str(tmp / "scen.json"), "--out-dir", str(tmp / "out")]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    prefix = "stage truth-profile: " if command == "pipeline" else ""
+    assert capsys.readouterr().err == (
+        f"error: {prefix}{prof8}: profile has 8 channels, but {owner} has m_channels = 4\n")
+    assert not any(p.name.startswith("out") and p.is_file() for p in tmp.iterdir())
 
 
 DROP = object()
@@ -616,12 +704,13 @@ class TestPipeline:
          "calibration: n_samples must be an integral number, got 2048.5"),
         ("design", "taps", "33", "design: taps must be an integral number, got '33'"),
         ("design", "window", 3, "design: window must be a string, got 3"),
+        ("design", "kaiser_beta", -0.5, "design: kaiser_beta must be finite and >= 0, got -0.5"),
         ("thresholds", "min_enob_after_bits", True,
          "thresholds: min_enob_after_bits must be a finite number, got True"),
         ("sweep", "f_targets_hz", [1e8, "2e8"],
          "sweep: f_targets_hz must be a non-empty list of finite numbers"),
     ], ids=["n_fft-list", "sweep-quantize", "cal-quantize", "fraction", "string",
-            "window", "bool-threshold", "target-list"])
+            "window", "negative-kaiser-beta", "bool-threshold", "target-list"])
     def test_scenario_field_types(self, tmp_path, capsys, block, field, value, expect):
         scen = json.loads(json.dumps(TINY_SCENARIO))
         scen[block][field] = value
