@@ -201,7 +201,7 @@ def write_plan_csv(rows, path):
     model.write_table(path, PLAN_CSV_HEADER, ["%.17g,%.17g,%d" % row for row in rows])
 
 
-def read_plan_csv(path, m_channels: int = 1):
+def read_plan_csv(path, m_channels: int):
     """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples; each
     n_samples must be a positive multiple of m_channels."""
     def n_samples(text):

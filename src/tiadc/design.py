@@ -15,7 +15,7 @@ latency.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,34 +166,6 @@ def well_conditioned(a: np.ndarray) -> np.ndarray:
     return ok.reshape(a.shape[:-2])
 
 
-def _solve(a_mat, sig, omega, delay_d: int, must_pass=True):
-    """Branch responses F of a stack of alias systems at the frequencies omega,
-    and the mask of the bins whose system is ill-conditioned or unsolved.
-
-    The first failing bin of must_pass (a mask broadcast to omega.shape)
-    raises SingularDesignError; any other failing bin is left to the caller.
-    When every bin passes the gate, the stack is solved in place of a
-    boolean-masked copy.
-    """
-    m_ch = a_mat.shape[-1]
-    ok = well_conditioned(a_mat)
-    b = np.where(np.arange(m_ch) == sig[..., None],
-                 (m_ch * np.exp(-1j * omega * delay_d))[..., None], 0j)
-    f = np.zeros_like(b)
-    sel = ... if ok.all() else ok  # a view of the stack, not a masked copy
-    # numpy 2 reads any b with more than one axis as matrices: solve one column
-    f[sel] = np.linalg.solve(a_mat[sel], b[sel][..., None])[..., 0]
-    resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
-    failed = ~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1))
-    fatal = np.flatnonzero(failed & must_pass)
-    if fatal.size:
-        i = fatal[0]
-        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i] else
-                  f"condition number {np.linalg.cond(a_mat.reshape(-1, m_ch, m_ch)[i]):.3g}")
-        raise SingularDesignError(float(omega.flat[i]), detail)
-    return f, failed
-
-
 def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
                 spec: DesignSpec) -> np.ndarray:
     """Branch responses F_m at one digital frequency or an array of them.
@@ -204,11 +176,27 @@ def solve_pr_at(omega, profile: MismatchProfile, config: TiadcConfig,
     system is ill-conditioned or unsolved raises SingularDesignError.
     The gate is on the 2-norm condition number; a Gram-matrix certificate
     passes the bins with cond2 <= sqrt(3) and the SVD decides the rest (see
-    well_conditioned).
+    well_conditioned). When every bin passes, the stack is solved in place
+    of a boolean-masked copy.
     """
+    m_ch = config.m_channels
     omega = np.asarray(omega, dtype=np.float64)
     a_mat, sig = alias_system(omega, profile, config, spec.zone)
-    return _solve(a_mat, sig, omega, spec.delay_d)[0]
+    ok = well_conditioned(a_mat)
+    b = np.where(np.arange(m_ch) == sig[..., None],
+                 (m_ch * np.exp(-1j * omega * spec.delay_d))[..., None], 0j)
+    f = np.zeros_like(b)
+    sel = ... if ok.all() else ok  # a view of the stack, not a masked copy
+    # numpy 2 reads any b with more than one axis as matrices: solve one column
+    f[sel] = np.linalg.solve(a_mat[sel], b[sel][..., None])[..., 0]
+    resid = np.linalg.norm((a_mat @ f[..., None])[..., 0] - b, axis=-1)
+    failed = np.flatnonzero(~ok | (resid > 1e-10 * np.linalg.norm(b, axis=-1)))
+    if failed.size:
+        i = failed[0]
+        detail = (f"solve residual {resid.flat[i]:.3g}" if ok.flat[i] else
+                  f"condition number {np.linalg.cond(a_mat.reshape(-1, m_ch, m_ch)[i]):.3g}")
+        raise SingularDesignError(float(omega.flat[i]), detail)
+    return f
 
 
 def window_taps(name: str, length: int, beta: float = 8.0) -> np.ndarray:
@@ -224,17 +212,6 @@ def window_taps(name: str, length: int, beta: float = 8.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _DesignAlias:
-    """The alias systems of a design on bins 0..n_grid/2 (alias_system's
-    matrices and signal rows), and the profile and config they were built from."""
-
-    a_mat: np.ndarray
-    sig: np.ndarray
-    profile: MismatchProfile
-    config: TiadcConfig
-
-
-@dataclass(frozen=True)
 class FilterBank:
     """M real FIR branches plus the design metadata they were built with.
 
@@ -246,10 +223,6 @@ class FilterBank:
     spec: DesignSpec
     m_channels: int
     fs: float
-    # the design's alias systems, set by design_filter_bank for pr_residual;
-    # not an init field, so a bank read from a file or rebuilt with
-    # dataclasses.replace has none
-    _alias: _DesignAlias | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -300,12 +273,11 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     """Solve the reconstruction condition on the design grid and extract taps.
 
     Responses are solved for grid frequencies 2*pi*n/N up to and including
-    the half-band bin, all from one alias_system build; the upper half of the
-    grid is filled by conjugate symmetry so the inverse DFT is real. If the
-    system is singular exactly at DC or the half-band bin, the adjacent bin's
-    solution is reused there. Branch m keeps L taps centered on its group
-    delay d + m, then the window is applied. The bank keeps the alias systems
-    for the pr_residual check that follows, which drops them.
+    the half-band bin; the upper half of the grid is filled by conjugate
+    symmetry so the inverse DFT is real. If the system is singular exactly at
+    DC or the half-band bin, the adjacent bin's solution is reused there.
+    Branch m keeps L taps centered on its group delay d + m, then the window
+    is applied.
     """
     m_ch = config.m_channels
     n = spec.n_grid
@@ -314,16 +286,13 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     h = spec.half_taps
     check_tap_window(spec, m_ch)
     half = n // 2
-    omegas = TWO_PI * np.arange(half + 1) / n
-    a_mat, sig = alias_system(omegas, profile, config, spec.zone)
-    interior = np.ones(half + 1, dtype=bool)
-    interior[[0, half]] = False
-    f, failed = _solve(a_mat, sig, omegas, d, must_pass=interior)
     grid = np.empty((m_ch, n), dtype=np.complex128)
-    grid[:, :half + 1] = f.T
+    grid[:, 1:half] = solve_pr_at(TWO_PI * np.arange(1, half) / n, profile, config, spec).T
     # bins 1 and half - 1 are interior (n >= 4), so a neighbor always exists
     for edge, neighbor in ((0, 1), (half, half - 1)):
-        if failed[edge]:
+        try:
+            grid[:, edge] = solve_pr_at(TWO_PI * edge / n, profile, config, spec)
+        except SingularDesignError:
             grid[:, edge] = grid[:, neighbor]
     # real responses at the self-conjugate bins, then Hermitian fill
     grid[:, 0] = grid[:, 0].real
@@ -338,9 +307,7 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     win = window_taps(spec.window, L, spec.kaiser_beta)
     window_idx = d - h + np.arange(m_ch)[:, None] + np.arange(L)
     taps = np.take_along_axis(impulse, window_idx, axis=1) * win
-    bank = FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
-    object.__setattr__(bank, "_alias", _DesignAlias(a_mat, sig, profile, config))
-    return bank
+    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
 
 
 @dataclass(frozen=True)
@@ -364,24 +331,14 @@ def pr_residual(bank: FilterBank, profile: MismatchProfile, config: TiadcConfig,
     """Recompute the reconstruction condition from the windowed taps, against
     the alias set of the zone in the bank's spec, at omega = pi*i/n_check.
 
-    A bank fresh from design_filter_bank carries its design's alias systems.
-    When n_grid is a multiple of 2*n_check, check frequency i is design bin
-    i*n_grid/(2*n_check), the same double, so the check reads the design's
-    matrices there, provided it is given the design's own profile object and
-    an equal config. Otherwise (a bank read from a file or rebuilt with
-    dataclasses.replace, a coarser grid, another profile or config) it builds
-    its own. Either way the bank's alias systems are dropped here.
+    The alias matrices come from alias_system on the given profile and
+    config, built for the check grid alone, so a bank read from a file checks
+    the same as one fresh from design_filter_bank.
     """
     if n_check < 64:
         raise ValueError("n_check must be >= 64")
-    shared, step = bank._alias, bank.spec.n_grid // (2 * n_check)
-    object.__setattr__(bank, "_alias", None)
     omegas = np.pi * np.arange(n_check) / n_check
-    if (shared is not None and step * 2 * n_check == bank.spec.n_grid
-            and shared.profile is profile and shared.config == config):
-        h_mat, sig = shared.a_mat[:-1:step], shared.sig[:-1:step]
-    else:
-        h_mat, sig = alias_system(omegas, profile, config, bank.spec.zone)
+    h_mat, sig = alias_system(omegas, profile, config, bank.spec.zone)
     gamma = (h_mat @ bank.branch_response(omegas).T[..., None])[..., 0]  # (n_check, M)
     rows = np.arange(n_check)
     gamma[rows, sig] -= bank.m_channels * np.exp(-1j * omegas * bank.spec.delay_d)

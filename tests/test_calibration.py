@@ -264,10 +264,10 @@ class TestPlanFiles:
         rows = [(1e8, 0.9, 4096), (2e8, 0.9, 4096)]
         path = tmp_path / "plan.csv"
         tiadc.calibration.write_plan_csv(rows, path)
-        assert tiadc.calibration.read_plan_csv(path) == rows
+        assert tiadc.calibration.read_plan_csv(path, 4) == rows
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "plan.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(tiadc.TiadcError):
-            tiadc.calibration.read_plan_csv(path)
+            tiadc.calibration.read_plan_csv(path, 4)

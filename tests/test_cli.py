@@ -7,7 +7,7 @@ import pytest
 
 import tiadc
 from tiadc import calibration, correction, metrics
-from tiadc.cli import main, load_scenario, parse_scenario, run_pipeline
+from tiadc.cli import load_config, load_scenario, main, parse_scenario, run_pipeline
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
@@ -215,7 +215,8 @@ class TestCalibrate:
     def record_captures(self, tmp, plan_path, config_path, n=None):
         """cal_NNN.f64 for each plan row, simulated from truth.csv by `simulate`."""
         (tmp / "caps").mkdir(exist_ok=True)
-        for i, (f, amp, n_samples) in enumerate(calibration.read_plan_csv(plan_path)):
+        m_ch = load_config(config_path).m_channels
+        for i, (f, amp, n_samples) in enumerate(calibration.read_plan_csv(plan_path, m_ch)):
             assert main(["simulate", "--config", str(config_path),
                          "--profile", str(tmp / "truth.csv"), "--tone", f"{amp}:{f}",
                          "--n", str(n or n_samples),

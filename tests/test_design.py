@@ -346,26 +346,6 @@ class TestDesignSpecValidation:
         assert DesignSpec(taps=65).delay_d == 32
 
 
-def edge_singular_design():
-    """An M = 3 config and a profile whose channel 1 lags a full period only at
-    the analog frequencies the DC (0, fs/3) and half-band (fs/6, fs/2) systems
-    sample, so exactly those two bins are singular."""
-    cfg = tiadc.TiadcConfig(m_channels=3, fs=1.2e9, bits=14,
-                            full_scale=2.0, quantize=False)
-    fs, ts, shoulder = cfg.fs, cfg.ts, 0.2e6
-    freqs, dt1 = [], []
-    for knot in (0.0, fs / 6, fs / 3, fs / 2):
-        for f, dt in ((knot - shoulder, 0.0), (knot, ts),
-                      (knot + shoulder, 0.0)):
-            if 0.0 <= f <= fs / 2:
-                freqs.append(f)
-                dt1.append(dt)
-    zeros = np.zeros(len(freqs))
-    return cfg, tiadc.MismatchProfile(
-        freqs_hz=freqs, gain=np.ones((3, len(freqs))),
-        dt_s=[zeros, dt1, zeros], offset_lsb=np.zeros(3))
-
-
 class TestDesignFilterBank:
     def test_ideal_branches_are_pure_delays(self, cfg4, ideal4):
         spec = DesignSpec(n_grid=1024, taps=65, window="none")
@@ -388,14 +368,30 @@ class TestDesignFilterBank:
             assert np.allclose(bank.taps[m], expect, atol=1e-9)
 
     def test_singular_edge_bins_patched_from_neighbors(self):
-        cfg, prof = edge_singular_design()
+        # channel 1 lags a full period only at the analog frequencies the DC
+        # (0, fs/3) and half-band (fs/6, fs/2) systems sample, so exactly
+        # those two bins are singular and copy their interior neighbor
+        cfg = tiadc.TiadcConfig(m_channels=3, fs=1.2e9, bits=14,
+                                full_scale=2.0, quantize=False)
+        fs, ts, shoulder = cfg.fs, cfg.ts, 0.2e6
+        freqs, dt1 = [], []
+        for knot in (0.0, fs / 6, fs / 3, fs / 2):
+            for f, dt in ((knot - shoulder, 0.0), (knot, ts),
+                          (knot + shoulder, 0.0)):
+                if 0.0 <= f <= fs / 2:
+                    freqs.append(f)
+                    dt1.append(dt)
+        zeros = np.zeros(len(freqs))
+        prof = tiadc.MismatchProfile(
+            freqs_hz=freqs, gain=np.ones((3, len(freqs))),
+            dt_s=[zeros, dt1, zeros], offset_lsb=np.zeros(3))
         spec = DesignSpec(n_grid=1024, taps=65)
         for omega in (0.0, np.pi):
             with pytest.raises(SingularDesignError, match="condition number"):
                 tiadc.solve_pr_at(omega, prof, cfg, spec)
         bank = tiadc.design_filter_bank(prof, cfg, spec)
         ideal = tiadc.design_filter_bank(
-            tiadc.MismatchProfile.ideal(3, cfg.fs), cfg, spec)
+            tiadc.MismatchProfile.ideal(3, fs), cfg, spec)
         assert np.all(np.isfinite(bank.taps))
         assert np.max(np.abs(bank.taps - ideal.taps)) <= 5e-5
 
@@ -535,88 +531,6 @@ def test_alias_system_equals_response_at_every_alias(m, n_grid, zone):
     want = tiadc.channel_response(truth, cfg, (omegas[:, None] - 2 * np.pi * ks / m) / cfg.ts)
     assert a_mat.shape == want.shape and a_mat.tobytes() == want.tobytes()
     assert np.array_equal(sig, signal_row(ks, m))
-
-
-def counting_alias_system(monkeypatch):
-    """Replace design.alias_system by a wrapper; returns the list of its calls."""
-    calls, build = [], design.alias_system
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(design, "alias_system", counting)
-    return calls
-
-
-class TestSharedAliasSystem:
-    """pr_residual reads the alias matrices design_filter_bank built, where the
-    check grid is a sub-grid of the design grid."""
-
-    @pytest.mark.parametrize("zone", [1, 2])
-    @pytest.mark.parametrize("m, n_grid, taps", [
-        (4, 1024, 65), (4, 2048, 129), (4, 4096, 257), (8, 1024, 65), (8, 2048, 129),
-        (8, 4096, 257), (16, 1024, 65), (16, 2048, 129), (16, 4096, 257)])
-    def test_shared_residual_equals_standalone(self, monkeypatch, m, n_grid, taps, zone):
-        cfg, truth, bank = raised_design(m, n_grid, taps, zone)
-        calls = counting_alias_system(monkeypatch)
-        for n_check in (512, 128):
-            # a fresh design per check: the first check drops the matrices
-            shared = design.pr_residual(
-                tiadc.design_filter_bank(truth, cfg, bank.spec), truth, cfg, n_check)
-            assert len(calls) == 1  # the design's build, none in the check
-            standalone = design.pr_residual(replace(bank), truth, cfg, n_check)
-            assert len(calls) == 2
-            calls.clear()
-            for got, want in ((shared.omegas, standalone.omegas),
-                              (shared.residual_k0, standalone.residual_k0),
-                              (shared.residual_alias, standalone.residual_alias)):
-                assert got.tobytes() == want.tobytes()
-
-    def test_patched_edge_bin_residual_equals_standalone(self, monkeypatch):
-        # the DC system is singular and its bin copies its neighbor's solution;
-        # the check still reads the DC system itself
-        cfg, prof = edge_singular_design()
-        bank = tiadc.design_filter_bank(prof, cfg, DesignSpec(n_grid=1024, taps=65))
-        calls = counting_alias_system(monkeypatch)
-        shared = design.pr_residual(bank, prof, cfg)
-        standalone = design.pr_residual(bank, prof, cfg)  # the matrices are gone
-        assert len(calls) == 1
-        assert shared.residual_k0.tobytes() == standalone.residual_k0.tobytes()
-        assert shared.residual_alias.tobytes() == standalone.residual_alias.tobytes()
-
-    def test_other_banks_and_checks_build_their_own(self, monkeypatch, tmp_path):
-        cfg, truth, _ = raised_design(4, 1024, 65, 1)
-        spec = DesignSpec(n_grid=1024, taps=65)
-
-        def fresh():
-            return tiadc.design_filter_bank(truth, cfg, spec)
-
-        path = tmp_path / "bank.csv"
-        tiadc.write_bank_csv(fresh(), path)
-        checked = fresh()
-        design.pr_residual(checked, truth, cfg)
-        copy = tiadc.MismatchProfile(freqs_hz=truth.freqs_hz, gain=truth.gain,
-                                     dt_s=truth.dt_s, offset_lsb=truth.offset_lsb)
-        cases = [("csv", tiadc.read_bank_csv(path), truth, cfg, 512),
-                 ("replace", replace(fresh()), truth, cfg, 512),
-                 ("other profile", fresh(), copy, cfg, 512),
-                 ("other config", fresh(), truth, replace(cfg, fs=cfg.fs / 2), 512),
-                 ("finer check", fresh(), truth, cfg, 1024),
-                 ("checked twice", checked, truth, cfg, 512)]
-        calls = counting_alias_system(monkeypatch)
-        for name, bank, profile, config, n_check in cases:
-            design.pr_residual(bank, profile, config, n_check)
-            assert len(calls) == 1, name
-            assert calls[0][1] is profile and calls[0][2] is config, name
-            calls.clear()
-
-    def test_coarser_grid_builds_its_own(self, monkeypatch):
-        # n_grid 512 with a 512-bin check: the check bins are not design bins
-        cfg, truth, bank = raised_design(4, 512, 65, 1)
-        calls = counting_alias_system(monkeypatch)
-        rep = design.pr_residual(bank, truth, cfg, n_check=512)
-        assert len(calls) == 1 and np.array_equal(calls[0][0], rep.omegas)
 
 
 def test_residual_csv_bytes_equal_savetxt(reference_bank, tmp_path):
