@@ -201,15 +201,20 @@ def write_plan_csv(rows, path):
     model.write_table(path, PLAN_CSV_HEADER, ["%.17g,%.17g,%d" % row for row in rows])
 
 
-def read_plan_csv(path, m_channels: int):
-    """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples; each
-    n_samples must be a positive multiple of m_channels."""
-    def n_samples(text):
-        n = int(text)
-        if n <= 0 or n % m_channels:
-            raise ValueError(f"n_samples must be a positive multiple of m_channels = "
-                             f"{m_channels}, got {n}")
-        return n
+def plan_row(freq_hz: float, amplitude_v: float, n_samples: int, m_channels: int) -> tuple:
+    """One calibration plan row, checked: freq_hz and amplitude_v finite and
+    > 0, n_samples a positive multiple of m_channels."""
+    for name, value in (("freq_hz", freq_hz), ("amplitude_v", amplitude_v)):
+        if not 0 < value < np.inf:  # False for NaN
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if n_samples <= 0 or n_samples % m_channels:
+        raise ValueError(f"n_samples must be a positive multiple of m_channels = "
+                         f"{m_channels}, got {n_samples}")
+    return freq_hz, amplitude_v, n_samples
 
-    return model.read_table(path, "calibration plan", PLAN_CSV_HEADER,
-                            (float, float, n_samples))[1]
+
+def read_plan_csv(path, m_channels: int):
+    """Calibration plan rows as (freq_hz, amplitude_v, n_samples) tuples, each
+    checked by plan_row."""
+    return model.read_table(path, "calibration plan", PLAN_CSV_HEADER, (float, float, int),
+                            check=lambda *row: plan_row(*row, m_channels))[1]

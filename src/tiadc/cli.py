@@ -10,18 +10,20 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from tiadc import calibration, correction, design, metrics, model
-from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, _json_field
+from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, _check_keys, _json_field
 
 
 def load_config(path) -> TiadcConfig:
-    return config_from_dict(model.read_json_object(path, "config"))
+    raw = model.read_json_object(path, "config")
+    _check_keys(raw, model.CONFIG_FIELDS, path)
+    return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
@@ -226,13 +228,11 @@ class Scenario:
     config: TiadcConfig
     truth_type: str  # "reference", "ideal" or "csv"
     truth_path: str | None  # the profile CSV of truth_type "csv"
-    cal_config: TiadcConfig
-    cal_plan: tuple  # (freq_hz, amplitude_v, n_samples) rows, coherent and distinct
+    cal_plan: tuple  # calibration.plan_row rows, coherent and distinct
     spec: design.DesignSpec
-    sim_config: TiadcConfig
     n_read: int  # samples a sweep point simulates and corrects: all its analysis reads
     n_fft: int
-    points: tuple  # sweep points, each a tuple of (freq_hz, amplitude_v) tones
+    points: tuple  # sweep points, one ToneSpec each
     min_drop: float | None
     min_gain: float | None
     min_after: float | None
@@ -253,12 +253,15 @@ class PipelineResult:
 
 
 def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float,
-                      n: int, at: str) -> list:
+                      n: int, at: str) -> tuple[list, tuple]:
     """The distinct coherent frequencies, in order, nearest block[list_key]
-    or nearest count_key points spaced evenly from f_lo_hz to f_hi_hz."""
+    or nearest count_key points spaced evenly from f_lo_hz to f_hi_hz; and
+    the keys of block that were read."""
     if list_key in block:
+        keys = (list_key,)
         targets = _json_field(block, list_key, "reals", at)
     else:
+        keys = ("f_lo_hz", "f_hi_hz", count_key)
         targets = np.linspace(_json_field(block, "f_lo_hz", "real", at),
                               _json_field(block, "f_hi_hz", "real", at),
                               _json_field(block, count_key, "int", at))
@@ -267,24 +270,22 @@ def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float,
         _, f_act = metrics.coherent_bin(f, fs, n)
         if f_act not in freqs:
             freqs.append(f_act)
-    return freqs
-
-
-def _check_channel_multiple(n_samples: int, m_channels: int):
-    if n_samples % m_channels:
-        raise ValueError(f"n_samples must be a multiple of m_channels = {m_channels}")
+    return freqs, keys
 
 
 def parse_scenario(raw: dict) -> Scenario:
     """Read and check every block of a scenario description without touching
-    a file, so a bad one fails before any stage runs; errors name the block."""
+    a file, so a bad one fails before any stage runs; errors name the block.
+    A block key that nothing reads is an error too."""
     where = at = f"scenario {raw.get('name', '?')}"
     try:
         kind = _json_field(raw, "kind", "str", where, "sweep")
         if kind not in SCENARIO_KINDS:
             raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+        cfg = _json_field(raw, "config", "object", where)
         at = f"{where}: config"
-        config = model.config_from_json(_json_field(raw, "config", "object", where), at)
+        _check_keys(cfg, model.CONFIG_FIELDS, at)
+        config = model.config_from_json(cfg, at)
         fs = config.fs
 
         truth = _json_field(raw, "truth_profile", "object", where)
@@ -292,32 +293,39 @@ def parse_scenario(raw: dict) -> Scenario:
         truth_type = _json_field(truth, "type", "str", at)
         if truth_type not in ("reference", "ideal", "csv"):
             raise TiadcError(f"{at}: unknown type {truth_type!r}")
+        _check_keys(truth, ("type", "path") if truth_type == "csv" else ("type",), at)
         truth_path = _json_field(truth, "path", "str", at) if truth_type == "csv" else None
 
         cal = _json_field(raw, "calibration", "object", where)
         at = f"{where}: calibration"
-        cal_config = replace(config, quantize=_json_field(cal, "quantize", "bool", at, True))
         n_cal = _json_field(cal, "n_samples", "int", at)
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
-        _check_channel_multiple(n_cal, config.m_channels)
-        cal_freqs = _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal, at)
+        cal_freqs, read = _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal, at)
         cal_amp = _json_field(cal, "amplitude_v", "real", at)
+        _check_keys(cal, ("n_samples", "amplitude_v", *read), at)
+        cal_plan = tuple(calibration.plan_row(f, cal_amp, n_cal, config.m_channels)
+                         for f in cal_freqs)
         design_tone = (_json_field(cal, "freqs_hz", "reals", at)[0]
                        if kind == "narrowband_contrast" else None)
 
         dsn = _json_field(raw, "design", "object", where)
         at = f"{where}: design"
+        kinds = {"n_grid": "int", "taps": "int", "delay_d": "int", "window": "str",
+                 "kaiser_beta": "real", "zone": "int"}
+        _check_keys(dsn, kinds, at)
         # fields left out, and a null delay_d, take DesignSpec's defaults
         spec = design.DesignSpec(**{
-            key: _json_field(dsn, key, kind, at)
-            for key, kind in (("n_grid", "int"), ("taps", "int"), ("delay_d", "int"),
-                              ("window", "str"), ("kaiser_beta", "real"), ("zone", "int"))
-            if key in dsn and not (key == "delay_d" and dsn[key] is None)})
+            key: _json_field(dsn, key, kinds[key], at)
+            for key in dsn if not (key == "delay_d" and dsn[key] is None)})
         design.check_tap_window(spec, config.m_channels)
 
         thresholds = _json_field(raw, "thresholds", "object", where, {})
         at = f"{where}: thresholds"
+        keys = ("min_image_drop_db", "spur_floor_dbfs")
+        if kind != "narrowband_contrast":  # that kind is judged by its image drop alone
+            keys += ("min_enob_gain_bits", "min_enob_after_bits")
+        _check_keys(thresholds, keys, at)
         min_drop, min_gain, min_after = (
             _json_field(thresholds, key, "real", at, None)
             for key in ("min_image_drop_db", "min_enob_gain_bits", "min_enob_after_bits"))
@@ -327,16 +335,19 @@ def parse_scenario(raw: dict) -> Scenario:
         at = f"{where}: sweep"
         n_fft = _json_field(sweep, "n_fft", "int", at)
         n_sim = _json_field(sweep, "n_samples", "int", at)
-        _check_channel_multiple(n_sim, config.m_channels)
+        if n_sim % config.m_channels:
+            raise ValueError(f"n_samples must be a multiple of m_channels = "
+                             f"{config.m_channels}")
         usable = n_sim - 2 * correction.transient_samples(spec)
         if usable < n_fft:
             raise ValueError(f"n_samples {n_sim} leaves {usable} samples after the "
                              f"correction transients, fewer than n_fft = {n_fft}")
         # n_fft samples between the two transients, in whole rows of M: at most n_sim
         n_read = -(-(n_sim - usable + n_fft) // config.m_channels) * config.m_channels
-        sim_config = replace(config, quantize=_json_field(sweep, "quantize", "bool", at, True))
         amp = _json_field(sweep, "amplitude_v", "real", at)
+        keys = ("n_fft", "n_samples", "amplitude_v")
         if kind == "two_tone":
+            _check_keys(sweep, keys, at)
             tones = raw.get("tones")
             if not isinstance(tones, list) or not tones:
                 raise TiadcError(f"{where}: tones must be a non-empty list")
@@ -345,14 +356,16 @@ def parse_scenario(raw: dict) -> Scenario:
                 at = f"{where}: tones[{i}]"
                 if not isinstance(tone, dict):
                     raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
-                point.append((
-                    metrics.coherent_bin(_json_field(tone, "f_target_hz", "real", at),
-                                         fs, n_fft)[1],
-                    _json_field(tone, "amplitude_v", "real", at, amp)))
-            points = (tuple(point),)
+                _check_keys(tone, ("f_target_hz", "amplitude_v"), at)
+                f = metrics.coherent_bin(_json_field(tone, "f_target_hz", "real", at),
+                                         fs, n_fft)[1]
+                point.append(Tone(_json_field(tone, "amplitude_v", "real", at, amp), f))
+            at = f"{where}: tones"
+            points = (ToneSpec(tones=tuple(point)),)
         else:
-            points = tuple(((f, amp),) for f in _coherent_targets(
-                sweep, "f_targets_hz", "n_tones", fs, n_fft, at))
+            freqs, read = _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft, at)
+            _check_keys(sweep, keys + read, at)
+            points = tuple(ToneSpec.single(amp, f) for f in freqs)
             if not points:
                 raise TiadcError(f"{at}: no tones to sweep")
     except ValueError as exc:
@@ -360,8 +373,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     return Scenario(
         kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,
-        cal_config=cal_config, cal_plan=tuple((f, cal_amp, n_cal) for f in cal_freqs),
-        spec=spec, sim_config=sim_config, n_read=n_read, n_fft=n_fft, points=points,
+        cal_plan=cal_plan, spec=spec, n_read=n_read, n_fft=n_fft, points=points,
         min_drop=min_drop, min_gain=min_gain, min_after=min_after,
         floor_dbfs=floor_dbfs, design_tone=design_tone)
 
@@ -384,13 +396,13 @@ def _truth_profile(sc: Scenario):
     return _read_profile(sc.truth_path, sc.config.m_channels, "the scenario config")
 
 
-def _sweep_point(sc: Scenario, point, truth, measured, bank):
+def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):
     """Simulate one sweep point's first sc.n_read samples, all its spectra read (the
     bank is causal), correct them and measure them before and after correction: one
     summary row per tone, plus the number of image lines below the spur floor."""
     fs = sc.config.fs
-    tones = ToneSpec(tones=tuple(Tone(a, f) for f, a in point))
-    capture = model.simulate_capture(tones, sc.sim_config, truth, sc.n_read)
+    freqs = [t.freq_hz for t in tones.tones]
+    capture = model.simulate_capture(tones, sc.config, truth, sc.n_read)
     corrected = correction.correct(correction.correct_offsets(capture, measured), bank)
     lines = model.predict_output_spectrum(tones, sc.config, truth)
     rep_before = metrics.spectrum(capture, sc.n_fft, "none")
@@ -407,14 +419,14 @@ def _sweep_point(sc: Scenario, point, truth, measured, bank):
             skipped += 1
             continue
         b = rep_before.bin_of(ln.freq_hz)
-        if any(b == rep_before.bin_of(f) for f, _ in point):
+        if any(b == rep_before.bin_of(f) for f in freqs):
             continue  # folds onto a fundamental; skip as collision
         drop = rep_before.power_dbfs[b] - rep_after.power_dbfs[b]
         min_observed_drop = min(min_observed_drop, drop)
     rows = []
-    for f_tone, _a in point:
+    for f_tone in freqs:
         f_dig = model.fold_frequency(f_tone, fs)
-        others = [model.fold_frequency(f2, fs) for f2, _ in point if f2 != f_tone]
+        others = [model.fold_frequency(f2, fs) for f2 in freqs if f2 != f_tone]
         before, after = (
             metrics.dynamic_metrics(rep, f_fund_hz=f_dig, m_channels=sc.config.m_channels,
                                     exclude_freqs=others)
@@ -477,15 +489,15 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
     with _stage("truth-profile"):
         truth = _truth_profile(sc)
     with _stage("calibrate"):
-        measured = _calibrate(calibration.measure_plan(sc.cal_plan, sc.cal_config, truth),
+        measured = _calibrate(calibration.measure_plan(sc.cal_plan, sc.config, truth),
                               sc.config, out_dir / "measured_profile.csv", log.append)
     with _stage("design"):
         bank = _design(measured, sc.config, sc.spec, out_dir / "bank.csv",
                        out_dir / "pr_residual.csv", log.append)
     rows, skipped = [], 0
     with _stage("sweep"):
-        for point in sc.points:
-            point_rows, point_skipped = _sweep_point(sc, point, truth, measured, bank)
+        for tones in sc.points:
+            point_rows, point_skipped = _sweep_point(sc, tones, truth, measured, bank)
             rows += point_rows
             skipped += point_skipped
     failures = _threshold_failures(sc, rows)

@@ -62,8 +62,12 @@ class DesignSpec:
             raise ValueError(f"kaiser_beta must be finite and >= 0, got {self.kaiser_beta!r}")
         if self.delay_d is None:
             object.__setattr__(self, "delay_d", (L - 1) // 2)
-        if not 0 <= self.delay_d < n:
-            raise ValueError("delay_d must lie in [0, n_grid)")
+        # no tap may act before the sample it corrects
+        if self.delay_d < self.half_taps:
+            raise ValueError(f"delay_d = {self.delay_d} is below (taps - 1)/2 = "
+                             f"{self.half_taps}")
+        if self.delay_d >= n:
+            raise ValueError("delay_d must be below n_grid")
 
     @property
     def half_taps(self) -> int:
@@ -231,9 +235,6 @@ class FilterBank:
             raise ValueError("taps must have shape (m_channels, spec.taps)")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
-        if self.tap_offset < 0:
-            raise ValueError(f"delay_d = {self.spec.delay_d} is below (taps - 1)/2 = "
-                             f"{self.spec.half_taps}")
 
     @property
     def tap_offset(self) -> int:
@@ -260,9 +261,10 @@ class FilterBank:
 
 def check_tap_window(spec: DesignSpec, m_channels: int):
     """Raise ValueError unless every branch's L-tap window, centred on its
-    group delay d + m, lies inside the n_grid-point impulse response."""
+    group delay d + m, ends inside the n_grid-point impulse response;
+    DesignSpec already keeps it from starting before delay 0."""
     n, h = spec.n_grid, spec.half_taps
-    if spec.delay_d - h < 0 or spec.delay_d + (m_channels - 1) + h >= n:
+    if spec.delay_d + (m_channels - 1) + h >= n:
         raise ValueError(
             "delay_d leaves the tap window outside the design grid; "
             f"need {h} <= delay_d <= {n - m_channels - h}")

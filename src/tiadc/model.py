@@ -397,27 +397,29 @@ def write_table(path, header: str, lines, meta=()):
     Path(path).write_text("\n".join(text) + "\n")
 
 
-def csv_row(fields, kinds, where) -> tuple:
-    """The fields of one CSV row, each converted by its kind (int, float or str).
-    A wrong field count or a field that does not parse raises a TiadcError
-    naming ``where``, the file and the line."""
+def csv_row(fields, kinds, where, check=None) -> tuple:
+    """The fields of one CSV row, each converted by its kind (int, float or str),
+    then passed to check, when given, which returns the row. A wrong field
+    count, a field that does not parse or a row check's ValueError raises a
+    TiadcError naming ``where``, the file and the line."""
     if len(fields) != len(kinds):
         raise TiadcError(f"{where}: expected {len(kinds)} fields, got {len(fields)}")
     try:
-        return tuple(kind(field) for kind, field in zip(kinds, fields))
+        row = tuple(kind(field) for kind, field in zip(kinds, fields))
+        return check(*row) if check else row
     except ValueError as exc:
         raise TiadcError(f"{where}: {exc}") from None
 
 
-def read_table(path, what: str, header: str, kinds, meta_keys=()):
+def read_table(path, what: str, header: str, kinds, meta_keys=(), check=None):
     """The meta block and the rows of a table file, as (meta, rows).
 
     Blank lines are skipped. Each of meta_keys appears exactly once, in a
     `# key,value` line before the header, and no other key does; meta maps
     each key to its value text. The header is required, and every line
-    after it is one csv_row of the given kinds; there is at least one. Any
-    other file raises a TiadcError naming the file, and the line where
-    there is one."""
+    after it is one csv_row of the given kinds and check; there is at least
+    one. Any other file raises a TiadcError naming the file, and the line
+    where there is one."""
     try:
         lines = Path(path).read_text().splitlines()
     except ValueError as exc:  # not UTF-8 text
@@ -428,7 +430,7 @@ def read_table(path, what: str, header: str, kinds, meta_keys=()):
         if not line:
             continue
         if body:
-            rows.append(csv_row(line.split(","), kinds, where))
+            rows.append(csv_row(line.split(","), kinds, where, check))
         elif line == header:
             body = True
         elif not line.startswith("#"):
@@ -563,8 +565,21 @@ def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
     return v
 
 
+def _check_keys(raw: dict, keys, where):
+    """Raise a TiadcError naming the first key of raw that is not one of keys."""
+    for key in raw:
+        if key not in keys:
+            raise TiadcError(f"{where}: unknown field {key!r}")
+
+
+# the fields of a config file; a capture sidecar adds the rest
+CONFIG_FIELDS = ("m_channels", "fs_hz", "bits", "full_scale_v", "quantize")
+SIDECAR_FIELDS = CONFIG_FIELDS + ("n", "transient_samples", "corrected", "bank_id")
+
+
 def config_from_json(raw: dict, where) -> TiadcConfig:
-    """TiadcConfig from the fields a config file and a capture sidecar share."""
+    """TiadcConfig from the CONFIG_FIELDS of raw; each reader checks raw for
+    keys outside its own set."""
     return TiadcConfig(
         m_channels=_json_field(raw, "m_channels", "int", where),
         fs=_json_field(raw, "fs_hz", "real", where),
@@ -583,6 +598,7 @@ def capture_header(path) -> tuple[int, dict]:
     if not sidecar.exists():
         raise FileNotFoundError(f"capture sidecar not found: {sidecar}")
     meta = read_json_object(sidecar, "sidecar")
+    _check_keys(meta, SIDECAR_FIELDS, sidecar)
     n = _json_field(meta, "n", "int", sidecar)
     try:
         config = config_from_json(meta, sidecar)

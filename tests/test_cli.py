@@ -17,11 +17,11 @@ TINY_SCENARIO = {
     "config": {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0},
     "truth_profile": {"type": "reference"},
     "calibration": {"n_freqs": 4, "f_lo_hz": 5e7, "f_hi_hz": 7.5e8,
-                    "amplitude_v": 0.9, "n_samples": 2048, "quantize": True},
+                    "amplitude_v": 0.9, "n_samples": 2048},
     "design": {"n_grid": 512, "taps": 33, "window": "kaiser",
                "kaiser_beta": 8.0, "zone": 1},
     "sweep": {"n_tones": 3, "f_lo_hz": 1e8, "f_hi_hz": 6e8, "amplitude_v": 0.9,
-              "n_samples": 4096, "n_fft": 2048, "quantize": True},
+              "n_samples": 4096, "n_fft": 2048},
     "thresholds": {"min_image_drop_db": 20.0, "min_enob_gain_bits": 1.0,
                    "min_enob_after_bits": 10.0, "spur_floor_dbfs": -70.0},
 }
@@ -142,6 +142,16 @@ class TestSimulate:
         assert not (tmp / "cap.f64").exists()
         assert not (tmp / "cap.f64.json").exists()
 
+    def test_unknown_config_field_names_file(self, workdir, capsys):
+        tmp, _ = workdir
+        (tmp / "extra.json").write_text(json.dumps({**CONFIG, "jitter_s": 1e-13}))
+        assert main(["simulate", "--config", str(tmp / "extra.json"),
+                     "--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                     "--n", "256", "--out", str(tmp / "cap.f64")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp / 'extra.json'}: unknown field 'jitter_s'\n")
+        assert not (tmp / "cap.f64").exists()
+
     def test_integral_float_config_accepted(self, workdir):
         tmp, _ = workdir
         (tmp / "float.json").write_text(json.dumps({**CONFIG, "m_channels": 4.0}))
@@ -200,6 +210,24 @@ class TestCalibrate:
         assert capsys.readouterr().err == (
             f"error: {plan_path}:3: n_samples must be a positive multiple of "
             f"m_channels = 4, got {n_samples}\n")
+        assert not (tmp / "m.csv").exists()
+
+    @pytest.mark.parametrize("freq, amplitude, expect", [
+        (np.nan, 0.9, "freq_hz must be finite and > 0, got nan"),
+        (np.inf, 0.9, "freq_hz must be finite and > 0, got inf"),
+        (None, -0.5, "amplitude_v must be finite and > 0, got -0.5"),
+        (None, np.nan, "amplitude_v must be finite and > 0, got nan"),
+    ], ids=["nan-freq", "inf-freq", "negative-amplitude", "nan-amplitude"])
+    def test_plan_tone_names_file_and_line(self, workdir, capsys, freq, amplitude, expect):
+        tmp, cfg = workdir
+        plan_path, freqs = self.plan(tmp, cfg, n=3)
+        rows = [(f, 0.9, 4096) for f in freqs]
+        rows[2] = (freqs[2] if freq is None else freq, amplitude, 4096)
+        tiadc.calibration.write_plan_csv(rows, plan_path)
+        assert main(["calibrate", "--config", str(tmp / "config.json"),
+                     "--plan", str(plan_path), "--truth-profile", str(tmp / "truth.csv"),
+                     "--out", str(tmp / "m.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {plan_path}:4: {expect}\n"
         assert not (tmp / "m.csv").exists()
 
     def test_ingest_missing_capture_named(self, workdir, capsys):
@@ -564,10 +592,11 @@ class TestCaptureSidecar:
         ({"corrected": "yes"}, 8192, "corrected must be true or false, got 'yes'"),
         ({"bank_id": 7}, 8192, "bank_id must be a string, got 7"),
         ({"fs_hz": DROP}, 8192, "missing field 'fs_hz'"),
+        ({"jitter_s": 1e-13}, 8192, "unknown field 'jitter_s'"),
     ], ids=["n-not-multiple", "transient-string", "transient-negative",
             "transient-half", "m-list", "m-one", "bits-bool", "n-fraction",
             "fs-string", "quantize-int", "corrected-string", "bank-id-int",
-            "fs-missing"])
+            "fs-missing", "unknown-field"])
     def test_bad_sidecar_one_error_line(self, tmp_path, capsys, edits, n, expect):
         rc = self.analyze(tmp_path, edits, n)
         err = capsys.readouterr().err
@@ -634,6 +663,18 @@ class TestPipeline:
         for name in ("measured_profile.csv", "bank.csv", "pr_residual.csv"):
             assert (sub / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
 
+    def test_config_quantize_governs_every_stage(self, tmp_path):
+        # one acquisition per scenario: the config's quantizer switch reaches
+        # the calibration captures and the sweep captures
+        out = {}
+        for quantize in (True, False):
+            scen = json.loads(json.dumps(TINY_SCENARIO))
+            scen["config"]["quantize"] = quantize
+            run_pipeline(scen, tmp_path / str(quantize))
+            out[quantize] = [(tmp_path / str(quantize) / name).read_bytes()
+                             for name in ("measured_profile.csv", "summary.csv")]
+        assert all(a != b for a, b in zip(out[True], out[False]))
+
     def test_threshold_violation_exits_nonzero(self, tmp_path, capsys):
         scen = json.loads(json.dumps(TINY_SCENARIO))
         scen["thresholds"]["min_enob_after_bits"] = 20.0  # unattainable
@@ -698,9 +739,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("block, field, value, expect", [
         ("sweep", "n_fft", [4096], "sweep: n_fft must be an integral number, got [4096]"),
-        ("sweep", "quantize", "false", "sweep: quantize must be true or false, got 'false'"),
-        ("calibration", "quantize", "false",
-         "calibration: quantize must be true or false, got 'false'"),
+        ("sweep", "quantize", False, "sweep: unknown field 'quantize'"),
+        ("calibration", "quantize", False, "calibration: unknown field 'quantize'"),
         ("calibration", "n_samples", 2048.5,
          "calibration: n_samples must be an integral number, got 2048.5"),
         ("design", "taps", "33", "design: taps must be an integral number, got '33'"),
@@ -755,15 +795,22 @@ class TestPipeline:
          "design: delay_d leaves the tap window outside the design grid; "
          "need 16 <= delay_d <= 492"),
         ({"config": {**TINY_SCENARIO["config"], "m_channels": 3}},
-         "calibration: n_samples must be a multiple of m_channels = 3"),
+         "calibration: n_samples must be a positive multiple of m_channels = 3, got 2048"),
         ({"sweep": {**TINY_SCENARIO["sweep"], "n_samples": 4098}},
          "sweep: n_samples must be a multiple of m_channels = 4"),
         # 33 taps centred on delay_d 16: 33 transient samples at each end
         ({"sweep": {**TINY_SCENARIO["sweep"], "n_samples": 2112}},
          "sweep: n_samples 2112 leaves 2046 samples after the correction "
          "transients, fewer than n_fft = 2048"),
+        ({"sweep": {**TINY_SCENARIO["sweep"], "amplitude_v": -0.5}},
+         "sweep: tone amplitudes must be finite and >= 0"),
+        ({"calibration": {**TINY_SCENARIO["calibration"], "amplitude_v": -0.5}},
+         "calibration: amplitude_v must be finite and > 0, got -0.5"),
+        ({"design": {**TINY_SCENARIO["design"], "delay_d": 10}},
+         "design: delay_d = 10 is below (taps - 1)/2 = 16"),
     ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
-            "delay-window", "cal-rows", "sweep-rows", "usable-samples"])
+            "delay-window", "cal-rows", "sweep-rows", "usable-samples",
+            "sweep-amplitude", "cal-amplitude", "delay-below-half-taps"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []
@@ -783,6 +830,40 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: scenario tiny: {expect}\n"
         assert list(out.iterdir()) == []
         assert calls == []
+
+    @pytest.mark.parametrize("scenario, path, value, expect", [
+        (TINY_SCENARIO, ("config", "jitter_s"), 1e-13, "config: unknown field 'jitter_s'"),
+        (TINY_SCENARIO, ("truth_profile", "path"), "truth.csv",
+         "truth_profile: unknown field 'path'"),
+        # a target list leaves the range fields unread
+        (TINY_SCENARIO, ("calibration", "freqs_hz"), [1e8, 2e8],
+         "calibration: unknown field 'n_freqs'"),
+        (TINY_SCENARIO, ("design", "delay"), 16, "design: unknown field 'delay'"),
+        (TINY_SCENARIO, ("thresholds", "min_sfdr_db"), 60.0,
+         "thresholds: unknown field 'min_sfdr_db'"),
+        (TINY_SCENARIO, ("sweep", "f_targets_hz"), [1e8],
+         "sweep: unknown field 'n_tones'"),
+        ("narrowband_contrast", ("thresholds", "min_enob_gain_bits"), 2.0,
+         "thresholds: unknown field 'min_enob_gain_bits'"),
+        ("twotone_zone1", ("sweep", "n_tones"), 20, "sweep: unknown field 'n_tones'"),
+        ("twotone_zone1", ("tones", 1, "phase_rad"), 0.5,
+         "tones[1]: unknown field 'phase_rad'"),
+    ], ids=["config", "truth_profile", "calibration", "design", "thresholds", "sweep",
+            "contrast-thresholds", "two-tone-sweep", "tone"])
+    def test_unknown_field_writes_nothing(self, tmp_path, capsys, scenario, path,
+                                          value, expect):
+        scen = json.loads(json.dumps(
+            load_scenario(scenario) if isinstance(scenario, str) else scenario))
+        block = scen
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: scenario {scen['name']}: {expect}\n"
+        assert not out.exists()
 
     def test_non_object_scenario(self, tmp_path, capsys):
         scen_path = tmp_path / "list.json"

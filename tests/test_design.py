@@ -345,6 +345,13 @@ class TestDesignSpecValidation:
     def test_default_delay_is_centered(self):
         assert DesignSpec(taps=65).delay_d == 32
 
+    @pytest.mark.parametrize("delay", [10, -1])
+    def test_rejects_delay_below_half_taps(self, delay):
+        # the taps would act before the sample they correct
+        with pytest.raises(ValueError, match=rf"delay_d = {delay} is below \(taps - 1\)/2 = 16"):
+            DesignSpec(taps=33, delay_d=delay)
+        assert DesignSpec(taps=33, delay_d=16).delay_d == 16
+
 
 class TestDesignFilterBank:
     def test_ideal_branches_are_pure_delays(self, cfg4, ideal4):

@@ -19,11 +19,11 @@ SCENARIO = {
     "config": {"m_channels": 2, "fs_hz": 1e9, "bits": 12, "full_scale_v": 2.0},
     "truth_profile": {"type": "reference"},
     "calibration": {"n_freqs": 3, "f_lo_hz": 5e7, "f_hi_hz": 4.5e8,
-                    "amplitude_v": 0.9, "n_samples": 512, "quantize": True},
+                    "amplitude_v": 0.9, "n_samples": 512},
     "design": {"n_grid": 64, "taps": 9, "window": "kaiser", "kaiser_beta": 8.0,
                "zone": 1},
     "sweep": {"n_tones": 2, "f_lo_hz": 1e8, "f_hi_hz": 3e8, "amplitude_v": 0.9,
-              "n_samples": 1024, "n_fft": 512, "quantize": True},
+              "n_samples": 1024, "n_fft": 512},
     "thresholds": {"min_image_drop_db": 10.0, "min_enob_gain_bits": 0.5,
                    "min_enob_after_bits": 6.0, "spur_floor_dbfs": -60.0},
 }
