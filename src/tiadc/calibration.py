@@ -204,9 +204,8 @@ def write_plan_csv(rows, path):
 def plan_row(freq_hz: float, amplitude_v: float, n_samples: int, m_channels: int) -> tuple:
     """One calibration plan row, checked: freq_hz and amplitude_v finite and
     > 0, n_samples a positive multiple of m_channels."""
-    for name, value in (("freq_hz", freq_hz), ("amplitude_v", amplitude_v)):
-        if not 0 < value < np.inf:  # False for NaN
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    model.positive("freq_hz", freq_hz)
+    model.positive("amplitude_v", amplitude_v)
     if n_samples <= 0 or n_samples % m_channels:
         raise ValueError(f"n_samples must be a positive multiple of m_channels = "
                          f"{m_channels}, got {n_samples}")

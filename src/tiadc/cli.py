@@ -17,13 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from tiadc import calibration, correction, design, metrics, model
-from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, _check_keys, _json_field
+from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, json_fields, positive
 
 
 def load_config(path) -> TiadcConfig:
-    raw = model.read_json_object(path, "config")
-    _check_keys(raw, model.CONFIG_FIELDS, path)
-    return config_from_dict(raw)
+    return model.config_from_json(model.read_json_object(path, "config"), path)
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
@@ -252,89 +250,83 @@ class PipelineResult:
     measured_profile: object = None
 
 
-def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float,
-                      n: int, at: str) -> tuple[list, tuple]:
-    """The distinct coherent frequencies, in order, nearest block[list_key]
-    or nearest count_key points spaced evenly from f_lo_hz to f_hi_hz; and
-    the keys of block that were read."""
-    if list_key in block:
-        keys = (list_key,)
-        targets = _json_field(block, list_key, "reals", at)
-    else:
-        keys = ("f_lo_hz", "f_hi_hz", count_key)
-        targets = np.linspace(_json_field(block, "f_lo_hz", "real", at),
-                              _json_field(block, "f_hi_hz", "real", at),
-                              _json_field(block, count_key, "int", at))
-    freqs = []
-    for f in targets:
-        _, f_act = metrics.coherent_bin(f, fs, n)
-        if f_act not in freqs:
-            freqs.append(f_act)
-    return freqs, keys
+def _target_kinds(block: dict, list_key: str, count_key: str) -> dict:
+    """The kinds of a block's tone targets: the list list_key when the block
+    holds it, else count_key points spaced evenly from f_lo_hz to f_hi_hz."""
+    return ({list_key: "reals"} if list_key in block
+            else {"f_lo_hz": "real", "f_hi_hz": "real", count_key: "int"})
+
+
+def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float, n: int) -> list:
+    """The distinct coherent frequencies, in order, nearest the targets
+    (_target_kinds) read into block."""
+    targets = block.get(list_key) or np.linspace(block["f_lo_hz"], block["f_hi_hz"],
+                                                 block[count_key])
+    return list(dict.fromkeys(metrics.coherent_bin(f, fs, n)[1] for f in targets))
+
+
+# the top-level fields, each block but the two-tone list; other top-level keys are not checked
+SCENARIO_FIELDS = {"kind": ("str", "sweep"), "config": "object", "truth_profile": "object",
+                   "calibration": "object", "design": "object",
+                   "thresholds": ("object", {}), "sweep": "object"}
+DESIGN_KINDS = {"n_grid": "int", "taps": "int", "delay_d": "int", "window": "str",
+                "kaiser_beta": "real", "zone": "int"}
 
 
 def parse_scenario(raw: dict) -> Scenario:
     """Read and check every block of a scenario description without touching
     a file, so a bad one fails before any stage runs; errors name the block.
-    A block key that nothing reads is an error too."""
+    Each block is one json_fields call: a key that nothing reads is an error."""
     where = at = f"scenario {raw.get('name', '?')}"
     try:
-        kind = _json_field(raw, "kind", "str", where, "sweep")
+        top = json_fields({key: raw[key] for key in SCENARIO_FIELDS if key in raw},
+                          SCENARIO_FIELDS, where)
+        kind = top["kind"]
         if kind not in SCENARIO_KINDS:
             raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-        cfg = _json_field(raw, "config", "object", where)
         at = f"{where}: config"
-        _check_keys(cfg, model.CONFIG_FIELDS, at)
-        config = model.config_from_json(cfg, at)
+        config = model.config_from_json(top["config"], at)
         fs = config.fs
 
-        truth = _json_field(raw, "truth_profile", "object", where)
         at = f"{where}: truth_profile"
-        truth_type = _json_field(truth, "type", "str", at)
-        if truth_type not in ("reference", "ideal", "csv"):
+        truth_type = top["truth_profile"].get("type")
+        if isinstance(truth_type, str) and truth_type not in ("reference", "ideal", "csv"):
             raise TiadcError(f"{at}: unknown type {truth_type!r}")
-        _check_keys(truth, ("type", "path") if truth_type == "csv" else ("type",), at)
-        truth_path = _json_field(truth, "path", "str", at) if truth_type == "csv" else None
+        kinds = {"type": "str", "path": "str"} if truth_type == "csv" else {"type": "str"}
+        truth_path = json_fields(top["truth_profile"], kinds, at).get("path")
 
-        cal = _json_field(raw, "calibration", "object", where)
+        cal = top["calibration"]
         at = f"{where}: calibration"
-        n_cal = _json_field(cal, "n_samples", "int", at)
+        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real",
+                                **_target_kinds(cal, "freqs_hz", "n_freqs")}, at)
+        n_cal = cal["n_samples"]
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
-        cal_freqs, read = _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal, at)
-        cal_amp = _json_field(cal, "amplitude_v", "real", at)
-        _check_keys(cal, ("n_samples", "amplitude_v", *read), at)
-        cal_plan = tuple(calibration.plan_row(f, cal_amp, n_cal, config.m_channels)
-                         for f in cal_freqs)
-        design_tone = (_json_field(cal, "freqs_hz", "reals", at)[0]
-                       if kind == "narrowband_contrast" else None)
+        cal_plan = tuple(calibration.plan_row(f, cal["amplitude_v"], n_cal, config.m_channels)
+                         for f in _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal))
+        if kind == "narrowband_contrast" and "freqs_hz" not in cal:  # lists its design tone
+            raise TiadcError(f"{at}: missing field 'freqs_hz'")
+        design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
 
-        dsn = _json_field(raw, "design", "object", where)
         at = f"{where}: design"
-        kinds = {"n_grid": "int", "taps": "int", "delay_d": "int", "window": "str",
-                 "kaiser_beta": "real", "zone": "int"}
-        _check_keys(dsn, kinds, at)
         # fields left out, and a null delay_d, take DesignSpec's defaults
-        spec = design.DesignSpec(**{
-            key: _json_field(dsn, key, kinds[key], at)
-            for key in dsn if not (key == "delay_d" and dsn[key] is None)})
+        spec = design.DesignSpec(**json_fields(top["design"], {
+            f.name: (DESIGN_KINDS[f.name], f.default) for f in fields(design.DesignSpec)}, at))
         design.check_tap_window(spec, config.m_channels)
 
-        thresholds = _json_field(raw, "thresholds", "object", where, {})
         at = f"{where}: thresholds"
-        keys = ("min_image_drop_db", "spur_floor_dbfs")
+        kinds = {"min_image_drop_db": ("real", None), "spur_floor_dbfs": ("real", -90.0)}
         if kind != "narrowband_contrast":  # that kind is judged by its image drop alone
-            keys += ("min_enob_gain_bits", "min_enob_after_bits")
-        _check_keys(thresholds, keys, at)
-        min_drop, min_gain, min_after = (
-            _json_field(thresholds, key, "real", at, None)
-            for key in ("min_image_drop_db", "min_enob_gain_bits", "min_enob_after_bits"))
-        floor_dbfs = _json_field(thresholds, "spur_floor_dbfs", "real", at, -90.0)
+            kinds.update(min_enob_gain_bits=("real", None), min_enob_after_bits=("real", None))
+        thresholds = json_fields(top["thresholds"], kinds, at)
 
-        sweep = _json_field(raw, "sweep", "object", where)
+        sweep = top["sweep"]
         at = f"{where}: sweep"
-        n_fft = _json_field(sweep, "n_fft", "int", at)
-        n_sim = _json_field(sweep, "n_samples", "int", at)
+        kinds = {"n_fft": "int", "n_samples": "int", "amplitude_v": "real"}
+        if kind != "two_tone":
+            kinds.update(_target_kinds(sweep, "f_targets_hz", "n_tones"))
+        sweep = json_fields(sweep, kinds, at)
+        n_fft, n_sim = sweep["n_fft"], sweep["n_samples"]
         if n_sim % config.m_channels:
             raise ValueError(f"n_samples must be a multiple of m_channels = "
                              f"{config.m_channels}")
@@ -344,10 +336,8 @@ def parse_scenario(raw: dict) -> Scenario:
                              f"correction transients, fewer than n_fft = {n_fft}")
         # n_fft samples between the two transients, in whole rows of M: at most n_sim
         n_read = -(-(n_sim - usable + n_fft) // config.m_channels) * config.m_channels
-        amp = _json_field(sweep, "amplitude_v", "real", at)
-        keys = ("n_fft", "n_samples", "amplitude_v")
+        amp = sweep["amplitude_v"]
         if kind == "two_tone":
-            _check_keys(sweep, keys, at)
             tones = raw.get("tones")
             if not isinstance(tones, list) or not tones:
                 raise TiadcError(f"{where}: tones must be a non-empty list")
@@ -356,26 +346,30 @@ def parse_scenario(raw: dict) -> Scenario:
                 at = f"{where}: tones[{i}]"
                 if not isinstance(tone, dict):
                     raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
-                _check_keys(tone, ("f_target_hz", "amplitude_v"), at)
-                f = metrics.coherent_bin(_json_field(tone, "f_target_hz", "real", at),
-                                         fs, n_fft)[1]
-                point.append(Tone(_json_field(tone, "amplitude_v", "real", at, amp), f))
+                tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)}, at)
+                f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
+                point.append(Tone(tone["amplitude_v"], f))
             at = f"{where}: tones"
             points = (ToneSpec(tones=tuple(point)),)
+            for i, tone in enumerate(point):  # ToneSpec rejects a negative amplitude, this a zero
+                at = f"{where}: tones[{i}]"
+                positive("amplitude_v", tone.amplitude)
         else:
-            freqs, read = _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft, at)
-            _check_keys(sweep, keys + read, at)
-            points = tuple(ToneSpec.single(amp, f) for f in freqs)
+            points = tuple(ToneSpec.single(amp, f) for f in
+                           _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft))
             if not points:
                 raise TiadcError(f"{at}: no tones to sweep")
+        at = f"{where}: sweep"
+        positive("amplitude_v", amp)
     except ValueError as exc:
         raise TiadcError(f"{at}: {exc}") from exc
 
     return Scenario(
         kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,
         cal_plan=cal_plan, spec=spec, n_read=n_read, n_fft=n_fft, points=points,
-        min_drop=min_drop, min_gain=min_gain, min_after=min_after,
-        floor_dbfs=floor_dbfs, design_tone=design_tone)
+        min_drop=thresholds["min_image_drop_db"], min_gain=thresholds.get("min_enob_gain_bits"),
+        min_after=thresholds.get("min_enob_after_bits"),
+        floor_dbfs=thresholds["spur_floor_dbfs"], design_tone=design_tone)
 
 
 @contextmanager

@@ -146,6 +146,12 @@ class Tone:
     phase_rad: float = 0.0
 
 
+def positive(name: str, value: float):
+    """Raise a ValueError naming value unless it is finite and > 0."""
+    if not 0 < value < np.inf:  # False for NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToneSpec:
     """Multi-tone test input: a list of cosines plus a DC term."""
@@ -548,13 +554,14 @@ def _as_kind(v, kind: str):
     return None
 
 
-def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
+def _json_field(raw: dict, key: str, kind, where):
     """raw[key], checked to be of one JSON kind: "int" (an integral number),
     "real" (a finite number), "bool", "str", "reals" (a non-empty list of
-    finite numbers) or "object". true and false are never numbers. A missing
-    key, or a null where the default is None, returns default; a missing
-    required field or a value of the wrong kind raises a TiadcError naming
-    `where`."""
+    finite numbers) or "object". true and false are never numbers. kind is
+    the kind, or (kind, default) for an optional field: a missing key, or a
+    null where the default is None, returns default. A missing required
+    field or a value of the wrong kind raises a TiadcError naming `where`."""
+    kind, default = kind if isinstance(kind, tuple) else (kind, _REQUIRED)
     if key not in raw or raw[key] is None and default is None:
         if default is _REQUIRED:
             raise TiadcError(f"{where}: missing field {key!r}")
@@ -565,27 +572,32 @@ def _json_field(raw: dict, key: str, kind: str, where, default=_REQUIRED):
     return v
 
 
-def _check_keys(raw: dict, keys, where):
-    """Raise a TiadcError naming the first key of raw that is not one of keys."""
+def json_fields(raw: dict, kinds: dict, where) -> dict:
+    """The fields of the JSON object raw: kinds maps each key raw may hold to
+    its kind, or to (kind, default) when the field is optional, and each
+    field is read by _json_field. Then a key of raw outside kinds raises a
+    TiadcError naming `where`, so field errors come first."""
+    fields = {key: _json_field(raw, key, kind, where) for key, kind in kinds.items()}
     for key in raw:
-        if key not in keys:
+        if key not in kinds:
             raise TiadcError(f"{where}: unknown field {key!r}")
+    return fields
 
 
-# the fields of a config file; a capture sidecar adds the rest
-CONFIG_FIELDS = ("m_channels", "fs_hz", "bits", "full_scale_v", "quantize")
-SIDECAR_FIELDS = CONFIG_FIELDS + ("n", "transient_samples", "corrected", "bank_id")
+# the fields of a config file, in the order of TiadcConfig's; a capture sidecar adds the rest
+CONFIG_FIELDS = {"m_channels": "int", "fs_hz": "real", "bits": "int", "full_scale_v": "real",
+                 "quantize": ("bool", True)}
+SIDECAR_FIELDS = {**CONFIG_FIELDS, "n": "int", "transient_samples": ("int", 0),
+                  "corrected": ("bool", False), "bank_id": ("str", "")}
 
 
 def config_from_json(raw: dict, where) -> TiadcConfig:
-    """TiadcConfig from the CONFIG_FIELDS of raw; each reader checks raw for
-    keys outside its own set."""
-    return TiadcConfig(
-        m_channels=_json_field(raw, "m_channels", "int", where),
-        fs=_json_field(raw, "fs_hz", "real", where),
-        bits=_json_field(raw, "bits", "int", where),
-        full_scale=_json_field(raw, "full_scale_v", "real", where),
-        quantize=_json_field(raw, "quantize", "bool", where, True))
+    """The TiadcConfig of a config object; every error, a value out of range
+    too, names `where`."""
+    try:  # a TiadcError of json_fields is not a ValueError: it passes through
+        return TiadcConfig(*json_fields(raw, CONFIG_FIELDS, where).values())
+    except ValueError as exc:
+        raise TiadcError(f"{where}: {exc}") from None
 
 
 def capture_header(path) -> tuple[int, dict]:
@@ -597,26 +609,19 @@ def capture_header(path) -> tuple[int, dict]:
         raise FileNotFoundError(f"capture file not found: {path}")
     if not sidecar.exists():
         raise FileNotFoundError(f"capture sidecar not found: {sidecar}")
-    meta = read_json_object(sidecar, "sidecar")
-    _check_keys(meta, SIDECAR_FIELDS, sidecar)
-    n = _json_field(meta, "n", "int", sidecar)
-    try:
-        config = config_from_json(meta, sidecar)
-    except ValueError as exc:
-        raise TiadcError(f"{sidecar}: {exc}") from None
+    meta = json_fields(read_json_object(sidecar, "sidecar"), SIDECAR_FIELDS, sidecar)
+    config = config_from_json({key: meta[key] for key in CONFIG_FIELDS}, sidecar)
+    n, transient = meta["n"], meta["transient_samples"]
     if n <= 0 or n % config.m_channels:
         raise TiadcError(f"{sidecar}: n = {n} is not a positive multiple of "
                          f"m_channels = {config.m_channels}")
-    transient = _json_field(meta, "transient_samples", "int", sidecar, 0)
     if not 0 <= 2 * transient < n:
         raise TiadcError(f"{sidecar}: transient_samples = {transient} is not in "
                          f"[0, n/2) for n = {n}")
-    corrected = _json_field(meta, "corrected", "bool", sidecar, False)
-    bank_id = _json_field(meta, "bank_id", "str", sidecar, "")
     if path.stat().st_size != 8 * n:
         raise TiadcError(f"{path}: sample count does not match sidecar")
     return n, dict(config=config, transient_samples=transient,
-                   corrected=corrected, bank_id=bank_id)
+                   corrected=meta["corrected"], bank_id=meta["bank_id"])
 
 
 def load_capture(path) -> Capture:

@@ -123,7 +123,7 @@ class TestSimulate:
                    "--out", str(tmp / "cap.f64")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {tmp / 'bad.json'}: ")
         assert expect in err
 
     @pytest.mark.parametrize("tone, dc, expect", [
@@ -550,6 +550,58 @@ def test_profile_channel_count_names_file(workdir, capsys, command):
     assert not any(p.name.startswith("out") and p.is_file() for p in tmp.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "design"])
+@pytest.mark.parametrize("value, expect", [
+    (1, "m_channels must be >= 2"),
+    ("4", "m_channels must be an integral number, got '4'"),
+], ids=["one-channel", "string"])
+def test_config_error_names_file(workdir, capsys, command, value, expect):
+    tmp, cfg = workdir
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps({**CONFIG, "m_channels": value}))
+    freqs = [tiadc.coherent_bin(f, cfg.fs, 4096)[1] for f in (2e8, 5e8)]
+    tiadc.calibration.write_plan_csv([(f, 0.9, 4096) for f in freqs], tmp / "plan.csv")
+    argv = {"simulate": ["--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                         "--n", "256", "--out", str(tmp / "out.f64")],
+            "calibrate": ["--plan", str(tmp / "plan.csv"),
+                          "--truth-profile", str(tmp / "truth.csv"), "--out", str(tmp / "out.csv")],
+            "design": ["--profile", str(tmp / "truth.csv"), "--out", str(tmp / "out.csv")]}[command]
+    assert main([command, "--config", str(bad), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {expect}\n"
+    assert not any(p.name.startswith("out") for p in tmp.iterdir())
+
+
+# a value of each JSON kind that is not of that kind, and the kind's name in errors
+WRONG_KIND = {"int": (4.5, "an integral number"), "real": ("1", "a finite number"),
+              "bool": (1, "true or false"), "str": (7, "a string")}
+
+
+@pytest.mark.parametrize("what, key", [
+    *(("config", key) for key in tiadc.model.CONFIG_FIELDS),
+    *(("sidecar", key) for key in tiadc.model.SIDECAR_FIELDS)])
+def test_wrong_field_kind_names_file(workdir, capsys, what, key):
+    tmp, cfg = workdir
+    kinds = tiadc.model.CONFIG_FIELDS if what == "config" else tiadc.model.SIDECAR_FIELDS
+    kind = kinds[key][0] if isinstance(kinds[key], tuple) else kinds[key]
+    value, text = WRONG_KIND[kind]
+    if what == "config":
+        path = tmp / "bad.json"
+        path.write_text(json.dumps({**CONFIG, key: value}))
+        argv = ["simulate", "--config", str(path), "--profile", str(tmp / "truth.csv"),
+                "--tone", "0.9:2e8", "--n", "256", "--out", str(tmp / "out.f64")]
+    else:
+        capture, path = tmp / "cap.f64", tmp / "cap.f64.json"
+        capture.write_bytes(bytes(8 * 256))
+        tiadc.model.write_sidecar(capture, 256, cfg, transient_samples=65, corrected=True,
+                                  bank_id="abc")
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        argv = ["analyze", "--capture", str(capture), "--n-fft", "256",
+                "--out-prefix", str(tmp / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} must be {text}, got {value!r}\n"
+    assert not any(p.name.startswith("out") for p in tmp.iterdir())
+
+
 DROP = object()
 
 
@@ -808,9 +860,15 @@ class TestPipeline:
          "calibration: amplitude_v must be finite and > 0, got -0.5"),
         ({"design": {**TINY_SCENARIO["design"], "delay_d": 10}},
          "design: delay_d = 10 is below (taps - 1)/2 = 16"),
+        ({"sweep": {**TINY_SCENARIO["sweep"], "amplitude_v": 0.0}},
+         "sweep: amplitude_v must be finite and > 0, got 0.0"),
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
+          "tones": [{"f_target_hz": 1e8}, {"f_target_hz": 3e8, "amplitude_v": 0}]},
+         "tones[1]: amplitude_v must be finite and > 0, got 0.0"),
     ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
             "delay-window", "cal-rows", "sweep-rows", "usable-samples",
-            "sweep-amplitude", "cal-amplitude", "delay-below-half-taps"])
+            "sweep-amplitude", "cal-amplitude", "delay-below-half-taps",
+            "sweep-zero-amplitude", "tone-zero-amplitude"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []
