@@ -297,15 +297,14 @@ def parse_scenario(raw: dict) -> Scenario:
 
         cal = top["calibration"]
         at = f"{where}: calibration"
-        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real",
-                                **_target_kinds(cal, "freqs_hz", "n_freqs")}, at)
+        targets = ({"freqs_hz": "reals"} if kind == "narrowband_contrast"  # lists its design tone
+                   else _target_kinds(cal, "freqs_hz", "n_freqs"))
+        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real", **targets}, at)
         n_cal = cal["n_samples"]
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
         cal_plan = tuple(calibration.plan_row(f, cal["amplitude_v"], n_cal, config.m_channels)
                          for f in _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal))
-        if kind == "narrowband_contrast" and "freqs_hz" not in cal:  # lists its design tone
-            raise TiadcError(f"{at}: missing field 'freqs_hz'")
         design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
 
         at = f"{where}: design"
@@ -337,6 +336,7 @@ def parse_scenario(raw: dict) -> Scenario:
         # n_fft samples between the two transients, in whole rows of M: at most n_sim
         n_read = -(-(n_sim - usable + n_fft) // config.m_channels) * config.m_channels
         amp = sweep["amplitude_v"]
+        positive("amplitude_v", amp)
         if kind == "two_tone":
             tones = raw.get("tones")
             if not isinstance(tones, list) or not tones:
@@ -347,20 +347,15 @@ def parse_scenario(raw: dict) -> Scenario:
                 if not isinstance(tone, dict):
                     raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
                 tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)}, at)
+                positive("amplitude_v", tone["amplitude_v"])
                 f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
                 point.append(Tone(tone["amplitude_v"], f))
-            at = f"{where}: tones"
             points = (ToneSpec(tones=tuple(point)),)
-            for i, tone in enumerate(point):  # ToneSpec rejects a negative amplitude, this a zero
-                at = f"{where}: tones[{i}]"
-                positive("amplitude_v", tone.amplitude)
         else:
             points = tuple(ToneSpec.single(amp, f) for f in
                            _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft))
             if not points:
                 raise TiadcError(f"{at}: no tones to sweep")
-        at = f"{where}: sweep"
-        positive("amplitude_v", amp)
     except ValueError as exc:
         raise TiadcError(f"{at}: {exc}") from exc
 

@@ -9,15 +9,17 @@ one fixed (J*M, M) matrix G, so the record is a dense product that BLAS runs
 at full speed.
 
 ``PolyphaseStream`` runs that product over a record pushed in pieces of any
-size. It builds G, one (CHUNK_ROWS, J*M) window buffer and a staging array
-once per record, and carries the last (J - 1)*M input samples from one
-chunk to the next. Every product has exactly the same shape (the last chunk
-is padded with zero rows) and each output row depends only on its own J*M
-inputs, so any split of the record into pushes, one-shot included, gives
-bit-identical output. CHUNK_ROWS rows keep the window buffer in L2 cache
-(278 KB at M = 16, L = 257). Samples outside the record are treated as zero,
-so the first and last taps-plus-offset output samples are transient and
-flagged on the corrected capture.
+size. It builds G and one staging array once per record and carries the last
+(J - 1)*M input samples from one run to the next. A run is J*CHUNK_ROWS rows.
+Its rows i, i + J, i + 2J, ... (row phase i < J) read windows that sit back
+to back on the stage, so each row phase is one (CHUNK_ROWS, J*M) @ (J*M, M)
+product that reads its operand in place and writes its rows straight into
+the output. Every product has the same shape (the last run is padded with
+zero rows) and each output row depends only on its own J*M inputs, so any
+split of the record into pushes, one-shot included, gives bit-identical
+output. Samples outside the record are treated as zero, so the first and
+last taps-plus-offset output samples are transient and flagged on the
+corrected capture.
 """
 
 from __future__ import annotations
@@ -83,26 +85,22 @@ class PolyphaseStream:
         if n < L:
             raise ValueError(f"capture shorter than the filter length ({n} < {L})")
         self._g = polyphase_matrix(bank.taps, m_ch)
-        width = self._g.shape[0]
-        self._chunk = CHUNK_ROWS * m_ch
-        self._history = width - m_ch
-        self._stage = np.zeros(self._history + self._chunk)
-        # overlapping rows with row stride M, viewed on the staging buffer;
-        # built with as_strided instead, ~9,000 calls left a ~1 MB block at
-        # the top of the heap that kept it from being trimmed (about 30 MB
-        # more peak RSS in long runs of the M = 16 correction)
-        self._windows = np.ndarray(
-            (CHUNK_ROWS, width), buffer=self._stage,
-            strides=(m_ch * self._stage.itemsize, self._stage.itemsize))
-        self._buf = np.empty((CHUNK_ROWS, width))
-        self._scratch = np.empty((CHUNK_ROWS, m_ch))
+        j = self._g.shape[0] // m_ch
+        self._run_size = j * CHUNK_ROWS * m_ch
+        self._history = (j - 1) * m_ch
+        self._stage = np.zeros(self._history + self._run_size)
+        # row phase i of a run reads the (CHUNK_ROWS, J*M) view at i*M
+        self._operands = [
+            self._stage[i * m_ch:i * m_ch + self._run_size].reshape(CHUNK_ROWS, -1)
+            for i in range(j)]
+        self._scratch = np.empty((j * CHUNK_ROWS, m_ch))
         self._fill = self._history
         self._lead = min(bank.tap_offset, n)  # leading zeros not yet written
         self._left = n  # output samples not yet written
 
     def out_size(self, k):
         """Room in ``out`` that a push of k samples may need."""
-        return k + self._lead + self._chunk
+        return k + self._lead + self._run_size
 
     def _start(self, out):
         if not out.flags.c_contiguous or out.dtype != np.float64:
@@ -113,19 +111,20 @@ class PolyphaseStream:
         return lead
 
     def _run(self, out):
-        """Multiply the staged chunk into out, keep its last inputs as the
-        next chunk's history, and return the outputs written."""
-        written = min(self._left, self._chunk)
+        """Multiply the staged run into out, one product per row phase, keep
+        its last inputs as the next run's history, and return the outputs
+        written."""
+        written = min(self._left, self._run_size)
         if written:
-            self._buf[:] = self._windows
-            if written == self._chunk:
-                np.matmul(self._buf, self._g,
-                          out=out[:written].reshape(CHUNK_ROWS, -1))
-            else:  # the chunk runs past the end of the record
-                np.matmul(self._buf, self._g, out=self._scratch)
+            full = written == self._run_size
+            rows = out[:written].reshape(self._scratch.shape) if full else self._scratch
+            j = len(self._operands)
+            for i, a in enumerate(self._operands):
+                np.matmul(a, self._g, out=rows[i::j])
+            if not full:  # the run passes the end of the record
                 out[:written] = self._scratch.reshape(-1)[:written]
             self._left -= written
-        self._stage[:self._history] = self._stage[self._chunk:]
+        self._stage[:self._history] = self._stage[self._run_size:]
         self._fill = self._history
         return written
 

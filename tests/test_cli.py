@@ -855,7 +855,7 @@ class TestPipeline:
          "sweep: n_samples 2112 leaves 2046 samples after the correction "
          "transients, fewer than n_fft = 2048"),
         ({"sweep": {**TINY_SCENARIO["sweep"], "amplitude_v": -0.5}},
-         "sweep: tone amplitudes must be finite and >= 0"),
+         "sweep: amplitude_v must be finite and > 0, got -0.5"),
         ({"calibration": {**TINY_SCENARIO["calibration"], "amplitude_v": -0.5}},
          "calibration: amplitude_v must be finite and > 0, got -0.5"),
         ({"design": {**TINY_SCENARIO["design"], "delay_d": 10}},
@@ -865,10 +865,22 @@ class TestPipeline:
         ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
           "tones": [{"f_target_hz": 1e8}, {"f_target_hz": 3e8, "amplitude_v": 0}]},
          "tones[1]: amplitude_v must be finite and > 0, got 0.0"),
+        # a negative amplitude reads as a zero one, under the block that holds it
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
+          "tones": [{"f_target_hz": 1e8}, {"f_target_hz": 3e8, "amplitude_v": -1}]},
+         "tones[1]: amplitude_v must be finite and > 0, got -1.0"),
+        ({"kind": "two_tone", "sweep": {"amplitude_v": -1, "n_samples": 4096, "n_fft": 2048},
+          "tones": [{"f_target_hz": 1e8}, {"f_target_hz": 3e8, "amplitude_v": 0.5}]},
+         "sweep: amplitude_v must be finite and > 0, got -1.0"),
+        # that kind reads its targets from the list alone
+        ({"kind": "narrowband_contrast",
+          "calibration": {"amplitude_v": 0.9, "n_samples": 2048}},
+         "calibration: missing field 'freqs_hz'"),
     ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
             "delay-window", "cal-rows", "sweep-rows", "usable-samples",
             "sweep-amplitude", "cal-amplitude", "delay-below-half-taps",
-            "sweep-zero-amplitude", "tone-zero-amplitude"])
+            "sweep-zero-amplitude", "tone-zero-amplitude", "tone-negative-amplitude",
+            "two-tone-sweep-negative-amplitude", "contrast-without-targets"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []

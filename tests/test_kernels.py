@@ -38,6 +38,12 @@ def run_stream(x, bank):
     return y
 
 
+def run_rows(m_ch, n_taps):
+    """Output rows per stream run: J*CHUNK_ROWS, with J*M the rows of G."""
+    j = correction.polyphase_matrix(np.zeros((m_ch, n_taps)), m_ch).shape[0] // m_ch
+    return j * correction.CHUNK_ROWS
+
+
 def dense_reference(x, taps, m_ch, offset):
     n = x.size
     y = np.zeros(n)
@@ -91,9 +97,9 @@ def test_stream_validates():
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_stream_push_splits_property(data, m_ch, n_taps):
     # one record pushed in pieces: single samples, sizes that are not
-    # multiples of M, and pushes spanning several chunks, cycled until the
+    # multiples of M, and pushes spanning several runs, cycled until the
     # record is used up
-    chunk = correction.CHUNK_ROWS * m_ch
+    chunk = run_rows(m_ch, n_taps) * m_ch
     n = data.draw(st.integers(n_taps, n_taps + 3 * chunk + 7 * m_ch), label="n")
     offset = data.draw(st.integers(0, n + 5), label="offset")
     sizes = data.draw(st.lists(st.one_of(
@@ -139,9 +145,9 @@ def test_kernel_property(data, m_ch, n_taps):
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_blocked_equals_one_shot_property(data, m_ch, n_taps):
-    # from under one chunk of rows to several, through correction.correct
+    # from under one run of rows to several, through correction.correct
     rows = data.draw(st.integers(-(-n_taps // m_ch),
-                                 3 * correction.CHUNK_ROWS + 7), label="rows")
+                                 3 * run_rows(m_ch, n_taps) + 7), label="rows")
     n = rows * m_ch
     offset = data.draw(st.integers(0, n + 5), label="offset")
     block = data.draw(st.one_of(st.sampled_from([4, 12, 60]),
@@ -164,3 +170,32 @@ def test_blocked_equals_one_shot_at_benchmark_scale():
     one_shot = correct_samples(x, bank, None)
     blocked = correct_samples(x, bank, correction.DEFAULT_BLOCK)
     assert blocked.tobytes() == one_shot.tobytes()
+
+
+def copied_window_product(x, bank):
+    """The product as a copy of overlapping windows: rows r of the zero-padded
+    record, ``flat[r*M : r*M + J*M]``, copied CHUNK_ROWS at a time into one
+    contiguous buffer and multiplied by G, the last chunk padded with zero rows."""
+    m_ch = bank.m_channels
+    g = correction.polyphase_matrix(bank.taps, m_ch)
+    lead = min(bank.tap_offset, x.size)
+    rows = -(-(x.size - lead) // m_ch)
+    rows += -rows % correction.CHUNK_ROWS
+    flat = np.concatenate([np.zeros(g.shape[0] - m_ch), x, np.zeros(rows * m_ch)])
+    windows = np.lib.stride_tricks.sliding_window_view(flat, g.shape[0])[::m_ch]
+    y = np.zeros(lead + rows * m_ch)
+    for r in range(0, rows, correction.CHUNK_ROWS):
+        buf = np.array(windows[r:r + correction.CHUNK_ROWS])
+        y[lead + r * m_ch:lead + (r + correction.CHUNK_ROWS) * m_ch] = (buf @ g).ravel()
+    return y[:x.size]
+
+
+@pytest.mark.parametrize("m_ch,n_taps,offset", [(4, 65, 3), (16, 257, 0)])
+def test_equals_copied_window_product(m_ch, n_taps, offset):
+    # three runs plus a ragged tail, pushed whole and in blocks
+    rng = np.random.default_rng(23)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)) / m_ch, offset)
+    x = rng.normal(size=(3 * run_rows(m_ch, n_taps) + 37) * m_ch)
+    ref = copied_window_product(x, bank)
+    for block in (None, correction.DEFAULT_BLOCK, 1000):
+        assert np.array_equal(correct_samples(x, bank, block), ref)
