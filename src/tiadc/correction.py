@@ -10,16 +10,16 @@ at full speed.
 
 ``PolyphaseStream`` runs that product over a record pushed in pieces of any
 size. It builds G and one staging array once per record and carries the last
-(J - 1)*M input samples from one run to the next. A run is J*CHUNK_ROWS rows.
-Its rows i, i + J, i + 2J, ... (row phase i < J) read windows that sit back
-to back on the stage, so each row phase is one (CHUNK_ROWS, J*M) @ (J*M, M)
-product that reads its operand in place and writes its rows straight into
-the output. Every product has the same shape (the last run is padded with
-zero rows) and each output row depends only on its own J*M inputs, so any
-split of the record into pushes, one-shot included, gives bit-identical
-output. Samples outside the record are treated as zero, so the first and
-last taps-plus-offset output samples are transient and flagged on the
-corrected capture.
+(J - 1)*M input samples from one run to the next. A run is J*R rows, R sized
+to the record: ceil(its rows / J), at most CHUNK_ROWS and at least 2. Its rows
+i, i + J, i + 2J, ... (row phase i < J) read windows that sit back to back on
+the stage, so each row phase is one (R, J*M) @ (J*M, M) product that reads
+its operand in place and writes its rows straight into the output. Every run
+is written whole (the last one is padded with zero rows) and each output row
+depends only on its own J*M inputs, so any split of the record into pushes,
+one-shot included, gives bit-identical output. Samples outside the record
+are treated as zero, so the first and last taps-plus-offset output samples
+are transient and flagged on the corrected capture.
 """
 
 from __future__ import annotations
@@ -68,10 +68,12 @@ class PolyphaseStream:
 
     Tap j of branch m acts at delay ``bank.tap_offset + m + j``. ``push``
     and ``finish`` write the output samples they complete to the front of
-    ``out`` (a contiguous float64 array) and return how many they wrote;
-    output sample k of the record is the k-th sample written over all calls.
-    ``finish`` pads the record with zeros until all n are written. Samples
-    pushed beyond n are ignored.
+    ``out`` and return how many they wrote; output sample k of the record is
+    the k-th sample written over all calls. They write whole runs, so
+    ``out`` (a contiguous float64 array) needs ``out_size(k)`` samples of
+    room, k the samples pushed (for ``finish``, those of the n never
+    pushed). ``finish`` pads the record with zeros until all n are written.
+    Samples pushed beyond n are ignored.
     """
 
     def __init__(self, bank: FilterBank, config: TiadcConfig, n: int):
@@ -86,17 +88,19 @@ class PolyphaseStream:
             raise ValueError(f"capture shorter than the filter length ({n} < {L})")
         self._g = polyphase_matrix(bank.taps, m_ch)
         j = self._g.shape[0] // m_ch
-        self._run_size = j * CHUNK_ROWS * m_ch
-        self._history = (j - 1) * m_ch
-        self._stage = np.zeros(self._history + self._run_size)
-        # row phase i of a run reads the (CHUNK_ROWS, J*M) view at i*M
-        self._operands = [
-            self._stage[i * m_ch:i * m_ch + self._run_size].reshape(CHUNK_ROWS, -1)
-            for i in range(j)]
-        self._scratch = np.empty((j * CHUNK_ROWS, m_ch))
-        self._fill = self._history
         self._lead = min(bank.tap_offset, n)  # leading zeros not yet written
         self._left = n  # output samples not yet written
+        # at least 2 rows per row phase: numpy hands a 1-row product to a
+        # matrix-vector routine that sums in another order
+        rows = min(CHUNK_ROWS, max(2, -(-(n - self._lead) // (j * m_ch))))
+        self._run_size = j * rows * m_ch
+        self._history = (j - 1) * m_ch
+        self._stage = np.zeros(self._history + self._run_size)
+        # row phase i of a run reads the (rows, J*M) view at i*M
+        self._operands = [
+            self._stage[i * m_ch:i * m_ch + self._run_size].reshape(rows, -1)
+            for i in range(j)]
+        self._fill = self._history
 
     def out_size(self, k):
         """Room in ``out`` that a push of k samples may need."""
@@ -111,19 +115,14 @@ class PolyphaseStream:
         return lead
 
     def _run(self, out):
-        """Multiply the staged run into out, one product per row phase, keep
-        its last inputs as the next run's history, and return the outputs
-        written."""
+        """Multiply the staged run whole into out (one product per row phase),
+        keep its tail as history; return how many outputs lie in the record."""
+        rows = out[:self._run_size].reshape(-1, self._g.shape[1])
+        j = len(self._operands)
+        for i, a in enumerate(self._operands):
+            np.matmul(a, self._g, out=rows[i::j])
         written = min(self._left, self._run_size)
-        if written:
-            full = written == self._run_size
-            rows = out[:written].reshape(self._scratch.shape) if full else self._scratch
-            j = len(self._operands)
-            for i, a in enumerate(self._operands):
-                np.matmul(a, self._g, out=rows[i::j])
-            if not full:  # the run passes the end of the record
-                out[:written] = self._scratch.reshape(-1)[:written]
-            self._left -= written
+        self._left -= written
         self._stage[:self._history] = self._stage[self._run_size:]
         self._fill = self._history
         return written
@@ -170,11 +169,11 @@ def correct(capture: Capture, bank: FilterBank,
     step = n if block_size is None else block_size
     if step < 1:
         raise ValueError("block_size must be positive")
-    y = np.empty(n)
+    y = np.empty(stream.out_size(n))
     done = 0
     for a in range(0, n, step):
         done += stream.push(capture.samples[a:a + step], y[done:])
     stream.finish(y[done:])
-    return Capture(samples=y, config=capture.config,
+    return Capture(samples=y[:n], config=capture.config,
                    transient_samples=transient_samples(bank.spec), corrected=True,
                    bank_id=bank.bank_id)

@@ -32,14 +32,15 @@ def bank_config(bank, **changes):
 
 def run_stream(x, bank):
     """The whole record pushed through one stream at once, then finished."""
-    y = np.empty(x.size)
     stream = correction.PolyphaseStream(bank, bank_config(bank), x.size)
+    y = np.empty(stream.out_size(x.size))
     stream.finish(y[stream.push(x, y):])
-    return y
+    return y[:x.size]
 
 
 def run_rows(m_ch, n_taps):
-    """Output rows per stream run: J*CHUNK_ROWS, with J*M the rows of G."""
+    """Output rows per stream run of a long record: J*CHUNK_ROWS, with J*M
+    the rows of G."""
     j = correction.polyphase_matrix(np.zeros((m_ch, n_taps)), m_ch).shape[0] // m_ch
     return j * correction.CHUNK_ROWS
 
@@ -97,19 +98,20 @@ def test_stream_validates():
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_stream_push_splits_property(data, m_ch, n_taps):
     # one record pushed in pieces: single samples, sizes that are not
-    # multiples of M, and pushes spanning several runs, cycled until the
-    # record is used up
+    # multiples of M, and pushes spanning one to three of the stream's runs,
+    # cycled until the record is used up
     chunk = run_rows(m_ch, n_taps) * m_ch
     n = data.draw(st.integers(n_taps, n_taps + 3 * chunk + 7 * m_ch), label="n")
     offset = data.draw(st.integers(0, n + 5), label="offset")
-    sizes = data.draw(st.lists(st.one_of(
-        st.just(1), st.integers(2, 3 * m_ch + 1), st.integers(chunk, 3 * chunk)),
-        min_size=1, max_size=6), label="sizes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
-    y = np.empty(n)
     stream = correction.PolyphaseStream(bank, bank_config(bank), n)
+    run = stream._run_size  # sized to the record, so short records run once
+    sizes = data.draw(st.lists(st.one_of(
+        st.just(1), st.integers(2, 3 * m_ch + 1), st.integers(run, 3 * run)),
+        min_size=1, max_size=6), label="sizes")
+    y = np.empty(stream.out_size(n))
     done = a = 0
     for size in itertools.cycle(sizes):
         if a >= n:
@@ -118,7 +120,7 @@ def test_stream_push_splits_property(data, m_ch, n_taps):
         a += size
     done += stream.finish(y[done:])
     assert done == n
-    assert np.array_equal(y, run_stream(x, bank))
+    assert np.array_equal(y[:n], run_stream(x, bank))
 
 
 def correct_samples(x, bank, block_size):
@@ -192,10 +194,25 @@ def copied_window_product(x, bank):
 
 @pytest.mark.parametrize("m_ch,n_taps,offset", [(4, 65, 3), (16, 257, 0)])
 def test_equals_copied_window_product(m_ch, n_taps, offset):
-    # three runs plus a ragged tail, pushed whole and in blocks
+    # three runs plus a ragged tail, pushed whole and in blocks; then records
+    # whose runs have fewer rows, which must give the bits of CHUNK_ROWS-row
+    # products: n = L, one run less one row, and the sweep-record lengths
+    # 4,228 (M = 4) and 4,624 (M = 16)
     rng = np.random.default_rng(23)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)) / m_ch, offset)
-    x = rng.normal(size=(3 * run_rows(m_ch, n_taps) + 37) * m_ch)
-    ref = copied_window_product(x, bank)
-    for block in (None, correction.DEFAULT_BLOCK, 1000):
-        assert np.array_equal(correct_samples(x, bank, block), ref)
+    rows = run_rows(m_ch, n_taps)
+    for n in ((3 * rows + 37) * m_ch, n_taps, (rows - 1) * m_ch, 4228, 4624):
+        x = rng.normal(size=n)
+        ref = copied_window_product(x, bank)
+        assert np.array_equal(run_stream(x, bank), ref)
+        if n % m_ch == 0:
+            for block in (None, correction.DEFAULT_BLOCK, 1000):
+                assert np.array_equal(correct_samples(x, bank, block), ref)
+
+
+def test_short_record_computes_only_its_rows():
+    # a 4,624-sample M = 16 sweep record at L = 257 is 289 rows: its run is
+    # sized to them, not to J*CHUNK_ROWS = 2,176 rows (34,816 samples)
+    bank = make_bank(np.zeros((16, 257)), 0)
+    stream = correction.PolyphaseStream(bank, bank_config(bank), 4624)
+    assert stream.out_size(0) < 2 * 4624
