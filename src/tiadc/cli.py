@@ -1,7 +1,7 @@
 """Command-line front end: simulate, calibrate, design, correct, analyze, and
 scripted end-to-end pipeline scenarios.
 
-Every failure exits nonzero with a single "error: ..." line on stderr.
+Every failure exits 1 with a single "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     plan = calibration.read_plan_csv(args.plan, config.m_channels)
-    if len(plan) < 2:
-        raise TiadcError("calibration plan needs at least 2 frequencies")
-    if args.captures:
+    if args.captures is not None:  # "" names the working directory
         measurements = []
         for i, (freq, _amp, n_samples) in enumerate(plan):
             path = Path(args.captures) / f"cal_{i:03d}.f64"
@@ -113,8 +111,6 @@ def cmd_calibrate(args) -> int:
                                  f"asks for n_samples = {n_samples}")
             measurements.append(calibration.estimate_mismatch_at(capture, freq, config))
     else:
-        if not args.truth_profile:
-            raise TiadcError("either --captures or --truth-profile is required")
         truth = _read_profile(args.truth_profile, config.m_channels, args.config)
         measurements = calibration.measure_plan(plan, config, truth)
     _calibrate(measurements, config, args.out, print)
@@ -389,7 +385,6 @@ def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):
     """Simulate one sweep point's first sc.n_read samples, all its spectra read (the
     bank is causal), correct them and measure them before and after correction: one
     summary row per tone, plus the number of image lines below the spur floor."""
-    fs = sc.config.fs
     freqs = [t.freq_hz for t in tones.tones]
     capture = model.simulate_capture(tones, sc.config, truth, sc.n_read)
     corrected = correction.correct(correction.correct_offsets(capture, measured), bank)
@@ -414,10 +409,9 @@ def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):
         min_observed_drop = min(min_observed_drop, drop)
     rows = []
     for f_tone in freqs:
-        f_dig = model.fold_frequency(f_tone, fs)
-        others = [model.fold_frequency(f2, fs) for f2 in freqs if f2 != f_tone]
+        others = [f2 for f2 in freqs if f2 != f_tone]
         before, after = (
-            metrics.dynamic_metrics(rep, f_fund_hz=f_dig, m_channels=sc.config.m_channels,
+            metrics.dynamic_metrics(rep, f_fund_hz=f_tone, m_channels=sc.config.m_channels,
                                     exclude_freqs=others)
             for rep in (rep_before, rep_after))
         img_before = [s.dbc for s in before.spurs if s.kind == "image" and not s.collision]
@@ -499,8 +493,16 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
 
 # --- argument parsing ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise a TiadcError naming the
+    command, so that main reports them like any other error."""
+
+    def error(self, message):
+        raise TiadcError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tiadc",
         description="Interleaved-ADC mismatch simulation, calibration, "
                     "filter-bank correction, and dynamic metrics.")
@@ -519,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="measure mismatches over a plan of tones")
     p.add_argument("--config", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--truth-profile", help="profile to simulate captures from")
-    p.add_argument("--captures", help="directory of recorded captures cal_NNN.f64")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--truth-profile", help="profile to simulate captures from")
+    source.add_argument("--captures", help="directory of recorded captures cal_NNN.f64")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -564,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
     except (TiadcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

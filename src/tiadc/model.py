@@ -228,10 +228,11 @@ def midtread_quantize(x, config: TiadcConfig):
 SIMULATION_BLOCK = 1 << 14  # samples simulated at a time: temporaries stay cache-sized
 
 
-def _sample_matrix(tones: ToneSpec, config: TiadcConfig,
-                   profile: MismatchProfile, n_total: int):
-    """The (n_total / M, M) sample matrix, whose column m is channel m: each tone through
-    its gain and timing error (at the tone frequency), its offset, then the quantizer."""
+def simulate_capture(tones: ToneSpec, config: TiadcConfig,
+                     profile: MismatchProfile, n_total: int) -> Capture:
+    """The interleaved capture of a multi-tone input, built as the (n_total / M, M)
+    sample matrix whose column m is channel m: each tone through its gain and timing
+    error (at the tone frequency), its offset, then the quantizer."""
     m_ch = config.m_channels
     if n_total <= 0 or n_total % m_ch != 0:
         raise ValueError("n_total must be a positive multiple of m_channels")
@@ -239,7 +240,7 @@ def _sample_matrix(tones: ToneSpec, config: TiadcConfig,
         raise ValueError("profile channel count does not match config")
     if tones.peak_sum() > config.full_scale / 2:
         warnings.warn("tone amplitudes exceed half the full-scale range; "
-                      "the capture may clip", stacklevel=3)
+                      "the capture may clip", stacklevel=2)
     x = np.tile(tones.dc + profile.offset_lsb * config.lsb, (n_total // m_ch, 1))
     gain_dt = [np.array([(profile.gain_at(m, tone.freq_hz), profile.dt_at(m, tone.freq_hz))
                          for m in range(m_ch)]).T for tone in tones.tones]
@@ -251,14 +252,7 @@ def _sample_matrix(tones: ToneSpec, config: TiadcConfig,
             xb += g * tone.amplitude * np.cos(TWO_PI * tone.freq_hz * (t + dt) + tone.phase_rad)
         if config.quantize:
             xb[:] = midtread_quantize(xb, config)
-    return x
-
-
-def simulate_capture(tones: ToneSpec, config: TiadcConfig,
-                     profile: MismatchProfile, n_total: int) -> Capture:
-    """The interleaved capture of a multi-tone input: the sample matrix, row by row."""
-    return Capture(samples=_sample_matrix(tones, config, profile, n_total).ravel(),
-                   config=config)
+    return Capture(samples=x.ravel(), config=config)
 
 
 def fold_frequency(freq_hz: float, fs: float) -> float:
@@ -276,7 +270,6 @@ class PredictedLine:
     freq_hz: float
     amplitude_v: float
     kind: str  # "fundamental", "image", or "offset_spur"
-    k: int
 
 
 def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
@@ -291,7 +284,7 @@ def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
     """
     m_ch = config.m_channels
     fs = config.fs
-    # components: (theta in [0, 2pi), complex coeff, kind, k)
+    # components: (theta in [0, 2pi), complex coeff, kind)
     components = []
     phase_k = np.exp(-2j * np.pi * np.outer(np.arange(m_ch), np.arange(m_ch)) / m_ch)
     for tone in tones.tones:
@@ -309,41 +302,39 @@ def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
             kind = "fundamental" if k == 0 else "image"
             zp = 0.5 * tone.amplitude * np.exp(1j * tone.phase_rad) * c_hat[k]
             zn = 0.5 * tone.amplitude * np.exp(-1j * tone.phase_rad) * c_hat_neg[k]
-            components.append(((theta0 + TWO_PI * k / m_ch) % TWO_PI, zp, kind, k))
-            components.append(((-theta0 + TWO_PI * k / m_ch) % TWO_PI, zn, kind, k))
+            components.append(((theta0 + TWO_PI * k / m_ch) % TWO_PI, zp, kind))
+            components.append(((-theta0 + TWO_PI * k / m_ch) % TWO_PI, zn, kind))
     # offset spurs, plus the DC term of the input
     o_volts = profile.offset_lsb * config.lsb
     o_hat = phase_k.T @ o_volts / m_ch
     for k in range(m_ch):
         z = o_hat[k] + (tones.dc if k == 0 else 0.0)
-        components.append((TWO_PI * k / m_ch, z, "offset_spur", k))
+        components.append((TWO_PI * k / m_ch, z, "offset_spur"))
 
-    # fold onto [0, pi] and merge coincident lines as complex sums
+    # fold onto [0, pi] and merge coincident lines as complex sums; a merged
+    # line takes the first of its kinds in kind_order
     folded = []
-    for theta, z, kind, k in components:
+    for theta, z, kind in components:
         if theta > np.pi:
             theta, z = TWO_PI - theta, np.conj(z)
-        folded.append((theta, z, kind, k))
+        folded.append((theta, z, kind))
     folded.sort(key=lambda c: c[0])
-    kind_rank = {"fundamental": 0, "image": 1, "offset_spur": 2}
+    kind_order = ("fundamental", "image", "offset_spur")
     lines = []
     tol = 1e-9
     i = 0
     while i < len(folded):
         j = i
         acc = 0.0 + 0.0j
-        best = folded[i]
         while j < len(folded) and folded[j][0] - folded[i][0] <= tol:
             acc += folded[j][1]
-            if kind_rank[folded[j][2]] < kind_rank[best[2]]:
-                best = folded[j]
             j += 1
         amp = abs(acc)
         peak = max((t.amplitude for t in tones.tones), default=1.0) or 1.0
         if amp > 1e-13 * peak:
             lines.append(PredictedLine(
-                freq_hz=folded[i][0] / TWO_PI * fs,
-                amplitude_v=amp, kind=best[2], k=best[3]))
+                freq_hz=folded[i][0] / TWO_PI * fs, amplitude_v=amp,
+                kind=min((c[2] for c in folded[i:j]), key=kind_order.index)))
         i = j
     return lines
 
@@ -360,10 +351,11 @@ _REF_GAIN_PHASE = (0.0, 0.9, 2.3, 4.2)
 _REF_DT_CONST_PS = (0.0, 1.3, -1.55, 0.9)
 _REF_DT_RIPPLE_PS = (0.0, -0.35, 0.3, 0.45)
 _REF_OFFSET_LSB = (0.0, 1.9, -1.5, 0.8)
+REF_ROWS = 65  # rows of the reference profile, evenly spaced over [0, fs]
 
 
-def make_reference_profile(config: TiadcConfig, n_rows: int = 65) -> MismatchProfile:
-    """Deterministic smooth mismatch profile covering [0, fs].
+def make_reference_profile(config: TiadcConfig) -> MismatchProfile:
+    """Deterministic smooth mismatch profile covering [0, fs] in REF_ROWS rows.
 
     Gain ripple stays within +-1%, timing errors within +-2 ps, offsets
     within 2 LSB. Channel 0 is ideal so measured (relative) profiles can be
@@ -371,9 +363,9 @@ def make_reference_profile(config: TiadcConfig, n_rows: int = 65) -> MismatchPro
     cycle through the tabulated constants with a small phase twist.
     """
     m_ch = config.m_channels
-    freqs = np.linspace(0.0, config.fs, n_rows)
-    gain = np.ones((m_ch, n_rows))
-    dt = np.zeros((m_ch, n_rows))
+    freqs = np.linspace(0.0, config.fs, REF_ROWS)
+    gain = np.ones((m_ch, REF_ROWS))
+    dt = np.zeros((m_ch, REF_ROWS))
     offs = np.zeros(m_ch)
     n_tab = len(_REF_GAIN_BIAS)
     for m in range(1, m_ch):

@@ -185,17 +185,37 @@ class TestCalibrate:
             for m in range(4):
                 assert abs(measured.gain_at(m, f) - truth.gain_at(m, f)) <= 1e-3
 
-    def test_single_frequency_plan_rejected(self, workdir, capsys):
+    def test_one_row_plan_matches_pipeline(self, tmp_path):
+        # narrowband_contrast calibrates from one plan row: the subcommand
+        # writes the same frequency-independent profile as the pipeline
+        raw = load_scenario("narrowband_contrast")
+        sc = parse_scenario(raw)
+        assert len(sc.cal_plan) == 1
+        run_pipeline(raw, tmp_path / "pipe")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "m_channels": sc.config.m_channels, "fs_hz": sc.config.fs,
+            "bits": sc.config.bits, "full_scale_v": sc.config.full_scale}))
+        calibration.write_plan_csv(sc.cal_plan, tmp_path / "plan.csv")
+        tiadc.write_profile_csv(tiadc.make_reference_profile(sc.config), tmp_path / "truth.csv")
+        assert main(["calibrate", "--config", str(tmp_path / "config.json"),
+                     "--plan", str(tmp_path / "plan.csv"),
+                     "--truth-profile", str(tmp_path / "truth.csv"),
+                     "--out", str(tmp_path / "m.csv")]) == 0
+        assert ((tmp_path / "m.csv").read_bytes()
+                == (tmp_path / "pipe" / "measured_profile.csv").read_bytes())
+
+    def test_captures_with_truth_profile_rejected(self, workdir, capsys):
         tmp, cfg = workdir
-        rows = [(tiadc.coherent_bin(2e8, cfg.fs, 4096)[1], 0.9, 4096)]
-        path = tmp / "plan1.csv"
-        tiadc.calibration.write_plan_csv(rows, path)
-        rc = main(["calibrate", "--config", str(tmp / "config.json"),
-                   "--plan", str(path),
-                   "--truth-profile", str(tmp / "truth.csv"),
-                   "--out", str(tmp / "m.csv")])
-        assert rc != 0
-        assert "error: " in capsys.readouterr().err
+        plan_path, _ = self.plan(tmp, cfg, n=3)
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(tmp / "config.json"),
+                     "--plan", str(plan_path), "--captures", str(tmp),
+                     "--truth-profile", str(tmp / "truth.csv"),
+                     "--out", str(tmp / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tiadc calibrate: ") and len(err.splitlines()) == 1
+        assert "--captures" in err and "--truth-profile" in err
+        assert not (tmp / "m.csv").exists()
 
     @pytest.mark.parametrize("n_samples", [4094, 0])
     def test_plan_n_samples_names_file_and_line(self, workdir, capsys, n_samples):
@@ -260,6 +280,17 @@ class TestCalibrate:
             assert main(["calibrate", "--config", str(tmp / "config.json"),
                          "--plan", str(plan_path), *source, "--out", str(tmp / out)]) == 0
         assert (tmp / "ingested.csv").read_bytes() == (tmp / "simulated.csv").read_bytes()
+
+    def test_empty_captures_is_working_directory(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        plan_path, _ = self.plan(tmp, cfg, n=3)
+        self.record_captures(tmp, plan_path, tmp / "config.json")
+        monkeypatch.chdir(tmp / "caps")
+        for captures, out in ((str(tmp / "caps"), "named.csv"), ("", "cwd.csv")):
+            assert main(["calibrate", "--config", str(tmp / "config.json"),
+                         "--plan", str(plan_path), "--captures", captures,
+                         "--out", str(tmp / out)]) == 0
+        assert (tmp / "named.csv").read_bytes() == (tmp / "cwd.csv").read_bytes()
 
     @pytest.mark.parametrize("edit, n, expect", [
         ({"m_channels": 8}, None, "m_channels = 4, but {config} has m_channels = 8"),
@@ -507,6 +538,20 @@ class TestCorrectAnalyze:
                      flag, value, "--out-prefix", str(tmp / "a")]) == 1
         assert capsys.readouterr().err == f"error: {expect}\n"
         assert not (tmp / "a_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["calibrate", "--config", "c.json", "--plan", "p.csv", "--truth-profile", "t.csv"],
+     "error: tiadc calibrate: the following arguments are required: --out"),
+    (["simulate", "--config", "c.json", "--profile", "p.csv", "--tone", "0.9:2e8",
+      "--n", "many", "--out", "o.f64"],
+     "error: tiadc simulate: argument --n: invalid int value: 'many'"),
+], ids=["missing-argument", "invalid-int"])
+def test_usage_error_one_line(capsys, argv, expect):
+    # argparse's own errors take main's error path: exit 1, one line, no
+    # usage text and no SystemExit
+    assert main(argv) == 1
+    assert capsys.readouterr().err == expect + "\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "design", "calibrate", "correct",

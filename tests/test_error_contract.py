@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tiadc
 from tiadc.cli import main
@@ -238,8 +238,11 @@ def row_files(files):
     cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
     freqs = [tiadc.coherent_bin(f, cfg.fs, 512)[1] for f in (1e8, 3e8, 6e8)]
     tiadc.calibration.write_plan_csv([(f, 0.9, 512) for f in freqs], tmp / "plan.csv")
-    tiadc.write_profile_csv(tiadc.make_reference_profile(cfg, n_rows=5),
-                            tmp / "small.csv")
+    ref = tiadc.make_reference_profile(cfg)
+    # five rows: every 16th of the reference's 65, at 0, fs/4, ..., fs
+    tiadc.write_profile_csv(tiadc.MismatchProfile(
+        freqs_hz=ref.freqs_hz[::16], gain=ref.gain[:, ::16], dt_s=ref.dt_s[:, ::16],
+        offset_lsb=ref.offset_lsb), tmp / "small.csv")
     assert main(["design", "--config", str(tmp / "config.json"), "--profile",
                  str(tmp / "small.csv"), "--n-grid", "64", "--taps", "9",
                  "--out", str(tmp / "bank.csv")]) == 0
@@ -322,3 +325,86 @@ def test_bad_row_names_file_and_line(row_files, capsys, name, at, line, expect):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{at + 1}: ") and expect in err
     assert len(err.splitlines()) == 1
+
+
+# --- garbled command lines ---------------------------------------------------
+
+def valid_argv(tmp, command):
+    """A valid invocation of command on the row_files inputs; every file it
+    writes lands under tmp."""
+    return {
+        "simulate": ["simulate", "--config", str(tmp / "argv_config.json"),
+                     "--profile", str(tmp / "small.csv"), "--tone", "0.9:2e8",
+                     "--n", "256", "--out", str(tmp / "argv.f64")],
+        "calibrate": ["calibrate", "--config", str(tmp / "argv_config.json"),
+                      "--plan", str(tmp / "plan.csv"), "--truth-profile", str(tmp / "small.csv"),
+                      "--out", str(tmp / "argv_measured.csv")],
+        "design": ["design", "--config", str(tmp / "argv_config.json"),
+                   "--profile", str(tmp / "small.csv"), "--n-grid", "64", "--taps", "9",
+                   "--out", str(tmp / "argv_bank.csv")],
+        "correct": ["correct", "--capture", str(tmp / "raw.f64"), "--bank", str(tmp / "bank.csv"),
+                    "--profile", str(tmp / "small.csv"), "--out", str(tmp / "argv_fixed.f64")],
+        "analyze": ["analyze", "--capture", str(tmp / "raw.f64"), "--n-fft", "256",
+                    "--out-prefix", str(tmp / "argv")],
+        "pipeline": ["pipeline", "--scenario", str(tmp / "argv_scenario.json"),
+                     "--out-dir", str(tmp / "argv_pipeline")],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def argv_files(row_files):
+    tmp, _ = row_files
+    (tmp / "argv_config.json").write_text(json.dumps(CONFIG))
+    (tmp / "argv_scenario.json").write_text(json.dumps(SCENARIO))
+    return tmp
+
+
+# no garble spells -h, --help or a prefix of it, which print the usage and exit 0
+GARBLES = ["", "x", "0", "-1", "nan", "1e999", "-", "--", "-x", "--bogus", "--out",
+           "--tone", "--profile", "--captures", "--truth-profile", "0.9:2e8"]
+
+
+def argv_edits():
+    token = st.integers(0, 10**6)
+    return st.lists(st.one_of(
+        st.tuples(st.just("drop"), token, st.none()),
+        st.tuples(st.just("duplicate"), token, st.none()),
+        st.tuples(st.just("replace"), token, st.sampled_from(GARBLES)),
+        st.tuples(st.just("append"), token, st.sampled_from(["x", "0", "=1"])),
+        st.tuples(st.just("truncate"), token, st.integers(0, 3))),
+        min_size=1, max_size=3)
+
+
+def garble(argv, edits):
+    """Apply the edits to argv; a token index picks one modulo the count."""
+    out = list(argv)
+    for op, i, arg in edits:
+        if not out:
+            break
+        i %= len(out)
+        if op == "drop":
+            del out[i]
+        elif op == "duplicate":
+            out.insert(i, out[i])
+        elif op == "replace":
+            out[i] = arg
+        elif op == "append":
+            out[i] += arg
+        else:
+            out[i] = out[i][:arg]
+    return out
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "design", "correct",
+                                     "analyze", "pipeline"])
+@settings(**CHECKS)
+@given(edits=argv_edits())
+@example(edits=[])
+def test_garbled_argv(argv_files, capsys, monkeypatch, command, edits):
+    # a usage error takes main's one error path: no SystemExit, no usage text
+    monkeypatch.chdir(argv_files)  # a garbled output path lands here
+    capsys.readouterr()
+    rc = main(garble(valid_argv(argv_files, command), edits))
+    err = capsys.readouterr().err
+    assert edits or rc == 0, err  # the ungarbled invocation is valid
+    assert_contract(rc, err, ["warning: ", "threshold violation: "])

@@ -313,6 +313,18 @@ class TestPredictOutputSpectrum:
         pred_db = 20 * np.log10(fund[0].amplitude_v / 1.0)
         assert meas[b] == pytest.approx(pred_db, abs=1e-6)
 
+    def test_image_takes_precedence_over_offset_spur(self, cfg4):
+        # at f = fs/4 with M = 4 the images fold(k*fs/4 +- fs/4) land on 0
+        # and fs/2, where the offset spurs of k = 0 and k = 2 also sit: each
+        # merged line is an image, and its amplitude is the DC or Nyquist bin
+        truth = tiadc.make_reference_profile(cfg4)
+        tones = tiadc.ToneSpec.single(0.9, cfg4.fs / 4)
+        lines = {ln.freq_hz: ln for ln in tiadc.predict_output_spectrum(tones, cfg4, truth)}
+        meas = measured_line_dbfs(tiadc.simulate_capture(tones, cfg4, truth, 4096), 4096)
+        for f, b in ((0.0, 0), (cfg4.fs / 2, 2048)):
+            assert lines[f].kind == "image"
+            assert meas[b] == pytest.approx(20 * np.log10(lines[f].amplitude_v), abs=1e-6)
+
     def test_oracle_agreement_with_fft(self, cfg4):
         truth = tiadc.make_reference_profile(cfg4)
         n_fft = 4096
@@ -396,7 +408,11 @@ class TestProfileFiles:
 
     def test_offset_constant_within_channel(self, cfg4, tmp_path):
         path = tmp_path / "profile.csv"
-        tiadc.write_profile_csv(tiadc.make_reference_profile(cfg4, n_rows=5), path)
+        ref = tiadc.make_reference_profile(cfg4)
+        # five rows: every 16th of the reference's 65, at 0, fs/4, ..., fs
+        tiadc.write_profile_csv(tiadc.MismatchProfile(
+            freqs_hz=ref.freqs_hz[::16], gain=ref.gain[:, ::16], dt_s=ref.dt_s[:, ::16],
+            offset_lsb=ref.offset_lsb), path)
         lines = path.read_text().splitlines()
         # the first row of channel 1, whose offset is 1.9 LSB elsewhere
         fields = lines[6].split(",")
