@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -17,15 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from tiadc import calibration, correction, design, metrics, model
-from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, json_fields, positive
+from tiadc.model import TiadcConfig, TiadcError, Tone, ToneSpec, json_fields, named, positive
 
 
 def load_config(path) -> TiadcConfig:
-    return model.config_from_json(model.read_json_object(path, "config"), path)
+    with named(path):
+        return model.config_from_json(model.read_json_object(path, "config"))
 
 
 def config_from_dict(raw: dict) -> TiadcConfig:
-    return model.config_from_json(raw, "config")
+    with named("config"):
+        return model.config_from_json(raw)
 
 
 def _parse_tone(text: str) -> Tone:
@@ -160,7 +161,7 @@ def cmd_correct(args) -> int:
         os.replace(part, out)
     finally:
         part.unlink(missing_ok=True)
-    transient = correction.transient_samples(bank.spec)
+    transient = bank.spec.transient_samples
     model.write_sidecar(out, n, **dict(header, transient_samples=transient,
                                        corrected=True, bank_id=bank.bank_id))
     print(f"corrected {n} samples with bank {bank.bank_id} "
@@ -276,26 +277,26 @@ def parse_scenario(raw: dict) -> Scenario:
     where = at = f"scenario {raw.get('name', '?')}"
     try:
         top = json_fields({key: raw[key] for key in SCENARIO_FIELDS if key in raw},
-                          SCENARIO_FIELDS, where)
+                          SCENARIO_FIELDS)
         kind = top["kind"]
         if kind not in SCENARIO_KINDS:
-            raise TiadcError(f"{where}: kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+            raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {kind!r}")
         at = f"{where}: config"
-        config = model.config_from_json(top["config"], at)
+        config = model.config_from_json(top["config"])
         fs = config.fs
 
         at = f"{where}: truth_profile"
         truth_type = top["truth_profile"].get("type")
         if isinstance(truth_type, str) and truth_type not in ("reference", "ideal", "csv"):
-            raise TiadcError(f"{at}: unknown type {truth_type!r}")
+            raise ValueError(f"unknown type {truth_type!r}")
         kinds = {"type": "str", "path": "str"} if truth_type == "csv" else {"type": "str"}
-        truth_path = json_fields(top["truth_profile"], kinds, at).get("path")
+        truth_path = json_fields(top["truth_profile"], kinds).get("path")
 
         cal = top["calibration"]
         at = f"{where}: calibration"
         targets = ({"freqs_hz": "reals"} if kind == "narrowband_contrast"  # lists its design tone
                    else _target_kinds(cal, "freqs_hz", "n_freqs"))
-        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real", **targets}, at)
+        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real", **targets})
         n_cal = cal["n_samples"]
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
@@ -306,26 +307,26 @@ def parse_scenario(raw: dict) -> Scenario:
         at = f"{where}: design"
         # fields left out, and a null delay_d, take DesignSpec's defaults
         spec = design.DesignSpec(**json_fields(top["design"], {
-            f.name: (DESIGN_KINDS[f.name], f.default) for f in fields(design.DesignSpec)}, at))
+            f.name: (DESIGN_KINDS[f.name], f.default) for f in fields(design.DesignSpec)}))
         design.check_tap_window(spec, config.m_channels)
 
         at = f"{where}: thresholds"
         kinds = {"min_image_drop_db": ("real", None), "spur_floor_dbfs": ("real", -90.0)}
         if kind != "narrowband_contrast":  # that kind is judged by its image drop alone
             kinds.update(min_enob_gain_bits=("real", None), min_enob_after_bits=("real", None))
-        thresholds = json_fields(top["thresholds"], kinds, at)
+        thresholds = json_fields(top["thresholds"], kinds)
 
         sweep = top["sweep"]
         at = f"{where}: sweep"
         kinds = {"n_fft": "int", "n_samples": "int", "amplitude_v": "real"}
         if kind != "two_tone":
             kinds.update(_target_kinds(sweep, "f_targets_hz", "n_tones"))
-        sweep = json_fields(sweep, kinds, at)
+        sweep = json_fields(sweep, kinds)
         n_fft, n_sim = sweep["n_fft"], sweep["n_samples"]
         if n_sim % config.m_channels:
             raise ValueError(f"n_samples must be a multiple of m_channels = "
                              f"{config.m_channels}")
-        usable = n_sim - 2 * correction.transient_samples(spec)
+        usable = n_sim - 2 * spec.transient_samples
         if usable < n_fft:
             raise ValueError(f"n_samples {n_sim} leaves {usable} samples after the "
                              f"correction transients, fewer than n_fft = {n_fft}")
@@ -342,7 +343,7 @@ def parse_scenario(raw: dict) -> Scenario:
                 at = f"{where}: tones[{i}]"
                 if not isinstance(tone, dict):
                     raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
-                tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)}, at)
+                tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)})
                 positive("amplitude_v", tone["amplitude_v"])
                 f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
                 point.append(Tone(tone["amplitude_v"], f))
@@ -351,7 +352,7 @@ def parse_scenario(raw: dict) -> Scenario:
             points = tuple(ToneSpec.single(amp, f) for f in
                            _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft))
             if not points:
-                raise TiadcError(f"{at}: no tones to sweep")
+                raise ValueError("no tones to sweep")
     except ValueError as exc:
         raise TiadcError(f"{at}: {exc}") from exc
 
@@ -363,14 +364,10 @@ def parse_scenario(raw: dict) -> Scenario:
         floor_dbfs=thresholds["spur_floor_dbfs"], design_tone=design_tone)
 
 
-@contextmanager
 def _stage(name):
     """Prefix the stage name to a bad-input error raised inside the block.
     Any other exception is a bug and propagates with its traceback."""
-    try:
-        yield
-    except (TiadcError, ValueError, OSError) as exc:
-        raise TiadcError(f"stage {name}: {exc}") from exc
+    return named(f"stage {name}", (TiadcError, ValueError, OSError))
 
 
 def _truth_profile(sc: Scenario):
@@ -568,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # named like the subcommand's other usage errors
+            raise TiadcError(f"tiadc {args.command}: unrecognized arguments: {' '.join(extra)}")
         return args.func(args) or 0
     except (TiadcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

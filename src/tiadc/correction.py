@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from tiadc.model import Capture, MismatchProfile, TiadcConfig
-from tiadc.design import DesignSpec, FilterBank
+from tiadc.design import FilterBank
 
 DEFAULT_BLOCK = 1 << 16
 CHUNK_ROWS = 128
@@ -66,7 +66,7 @@ class PolyphaseStream:
     """The bank's M-branch synthesis over one n-sample record captured with
     config, pushed in pieces.
 
-    Tap j of branch m acts at delay ``bank.tap_offset + m + j``. ``push``
+    Tap j of branch m acts at delay ``bank.spec.tap_offset + m + j``. ``push``
     and ``finish`` write the output samples they complete to the front of
     ``out`` and return how many they wrote; output sample k of the record is
     the k-th sample written over all calls. They write whole runs, so
@@ -88,7 +88,7 @@ class PolyphaseStream:
             raise ValueError(f"capture shorter than the filter length ({n} < {L})")
         self._g = polyphase_matrix(bank.taps, m_ch)
         j = self._g.shape[0] // m_ch
-        self._lead = min(bank.tap_offset, n)  # leading zeros not yet written
+        self._lead = min(bank.spec.tap_offset, n)  # leading zeros not yet written
         self._left = n  # output samples not yet written
         # at least 2 rows per row phase: numpy hands a 1-row product to a
         # matrix-vector routine that sums in another order
@@ -148,12 +148,6 @@ class PolyphaseStream:
         return k
 
 
-def transient_samples(spec: DesignSpec) -> int:
-    """Output samples at each end of a record corrected by a bank of this
-    design that read the zeros outside it."""
-    return spec.taps + spec.delay_d - spec.half_taps
-
-
 def correct(capture: Capture, bank: FilterBank,
             block_size: int | None = DEFAULT_BLOCK) -> Capture:
     """Apply the M-branch synthesis bank to an interleaved capture.
@@ -175,5 +169,5 @@ def correct(capture: Capture, bank: FilterBank,
         done += stream.push(capture.samples[a:a + step], y[done:])
     stream.finish(y[done:])
     return Capture(samples=y[:n], config=capture.config,
-                   transient_samples=transient_samples(bank.spec), corrected=True,
+                   transient_samples=bank.spec.transient_samples, corrected=True,
                    bank_id=bank.bank_id)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiadc.model import (MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
-                         channel_response, csv_row, read_table, write_table)
+                         channel_response, csv_row, named, read_table, write_table)
 
 COND_LIMIT = 1e8
 
@@ -72,6 +72,16 @@ class DesignSpec:
     @property
     def half_taps(self) -> int:
         return (self.taps - 1) // 2
+
+    @property
+    def tap_offset(self) -> int:
+        """Delay of branch 0's tap 0; branch m's window centres on its group delay d + m."""
+        return self.delay_d - self.half_taps
+
+    @property
+    def transient_samples(self) -> int:
+        """Output samples at each end of a corrected record that read the zeros outside it."""
+        return self.taps + self.tap_offset
 
     def band_hz(self, fs: float) -> tuple[float, float]:
         """The analog band [(zone - 1)*fs/2, zone*fs/2] the design corrects."""
@@ -219,26 +229,25 @@ def window_taps(name: str, length: int, beta: float = 8.0) -> np.ndarray:
 class FilterBank:
     """M real FIR branches plus the design metadata they were built with.
 
-    taps[m, j] acts at absolute delay tap_offset + m + j, so each branch's
-    window of length L is centered on its own group delay d + m.
+    taps[m, j] acts at absolute delay spec.tap_offset + m + j, so each
+    branch's window of length L is centered on its own group delay d + m.
     """
 
     taps: np.ndarray
     spec: DesignSpec
-    m_channels: int
     fs: float
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
         object.__setattr__(self, "taps", taps)
-        if taps.shape != (self.m_channels, self.spec.taps):
+        if taps.ndim != 2 or taps.shape[1] != self.spec.taps:
             raise ValueError("taps must have shape (m_channels, spec.taps)")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
 
     @property
-    def tap_offset(self) -> int:
-        return self.spec.delay_d - self.spec.half_taps
+    def m_channels(self) -> int:
+        return self.taps.shape[0]
 
     @property
     def bank_id(self) -> str:
@@ -253,7 +262,7 @@ class FilterBank:
         L = self.spec.taps
         # tap (m, j) sits at delay tap_offset + m + j: M + L - 1 distinct
         # delays, each exponential computed once; branch m reads rows m..m+L-1
-        delays = self.tap_offset + np.arange(self.m_channels + L - 1)
+        delays = self.spec.tap_offset + np.arange(self.m_channels + L - 1)
         table = np.exp(-1j * delays[:, None] * omega[None, :])
         return np.stack([np.einsum("l,lw->w", self.taps[m], table[m:m + L])
                          for m in range(self.m_channels)])
@@ -284,8 +293,6 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
     m_ch = config.m_channels
     n = spec.n_grid
     L = spec.taps
-    d = spec.delay_d
-    h = spec.half_taps
     check_tap_window(spec, m_ch)
     half = n // 2
     grid = np.empty((m_ch, n), dtype=np.complex128)
@@ -307,9 +314,9 @@ def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,
             f"impulse responses are not real (max imaginary part {max_imag:.3g})")
     impulse = impulse.real
     win = window_taps(spec.window, L, spec.kaiser_beta)
-    window_idx = d - h + np.arange(m_ch)[:, None] + np.arange(L)
+    window_idx = spec.tap_offset + np.arange(m_ch)[:, None] + np.arange(L)
     taps = np.take_along_axis(impulse, window_idx, axis=1) * win
-    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=config.fs)
+    return FilterBank(taps=taps, spec=spec, fs=config.fs)
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,7 @@ BANK_META_KEYS = ("m_channels", "taps", "n_grid", "delay_d", "zone", "window",
 
 
 def write_bank_csv(bank: FilterBank, path):
-    spec, taps, offset = bank.spec, bank.taps.tolist(), bank.tap_offset
+    spec, taps, offset = bank.spec, bank.taps.tolist(), bank.spec.tap_offset
     meta = (bank.m_channels, spec.taps, spec.n_grid, spec.delay_d, spec.zone, spec.window,
             "%.17g" % spec.kaiser_beta, "%.17g" % bank.fs)
     write_table(path, BANK_CSV_COLUMNS, [
@@ -370,23 +377,19 @@ def write_bank_csv(bank: FilterBank, path):
 def read_bank_csv(path) -> FilterBank:
     meta, rows = read_table(path, "filter bank", BANK_CSV_COLUMNS, (int, int, float),
                             BANK_META_KEYS)
-    m_ch, n_taps, n_grid, delay_d, zone, window, beta, fs = csv_row(
-        [meta[key] for key in BANK_META_KEYS], (int, int, int, int, int, str, float, float),
-        path)
-    try:
+    with named(path):
+        m_ch, n_taps, n_grid, delay_d, zone, window, beta, fs = csv_row(
+            [meta[key] for key in BANK_META_KEYS], (int, int, int, int, int, str, float, float))
         spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay_d, window=window,
                           kaiser_beta=beta, zone=zone)
-        offset = spec.delay_d - spec.half_taps
-        coefs = {(ch, idx - offset - ch): coef for ch, idx, coef in rows}
+        coefs = {(ch, idx - spec.tap_offset - ch): coef for ch, idx, coef in rows}
         keys = sorted(coefs)
         # the count first: a huge m_channels must not build a huge key list
         if len(rows) != m_ch * n_taps or keys != [
                 (m, j) for m in range(m_ch) for j in range(n_taps)]:
-            raise TiadcError(f"{path}: bank must list each of its {m_ch} x {n_taps} taps once")
+            raise ValueError(f"bank must list each of its {m_ch} x {n_taps} taps once")
         taps = np.array([coefs[key] for key in keys]).reshape(m_ch, n_taps)
-        return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=fs)
-    except ValueError as exc:
-        raise TiadcError(f"{path}: {exc}") from None
+        return FilterBank(taps=taps, spec=spec, fs=fs)
 
 
 def write_residual_csv(report: PRResidualReport, path):

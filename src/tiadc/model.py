@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,18 @@ TWO_PI = 2.0 * np.pi
 
 class TiadcError(Exception):
     """Base class for toolkit errors."""
+
+
+@contextmanager
+def named(where, errors=ValueError):
+    """Re-raise an error of the types errors from the block as a TiadcError
+    whose message starts with where: the file, line, block or stage at fault.
+    A TiadcError is not a ValueError, so by default it passes untouched and
+    nothing is named twice."""
+    try:
+        yield
+    except errors as exc:
+        raise TiadcError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -395,18 +408,14 @@ def write_table(path, header: str, lines, meta=()):
     Path(path).write_text("\n".join(text) + "\n")
 
 
-def csv_row(fields, kinds, where, check=None) -> tuple:
+def csv_row(fields, kinds, check=None) -> tuple:
     """The fields of one CSV row, each converted by its kind (int, float or str),
     then passed to check, when given, which returns the row. A wrong field
-    count, a field that does not parse or a row check's ValueError raises a
-    TiadcError naming ``where``, the file and the line."""
+    count, a field that does not parse or a failed check raises a ValueError."""
     if len(fields) != len(kinds):
-        raise TiadcError(f"{where}: expected {len(kinds)} fields, got {len(fields)}")
-    try:
-        row = tuple(kind(field) for kind, field in zip(kinds, fields))
-        return check(*row) if check else row
-    except ValueError as exc:
-        raise TiadcError(f"{where}: {exc}") from None
+        raise ValueError(f"expected {len(kinds)} fields, got {len(fields)}")
+    row = tuple(kind(field) for kind, field in zip(kinds, fields))
+    return check(*row) if check else row
 
 
 def read_table(path, what: str, header: str, kinds, meta_keys=(), check=None):
@@ -418,47 +427,44 @@ def read_table(path, what: str, header: str, kinds, meta_keys=(), check=None):
     after it is one csv_row of the given kinds and check; there is at least
     one. Any other file raises a TiadcError naming the file, and the line
     where there is one."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except ValueError as exc:  # not UTF-8 text
-        raise TiadcError(f"{path}: {exc}") from None
-    meta, rows, body = {}, [], False
-    for i, line in enumerate(lines, 1):
-        line, where = line.strip(), f"{path}:{i}"
-        if not line:
-            continue
-        if body:
-            rows.append(csv_row(line.split(","), kinds, where, check))
-        elif line == header:
-            body = True
-        elif not line.startswith("#"):
-            raise TiadcError(f"{where}: not a {what} file: expected the header {header!r}")
-        else:
-            key, value = (s.strip() for s in csv_row(line[1:].split(",", 1), (str, str), where))
-            if key not in meta_keys:
-                raise TiadcError(f"{where}: unknown {what} field {key!r}")
-            if key in meta:
-                raise TiadcError(f"{where}: {what} field {key!r} given twice")
-            meta[key] = value
-    if not body:
-        raise TiadcError(f"{path}: not a {what} file: no {header!r} header")
-    missing = [key for key in meta_keys if key not in meta]
-    if missing:
-        raise TiadcError(f"{path}: missing {what} field {missing[0]!r}")
-    if not rows:
-        raise TiadcError(f"{path}: empty {what}")
+    with named(path):
+        lines = Path(path).read_text().splitlines()  # a ValueError when not UTF-8 text
+        meta, rows, body = {}, [], False
+        for i, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            with named(f"{path}:{i}"):
+                if body:
+                    rows.append(csv_row(line.split(","), kinds, check))
+                elif line == header:
+                    body = True
+                elif not line.startswith("#"):
+                    raise ValueError(f"not a {what} file: expected the header {header!r}")
+                else:
+                    key, value = (s.strip() for s in csv_row(line[1:].split(",", 1), (str, str)))
+                    if key not in meta_keys:
+                        raise ValueError(f"unknown {what} field {key!r}")
+                    if key in meta:
+                        raise ValueError(f"{what} field {key!r} given twice")
+                    meta[key] = value
+        if not body:
+            raise ValueError(f"not a {what} file: no {header!r} header")
+        missing = [key for key in meta_keys if key not in meta]
+        if missing:
+            raise ValueError(f"missing {what} field {missing[0]!r}")
+        if not rows:
+            raise ValueError(f"empty {what}")
     return meta, rows
 
 
 def read_json_object(path, what: str) -> dict:
     """The JSON object held by the file at path; malformed JSON, or any other
     JSON value, raises a TiadcError naming the file."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as exc:  # malformed JSON, or not UTF-8 text
-        raise TiadcError(f"{path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise TiadcError(f"{path}: {what} must be a JSON object")
+    with named(path):
+        raw = json.loads(Path(path).read_text())  # a ValueError when malformed or not UTF-8
+        if not isinstance(raw, dict):
+            raise ValueError(f"{what} must be a JSON object")
     return raw
 
 
@@ -480,20 +486,18 @@ def read_profile_csv(path) -> MismatchProfile:
     channels = {}
     for ch, *row in table:
         channels.setdefault(ch, []).append(row)
-    if sorted(channels) != list(range(len(channels))):
-        raise TiadcError(f"{path}: missing channels")
-    tab = [np.array(channels[m]) for m in range(len(channels))]
-    if any(t.shape != tab[0].shape or not np.array_equal(t[:, 0], tab[0][:, 0]) for t in tab):
-        raise TiadcError(f"{path}: channels do not share one frequency grid")
-    tab = np.array(tab)  # (channel, row, field)
-    for m in range(len(tab)):
-        if np.unique(tab[m, :, 3]).size > 1:
-            raise TiadcError(f"{path}: channel {m} rows disagree on offset_lsb")
-    try:
+    with named(path):
+        if sorted(channels) != list(range(len(channels))):
+            raise ValueError("missing channels")
+        tab = [np.array(channels[m]) for m in range(len(channels))]
+        if any(t.shape != tab[0].shape or not np.array_equal(t[:, 0], tab[0][:, 0]) for t in tab):
+            raise ValueError("channels do not share one frequency grid")
+        tab = np.array(tab)  # (channel, row, field)
+        for m in range(len(tab)):
+            if np.unique(tab[m, :, 3]).size > 1:
+                raise ValueError(f"channel {m} rows disagree on offset_lsb")
         return MismatchProfile(freqs_hz=tab[0, :, 0], gain=tab[:, :, 1], dt_s=tab[:, :, 2],
                                offset_lsb=tab[:, 0, 3])
-    except ValueError as exc:
-        raise TiadcError(f"{path}: {exc}") from None
 
 
 def save_capture(capture: Capture, path):
@@ -546,33 +550,33 @@ def _as_kind(v, kind: str):
     return None
 
 
-def _json_field(raw: dict, key: str, kind, where):
+def _json_field(raw: dict, key: str, kind):
     """raw[key], checked to be of one JSON kind: "int" (an integral number),
     "real" (a finite number), "bool", "str", "reals" (a non-empty list of
     finite numbers) or "object". true and false are never numbers. kind is
     the kind, or (kind, default) for an optional field: a missing key, or a
     null where the default is None, returns default. A missing required
-    field or a value of the wrong kind raises a TiadcError naming `where`."""
+    field or a value of the wrong kind raises a ValueError."""
     kind, default = kind if isinstance(kind, tuple) else (kind, _REQUIRED)
     if key not in raw or raw[key] is None and default is None:
         if default is _REQUIRED:
-            raise TiadcError(f"{where}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         return default
     v = _as_kind(raw[key], kind)
     if v is None:
-        raise TiadcError(f"{where}: {key} must be {_KIND_TEXT[kind]}, got {raw[key]!r}")
+        raise ValueError(f"{key} must be {_KIND_TEXT[kind]}, got {raw[key]!r}")
     return v
 
 
-def json_fields(raw: dict, kinds: dict, where) -> dict:
+def json_fields(raw: dict, kinds: dict) -> dict:
     """The fields of the JSON object raw: kinds maps each key raw may hold to
     its kind, or to (kind, default) when the field is optional, and each
     field is read by _json_field. Then a key of raw outside kinds raises a
-    TiadcError naming `where`, so field errors come first."""
-    fields = {key: _json_field(raw, key, kind, where) for key, kind in kinds.items()}
+    ValueError, so field errors come first."""
+    fields = {key: _json_field(raw, key, kind) for key, kind in kinds.items()}
     for key in raw:
         if key not in kinds:
-            raise TiadcError(f"{where}: unknown field {key!r}")
+            raise ValueError(f"unknown field {key!r}")
     return fields
 
 
@@ -583,13 +587,10 @@ SIDECAR_FIELDS = {**CONFIG_FIELDS, "n": "int", "transient_samples": ("int", 0),
                   "corrected": ("bool", False), "bank_id": ("str", "")}
 
 
-def config_from_json(raw: dict, where) -> TiadcConfig:
+def config_from_json(raw: dict) -> TiadcConfig:
     """The TiadcConfig of a config object; every error, a value out of range
-    too, names `where`."""
-    try:  # a TiadcError of json_fields is not a ValueError: it passes through
-        return TiadcConfig(*json_fields(raw, CONFIG_FIELDS, where).values())
-    except ValueError as exc:
-        raise TiadcError(f"{where}: {exc}") from None
+    too, is a ValueError."""
+    return TiadcConfig(*json_fields(raw, CONFIG_FIELDS).values())
 
 
 def capture_header(path) -> tuple[int, dict]:
@@ -601,15 +602,15 @@ def capture_header(path) -> tuple[int, dict]:
         raise FileNotFoundError(f"capture file not found: {path}")
     if not sidecar.exists():
         raise FileNotFoundError(f"capture sidecar not found: {sidecar}")
-    meta = json_fields(read_json_object(sidecar, "sidecar"), SIDECAR_FIELDS, sidecar)
-    config = config_from_json({key: meta[key] for key in CONFIG_FIELDS}, sidecar)
-    n, transient = meta["n"], meta["transient_samples"]
-    if n <= 0 or n % config.m_channels:
-        raise TiadcError(f"{sidecar}: n = {n} is not a positive multiple of "
-                         f"m_channels = {config.m_channels}")
-    if not 0 <= 2 * transient < n:
-        raise TiadcError(f"{sidecar}: transient_samples = {transient} is not in "
-                         f"[0, n/2) for n = {n}")
+    with named(sidecar):
+        meta = json_fields(read_json_object(sidecar, "sidecar"), SIDECAR_FIELDS)
+        config = config_from_json({key: meta[key] for key in CONFIG_FIELDS})
+        n, transient = meta["n"], meta["transient_samples"]
+        if n <= 0 or n % config.m_channels:
+            raise ValueError(f"n = {n} is not a positive multiple of "
+                             f"m_channels = {config.m_channels}")
+        if not 0 <= 2 * transient < n:
+            raise ValueError(f"transient_samples = {transient} is not in [0, n/2) for n = {n}")
     if path.stat().st_size != 8 * n:
         raise TiadcError(f"{path}: sample count does not match sidecar")
     return n, dict(config=config, transient_samples=transient,

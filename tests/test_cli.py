@@ -546,7 +546,9 @@ class TestCorrectAnalyze:
     (["simulate", "--config", "c.json", "--profile", "p.csv", "--tone", "0.9:2e8",
       "--n", "many", "--out", "o.f64"],
      "error: tiadc simulate: argument --n: invalid int value: 'many'"),
-], ids=["missing-argument", "invalid-int"])
+    (["analyze", "--capture", "c.f64", "--out-prefix", "p", "--zz"],
+     "error: tiadc analyze: unrecognized arguments: --zz"),
+], ids=["missing-argument", "invalid-int", "leftover-argument"])
 def test_usage_error_one_line(capsys, argv, expect):
     # argparse's own errors take main's error path: exit 1, one line, no
     # usage text and no SystemExit
@@ -644,6 +646,47 @@ def test_wrong_field_kind_names_file(workdir, capsys, what, key):
                 "--out-prefix", str(tmp / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: {key} must be {text}, got {value!r}\n"
+    assert not any(p.name.startswith("out") for p in tmp.iterdir())
+
+
+@pytest.mark.parametrize("case", ["profile-channels", "profile-grid", "profile-not-utf8",
+                                  "bank-taps", "scenario-truth-type"])
+def test_reader_check_names_input(workdir, capsys, case):
+    # one error line naming the file or the scenario block, for checks a
+    # reader makes after its fields parse
+    tmp, cfg = workdir
+    bad = tmp / "bad.csv"
+    argv = ["design", "--config", str(tmp / "config.json"), "--profile", str(bad),
+            "--out", str(tmp / "out.csv")]
+    header = tiadc.model.PROFILE_CSV_HEADER
+    if case == "profile-channels":
+        bad.write_text(f"{header}\n0,0,1,0,0\n2,0,1,0,0\n")
+        expect = f"{bad}: missing channels"
+    elif case == "profile-grid":
+        bad.write_text(f"{header}\n0,0,1,0,0\n0,1e9,1,0,0\n1,0,1,0,0\n1,2e9,1,0,0\n")
+        expect = f"{bad}: channels do not share one frequency grid"
+    elif case == "profile-not-utf8":
+        bad.write_bytes(b"\xff" + header.encode())
+        expect = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    elif case == "bank-taps":
+        assert main(["design", "--config", str(tmp / "config.json"), "--profile",
+                     str(tmp / "ideal.csv"), "--n-grid", "64", "--taps", "9",
+                     "--out", str(tmp / "bank.csv")]) == 0
+        bad.write_text("\n".join((tmp / "bank.csv").read_text().splitlines()[:-1]) + "\n")
+        tiadc.save_capture(tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                                  tiadc.make_reference_profile(cfg), 256),
+                           tmp / "cap.f64")
+        argv = ["correct", "--capture", str(tmp / "cap.f64"), "--bank", str(bad),
+                "--out", str(tmp / "out.f64")]
+        expect = f"{bad}: bank must list each of its 4 x 9 taps once"
+    else:
+        scenario = tmp / "bad.json"
+        scenario.write_text(json.dumps({**TINY_SCENARIO, "truth_profile": {"type": "x"}}))
+        argv = ["pipeline", "--scenario", str(scenario), "--out-dir", str(tmp / "out")]
+        expect = "scenario tiny: truth_profile: unknown type 'x'"
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {expect}\n"
     assert not any(p.name.startswith("out") for p in tmp.iterdir())
 
 

@@ -37,7 +37,7 @@ def dense_operator(bank, n):
     """Direct matrix form: out[src + offset + j] += taps[src % M, j] * x[src]."""
     m_ch = bank.m_channels
     taps = bank.taps
-    off = bank.tap_offset
+    off = bank.spec.tap_offset
     op = np.zeros((n, n))
     for src in range(n):
         for j in range(taps.shape[1]):
@@ -94,7 +94,7 @@ class TestCorrect:
         out = tiadc.correct(make_capture(cfg4, np.zeros(256)), ideal_bank)
         assert np.all(out.samples == 0.0)
         assert out.corrected and out.bank_id == ideal_bank.bank_id
-        assert out.transient_samples == 65 + ideal_bank.tap_offset
+        assert out.transient_samples == 65 + ideal_bank.spec.tap_offset
 
     def test_ideal_bank_is_pure_delay(self, cfg4, ideal4, ideal_bank):
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3.1e8, 0.2),
@@ -109,7 +109,7 @@ class TestCorrect:
         x = np.zeros(256)
         x[0] = 1.0
         out = tiadc.correct(make_capture(cfg4, x), mismatch_bank)
-        off = mismatch_bank.tap_offset
+        off = mismatch_bank.spec.tap_offset
         assert np.allclose(out.samples[off:off + 65], mismatch_bank.taps[0],
                            atol=1e-15)
 

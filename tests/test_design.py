@@ -358,7 +358,7 @@ class TestDesignFilterBank:
         spec = DesignSpec(n_grid=1024, taps=65, window="none")
         bank = tiadc.design_filter_bank(ideal4, cfg4, spec)
         d, h = spec.delay_d, spec.half_taps
-        assert bank.tap_offset == d - h
+        assert bank.spec.tap_offset == d - h
         for m in range(4):
             expect = np.zeros(65)
             expect[h] = 1.0  # absolute delay d + m for branch m
@@ -496,7 +496,7 @@ def gathered_branch_response(bank, omega):
     omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     m_idx = np.arange(bank.m_channels)[:, None]
     j_idx = np.arange(bank.spec.taps)[None, :]
-    delays = bank.tap_offset + np.arange(bank.m_channels + bank.spec.taps - 1)
+    delays = bank.spec.tap_offset + np.arange(bank.m_channels + bank.spec.taps - 1)
     table = np.exp(-1j * delays[:, None] * omega[None, :])
     return np.einsum("ml,mlw->mw", bank.taps, table[m_idx + j_idx])
 

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import tiadc
 from tiadc.cli import main
@@ -104,8 +104,11 @@ def mutate_scenario(scenario, edits):
     return out
 
 
+# every default phase but explain, which reruns a failing example many times
+# over to annotate it and so delays the failure report
 CHECKS = dict(max_examples=100, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.function_scoped_fixture],
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
 
 
 @settings(**CHECKS)

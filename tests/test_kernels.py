@@ -13,14 +13,14 @@ from tiadc.design import DesignSpec, FilterBank
 
 def make_bank(taps, tap_offset):
     """A FilterBank holding `taps` (odd length) whose delay gives `tap_offset`."""
-    m_ch, n_taps = taps.shape
+    n_taps = taps.shape[1]
     half = (n_taps - 1) // 2
     delay = tap_offset + half
     n_grid = 4
     while n_grid < max(4 * n_taps, delay + 1):
         n_grid *= 2
     spec = DesignSpec(n_grid=n_grid, taps=n_taps, delay_d=delay)
-    return FilterBank(taps=taps, spec=spec, m_channels=m_ch, fs=1.6e9)
+    return FilterBank(taps=taps, spec=spec, fs=1.6e9)
 
 
 def bank_config(bank, **changes):
@@ -180,7 +180,7 @@ def copied_window_product(x, bank):
     contiguous buffer and multiplied by G, the last chunk padded with zero rows."""
     m_ch = bank.m_channels
     g = correction.polyphase_matrix(bank.taps, m_ch)
-    lead = min(bank.tap_offset, x.size)
+    lead = min(bank.spec.tap_offset, x.size)
     rows = -(-(x.size - lead) // m_ch)
     rows += -rows % correction.CHUNK_ROWS
     flat = np.concatenate([np.zeros(g.shape[0] - m_ch), x, np.zeros(rows * m_ch)])

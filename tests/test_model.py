@@ -421,3 +421,35 @@ class TestProfileFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(tiadc.TiadcError, match="channel 1 rows disagree on offset_lsb"):
             tiadc.read_profile_csv(path)
+
+
+class TestNamedErrors:
+    def test_prefixes_a_value_error(self):
+        with pytest.raises(tiadc.TiadcError) as info:
+            with tiadc.model.named("cfg.json"):
+                raise ValueError("bits must be in [1, 24]")
+        assert str(info.value) == "cfg.json: bits must be in [1, 24]"
+
+    def test_leaves_a_tiadc_error_unchanged(self):
+        inner = tiadc.TiadcError("cfg.json: unknown field 'x'")
+        with pytest.raises(tiadc.TiadcError) as info:
+            with tiadc.model.named("outer"):
+                raise inner
+        assert info.value is inner
+
+    def test_honours_an_errors_tuple(self):
+        with pytest.raises(tiadc.TiadcError, match=r"^stage design: p.csv: missing channels$"):
+            with tiadc.model.named("stage design", (tiadc.TiadcError, OSError)):
+                raise tiadc.TiadcError("p.csv: missing channels")
+        with pytest.raises(tiadc.TiadcError, match=r"^stage design: gone$"):
+            with tiadc.model.named("stage design", (tiadc.TiadcError, OSError)):
+                raise FileNotFoundError("gone")
+        with pytest.raises(ValueError, match=r"^not named$"):  # not in the tuple
+            with tiadc.model.named("stage design", (tiadc.TiadcError, OSError)):
+                raise ValueError("not named")
+
+    def test_json_fields_raise_plain_value_errors(self):
+        # the reader names the input; the field check does not
+        with pytest.raises(ValueError) as info:
+            tiadc.model.json_fields({}, {"a": "int"})
+        assert type(info.value) is ValueError and str(info.value) == "missing field 'a'"
