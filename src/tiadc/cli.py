@@ -274,29 +274,29 @@ def parse_scenario(raw: dict) -> Scenario:
     """Read and check every block of a scenario description without touching
     a file, so a bad one fails before any stage runs; errors name the block.
     Each block is one json_fields call: a key that nothing reads is an error."""
-    where = at = f"scenario {raw.get('name', '?')}"
-    try:
+    where = f"scenario {raw.get('name', '?')}"
+    with named(where):
         top = json_fields({key: raw[key] for key in SCENARIO_FIELDS if key in raw},
                           SCENARIO_FIELDS)
         kind = top["kind"]
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {kind!r}")
-        at = f"{where}: config"
+    with named(f"{where}: config"):
         config = model.config_from_json(top["config"])
         fs = config.fs
 
-        at = f"{where}: truth_profile"
+    with named(f"{where}: truth_profile"):
         truth_type = top["truth_profile"].get("type")
         if isinstance(truth_type, str) and truth_type not in ("reference", "ideal", "csv"):
             raise ValueError(f"unknown type {truth_type!r}")
         kinds = {"type": "str", "path": "str"} if truth_type == "csv" else {"type": "str"}
         truth_path = json_fields(top["truth_profile"], kinds).get("path")
 
-        cal = top["calibration"]
-        at = f"{where}: calibration"
+    with named(f"{where}: calibration"):
         targets = ({"freqs_hz": "reals"} if kind == "narrowband_contrast"  # lists its design tone
-                   else _target_kinds(cal, "freqs_hz", "n_freqs"))
-        cal = json_fields(cal, {"n_samples": "int", "amplitude_v": "real", **targets})
+                   else _target_kinds(top["calibration"], "freqs_hz", "n_freqs"))
+        cal = json_fields(top["calibration"],
+                          {"n_samples": "int", "amplitude_v": "real", **targets})
         n_cal = cal["n_samples"]
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
@@ -304,24 +304,23 @@ def parse_scenario(raw: dict) -> Scenario:
                          for f in _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal))
         design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
 
-        at = f"{where}: design"
+    with named(f"{where}: design"):
         # fields left out, and a null delay_d, take DesignSpec's defaults
         spec = design.DesignSpec(**json_fields(top["design"], {
             f.name: (DESIGN_KINDS[f.name], f.default) for f in fields(design.DesignSpec)}))
         design.check_tap_window(spec, config.m_channels)
 
-        at = f"{where}: thresholds"
+    with named(f"{where}: thresholds"):
         kinds = {"min_image_drop_db": ("real", None), "spur_floor_dbfs": ("real", -90.0)}
         if kind != "narrowband_contrast":  # that kind is judged by its image drop alone
             kinds.update(min_enob_gain_bits=("real", None), min_enob_after_bits=("real", None))
         thresholds = json_fields(top["thresholds"], kinds)
 
-        sweep = top["sweep"]
-        at = f"{where}: sweep"
+    with named(f"{where}: sweep"):
         kinds = {"n_fft": "int", "n_samples": "int", "amplitude_v": "real"}
         if kind != "two_tone":
-            kinds.update(_target_kinds(sweep, "f_targets_hz", "n_tones"))
-        sweep = json_fields(sweep, kinds)
+            kinds.update(_target_kinds(top["sweep"], "f_targets_hz", "n_tones"))
+        sweep = json_fields(top["sweep"], kinds)
         n_fft, n_sim = sweep["n_fft"], sweep["n_samples"]
         if n_sim % config.m_channels:
             raise ValueError(f"n_samples must be a multiple of m_channels = "
@@ -340,21 +339,20 @@ def parse_scenario(raw: dict) -> Scenario:
                 raise TiadcError(f"{where}: tones must be a non-empty list")
             point = []
             for i, tone in enumerate(tones):
-                at = f"{where}: tones[{i}]"
-                if not isinstance(tone, dict):
-                    raise TiadcError(f"{at} must be a JSON object, got {tone!r}")
-                tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)})
-                positive("amplitude_v", tone["amplitude_v"])
-                f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
-                point.append(Tone(tone["amplitude_v"], f))
+                with named(f"{where}: tones[{i}]"):
+                    if not isinstance(tone, dict):
+                        raise TiadcError(f"{where}: tones[{i}] must be a JSON object, "
+                                         f"got {tone!r}")
+                    tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)})
+                    positive("amplitude_v", tone["amplitude_v"])
+                    f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
+                    point.append(Tone(tone["amplitude_v"], f))
             points = (ToneSpec(tones=tuple(point)),)
         else:
             points = tuple(ToneSpec.single(amp, f) for f in
                            _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft))
             if not points:
                 raise ValueError("no tones to sweep")
-    except ValueError as exc:
-        raise TiadcError(f"{at}: {exc}") from exc
 
     return Scenario(
         kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,

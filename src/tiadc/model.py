@@ -95,7 +95,7 @@ class MismatchProfile:
         object.__setattr__(self, "offset_lsb", o)
         if f.ndim != 1 or f.size < 1:
             raise ValueError("freqs_hz must be a non-empty 1-d array")
-        if f.size > 1 and not np.all(np.diff(f) > 0):
+        if not np.all(f[1:] > f[:-1]):
             raise ValueError("freqs_hz must be strictly increasing")
         if g.shape != d.shape or g.shape[1] != f.size:
             raise ValueError("gain and dt_s must both have shape (M, len(freqs_hz))")

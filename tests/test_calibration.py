@@ -4,9 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tiadc
 from tiadc.calibration import DegenerateInputError
+
+
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300]),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 
 
 @pytest.fixture
@@ -265,6 +270,18 @@ class TestPlanFiles:
         path = tmp_path / "plan.csv"
         tiadc.calibration.write_plan_csv(rows, path)
         assert tiadc.calibration.read_plan_csv(path, 4) == rows
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m_ch=st.integers(1, 16), rows=st.lists(st.tuples(
+        POSITIVE, POSITIVE, st.integers(1, 2**40)), min_size=1, max_size=8))
+    def test_round_trip_is_exact(self, tmp_path_factory, m_ch, rows):
+        rows = [(f, a, k * m_ch) for f, a, k in rows]
+        path = tmp_path_factory.mktemp("plan") / "plan.csv"
+        tiadc.calibration.write_plan_csv(rows, path)
+
+        def bits(rows):
+            return [(np.float64(f).tobytes(), np.float64(a).tobytes(), n) for f, a, n in rows]
+        assert bits(tiadc.calibration.read_plan_csv(path, m_ch)) == bits(rows)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "plan.csv"

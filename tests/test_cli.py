@@ -964,11 +964,21 @@ class TestPipeline:
         ({"kind": "narrowband_contrast",
           "calibration": {"amplitude_v": 0.9, "n_samples": 2048}},
          "calibration: missing field 'freqs_hz'"),
+        # the tone list's own shape errors name the scenario, not its sweep block
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048}},
+         "tones must be a non-empty list"),
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
+          "tones": []},
+         "tones must be a non-empty list"),
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
+          "tones": [{"f_target_hz": 1e8}, 3]},
+         "tones[1] must be a JSON object, got 3"),
     ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
             "delay-window", "cal-rows", "sweep-rows", "usable-samples",
             "sweep-amplitude", "cal-amplitude", "delay-below-half-taps",
             "sweep-zero-amplitude", "tone-zero-amplitude", "tone-negative-amplitude",
-            "two-tone-sweep-negative-amplitude", "contrast-without-targets"])
+            "two-tone-sweep-negative-amplitude", "contrast-without-targets",
+            "tones-missing", "tones-empty", "tone-not-an-object"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []
@@ -1039,3 +1049,42 @@ class TestPipeline:
         result = run_pipeline(scen, tmp_path)
         assert result.ok
         assert result.bank.spec.delay_d == 16
+
+    def test_spur_floor_above_every_image(self, tmp_path):
+        # each of the 3 points has 3 predicted image lines, all below 0 dBFS:
+        # none is tracked, so no point has a measured drop
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["thresholds"]["spur_floor_dbfs"] = 0
+        result = run_pipeline(scen, tmp_path)
+        assert result.skipped_spurs == 9
+        assert [r["min_image_drop_db"] for r in result.rows] == [np.inf] * 3
+
+    def test_tone_on_another_tones_image(self, tmp_path):
+        # J = 411 = 2048/4 - 101: the second tone sits on the first tone's k = 1
+        # image, which merges into its fundamental line and is not read as an
+        # image that did not drop
+        f1, f2 = (j * TINY_SCENARIO["config"]["fs_hz"] / 2048 for j in (101, 411))
+        scen = {**TINY_SCENARIO, "kind": "two_tone",
+                "sweep": {"amplitude_v": 0.45, "n_samples": 4096, "n_fft": 2048},
+                "tones": [{"f_target_hz": f1}, {"f_target_hz": f2}]}
+        result = run_pipeline(scen, tmp_path)
+        assert [r["f_in_hz"] for r in result.rows] == [f1, f2]
+        for r in result.rows:
+            assert r["min_image_drop_db"] == pytest.approx(30.89, abs=0.01)
+
+    def test_ideal_truth_profile(self, tmp_path):
+        result = run_pipeline({**TINY_SCENARIO, "truth_profile": {"type": "ideal"}}, tmp_path)
+        assert np.abs(result.measured_profile.gain - 1).max() < 2e-6
+
+    @pytest.mark.parametrize("block, key, value, expect", [
+        ("thresholds", "min_image_drop_db", 200.0,
+         "design tone 5.97656e+07 Hz only dropped 56.2 dB"),
+        # calibrated across the band, the narrowband design holds there too
+        ("calibration", "freqs_hz", [6.0e7] + [1e8 + 5e7 * i for i in range(14)],
+         "no upper-band tone violated the suppression bound; "
+         "narrowband design unexpectedly held wideband"),
+    ], ids=["design-tone", "upper-band"])
+    def test_narrowband_contrast_failures(self, tmp_path, block, key, value, expect):
+        scen = load_scenario("narrowband_contrast")
+        scen[block][key] = value
+        assert run_pipeline(scen, tmp_path).failures == [expect]

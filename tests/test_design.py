@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tiadc
 from tiadc import design
@@ -566,6 +567,33 @@ class TestBankFiles:
         assert np.array_equal(back.taps, bank.taps)
         assert back.spec == bank.spec
         assert back.fs == bank.fs
+        assert back.bank_id == bank.bank_id
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), taps=st.sampled_from([1, 3, 5, 7]), m_ch=st.integers(1, 4))
+    def test_round_trip_is_exact(self, tmp_path_factory, data, taps, m_ch):
+        # bank_id hashes the tap bytes and the spec's repr: it tells -0.0 from 0.0
+        n_grid = data.draw(st.sampled_from([n for n in (4, 8, 16, 32, 64) if n >= 4 * taps]))
+        spec = DesignSpec(
+            n_grid=n_grid, taps=taps, delay_d=data.draw(st.integers((taps - 1) // 2, n_grid - 1)),
+            window=data.draw(st.sampled_from(design.WINDOWS)),
+            kaiser_beta=data.draw(st.one_of(
+                st.sampled_from([-0.0, 5e-324, 1e300]),
+                st.floats(min_value=0.0, allow_infinity=False))),
+            zone=data.draw(st.sampled_from([1, 2])))
+        bank = design.FilterBank(
+            taps=data.draw(arrays(np.float64, (m_ch, taps), elements=st.one_of(
+                st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                st.floats(allow_nan=False, allow_infinity=False)))),
+            spec=spec, fs=data.draw(st.floats(min_value=0.0, exclude_min=True,
+                                              allow_infinity=False)))
+        path = tmp_path_factory.mktemp("bank") / "bank.csv"
+        tiadc.write_bank_csv(bank, path)
+        back = tiadc.read_bank_csv(path)
+        assert back.taps.shape == bank.taps.shape
+        assert back.taps.tobytes() == bank.taps.tobytes()
+        assert back.spec == bank.spec
+        assert np.float64(back.fs).tobytes() == np.float64(bank.fs).tobytes()
         assert back.bank_id == bank.bank_id
 
     @pytest.mark.parametrize("mutate", [

@@ -6,9 +6,17 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tiadc
 from tiadc.model import TWO_PI, Tone
+
+
+# any finite float, with the values a text round trip is most likely to lose
+FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300]),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 
 
 @pytest.fixture
@@ -325,6 +333,15 @@ class TestPredictOutputSpectrum:
             assert lines[f].kind == "image"
             assert meas[b] == pytest.approx(20 * np.log10(lines[f].amplitude_v), abs=1e-6)
 
+    def test_zero_amplitude_tone_adds_no_line(self, cfg4):
+        # 300 MHz is a k = 1 image of the 100 MHz tone: a zero tone there must
+        # not turn that image into a fundamental
+        truth = tiadc.make_reference_profile(cfg4)
+        alone = tiadc.predict_output_spectrum(tiadc.ToneSpec.single(0.5, 1e8), cfg4, truth)
+        pair = tiadc.predict_output_spectrum(
+            tiadc.ToneSpec(tones=(Tone(0.5, 1e8), Tone(0.0, 3e8))), cfg4, truth)
+        assert pair == alone
+
     def test_oracle_agreement_with_fft(self, cfg4):
         truth = tiadc.make_reference_profile(cfg4)
         n_fft = 4096
@@ -399,6 +416,23 @@ class TestProfileFiles:
         assert np.array_equal(back.gain, truth.gain)
         assert np.array_equal(back.dt_s, truth.dt_s)
         assert np.array_equal(back.offset_lsb, truth.offset_lsb)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m_ch=st.integers(2, 8),
+           freqs=st.lists(FINITE, min_size=1, max_size=6, unique=True).map(sorted))
+    def test_round_trip_is_exact(self, tmp_path_factory, data, m_ch, freqs):
+        # every finite value comes back with its bits: -0.0 and subnormals too
+        shape = (m_ch, len(freqs))
+        profile = tiadc.MismatchProfile(
+            freqs_hz=freqs, gain=data.draw(arrays(np.float64, shape, elements=POSITIVE)),
+            dt_s=data.draw(arrays(np.float64, shape, elements=FINITE)),
+            offset_lsb=data.draw(arrays(np.float64, m_ch, elements=FINITE)))
+        path = tmp_path_factory.mktemp("profile") / "profile.csv"
+        tiadc.write_profile_csv(profile, path)
+        back = tiadc.read_profile_csv(path)
+        for name in ("freqs_hz", "gain", "dt_s", "offset_lsb"):
+            got, want = getattr(back, name), getattr(profile, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "junk.csv"
