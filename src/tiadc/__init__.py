@@ -50,7 +50,6 @@ from tiadc.metrics import (
     coherent_bin,
     dynamic_metrics,
     enob_from_sinad,
-    image_spur_levels,
     spectrum,
 )
 

@@ -256,9 +256,15 @@ def _target_kinds(block: dict, list_key: str, count_key: str) -> dict:
 
 def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float, n: int) -> list:
     """The distinct coherent frequencies, in order, nearest the targets
-    (_target_kinds) read into block."""
-    targets = block.get(list_key) or np.linspace(block["f_lo_hz"], block["f_hi_hz"],
-                                                 block[count_key])
+    (_target_kinds) read into block, for an n-sample record: a count holds at
+    most n/2 distinct ones."""
+    targets = block.get(list_key)
+    if targets is None:
+        count = block[count_key]
+        if not 1 <= count <= n // 2:
+            raise ValueError(f"{count_key} must be from 1 to {n // 2}, half the "
+                             f"{n}-sample record, got {count}")
+        targets = np.linspace(block["f_lo_hz"], block["f_hi_hz"], count)
     return list(dict.fromkeys(metrics.coherent_bin(f, fs, n)[1] for f in targets))
 
 
@@ -335,24 +341,23 @@ def parse_scenario(raw: dict) -> Scenario:
         positive("amplitude_v", amp)
         if kind == "two_tone":
             tones = raw.get("tones")
-            if not isinstance(tones, list) or not tones:
-                raise TiadcError(f"{where}: tones must be a non-empty list")
-            point = []
-            for i, tone in enumerate(tones):
-                with named(f"{where}: tones[{i}]"):
+            with named(where):  # the tone list sits at the top level
+                if not isinstance(tones, list) or not tones:
+                    raise ValueError("tones must be a non-empty list")
+                point = []
+                for i, tone in enumerate(tones):
                     if not isinstance(tone, dict):
-                        raise TiadcError(f"{where}: tones[{i}] must be a JSON object, "
-                                         f"got {tone!r}")
-                    tone = json_fields(tone, {"f_target_hz": "real", "amplitude_v": ("real", amp)})
-                    positive("amplitude_v", tone["amplitude_v"])
-                    f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
-                    point.append(Tone(tone["amplitude_v"], f))
+                        raise ValueError(f"tones[{i}] must be a JSON object, got {tone!r}")
+                    with named(f"{where}: tones[{i}]"):
+                        tone = json_fields(tone, {"f_target_hz": "real",
+                                                  "amplitude_v": ("real", amp)})
+                        positive("amplitude_v", tone["amplitude_v"])
+                        f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
+                        point.append(Tone(tone["amplitude_v"], f))
             points = (ToneSpec(tones=tuple(point)),)
         else:
             points = tuple(ToneSpec.single(amp, f) for f in
                            _coherent_targets(sweep, "f_targets_hz", "n_tones", fs, n_fft))
-            if not points:
-                raise ValueError("no tones to sweep")
 
     return Scenario(
         kind=kind, config=config, truth_type=truth_type, truth_path=truth_path,
@@ -398,8 +403,6 @@ def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):
             skipped += 1
             continue
         b = rep_before.bin_of(ln.freq_hz)
-        if any(b == rep_before.bin_of(f) for f in freqs):
-            continue  # folds onto a fundamental; skip as collision
         drop = rep_before.power_dbfs[b] - rep_after.power_dbfs[b]
         min_observed_drop = min(min_observed_drop, drop)
     rows = []

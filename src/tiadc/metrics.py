@@ -159,22 +159,26 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
 
     harm = _bin_mask(n_bins, [report.bin_of(h * f_fund)
                               for h in range(2, harmonics + 2)], gather)
-    spur_entries = []
-    spur_centers = []
-    if m_channels > 1:
-        for entry in image_spur_levels(report, f_fund, m_channels):
-            spur_entries.append(entry)
-            if not entry.collision:
-                spur_centers.append(report.bin_of(entry.freq_hz))
-        fund_db = _gathered_db(report, fund_bin, gather)
-        for k in range(1, m_channels):
-            b = report.bin_of(k * report.fs / m_channels)
-            if b not in (0, fund_bin):
-                spur_entries.append(SpurEntry(
-                    k=k, freq_hz=report.freqs_hz[b],
-                    dbc=_gathered_db(report, b, gather) - fund_db,
-                    kind="offset_spur"))
-                spur_centers.append(b)
+    # the interleave lines: the images at fold(k*fs/M +- f_fund), each bin
+    # listed once and flagged as a collision on the fundamental's bin, then
+    # the offset spurs at k*fs/M off DC and the fundamental's bin
+    lines = [("image", k, k * report.fs / m_channels + sign * f_fund)
+             for k in range(1, m_channels) for sign in (1, -1)]
+    lines += [("offset_spur", k, k * report.fs / m_channels) for k in range(1, m_channels)]
+    fund_db = _gathered_db(report, fund_bin, gather)
+    spur_entries, spur_centers, image_bins = [], [], set()
+    for kind, k, f_line in lines:
+        b = report.bin_of(f_line)
+        if b in (image_bins if kind == "image" else (0, fund_bin)):
+            continue
+        if kind == "image":
+            image_bins.add(b)
+        collision = b == fund_bin  # only an image gets here on that bin
+        if not collision:
+            spur_centers.append(b)
+        dbc = 0.0 if collision else _gathered_db(report, b, gather) - fund_db
+        spur_entries.append(SpurEntry(k=k, freq_hz=report.freqs_hz[b], dbc=dbc,
+                                      kind=kind, collision=collision))
     spur = _bin_mask(n_bins, spur_centers, gather)
     excl = _bin_mask(n_bins, [report.bin_of(f) for f in exclude_freqs], gather)
 
@@ -206,29 +210,6 @@ def _gathered_db(report: SpectrumReport, center: int, gather: int) -> float:
                                min(report.n_bins - 1, center + gather) + 1])
     ref = (report.full_scale / 2.0) ** 2 / 2.0
     return 10.0 * np.log10(max(p / ref, 10.0 ** (DB_FLOOR / 10.0)))
-
-
-def image_spur_levels(report: SpectrumReport, f_fund_hz: float, m_channels: int):
-    """Power at the folded interleave-image frequencies, relative to the
-    fundamental. Images that land on the fundamental bin are flagged as
-    collisions instead of being reported as spurs."""
-    fund_bin = report.bin_of(f_fund_hz)
-    gather = 0 if report.window == "none" else 1
-    fund_db = _gathered_db(report, fund_bin, gather)
-    entries = []
-    seen = set()
-    for k in range(1, m_channels):
-        for sign in (+1, -1):
-            f_img = fold_frequency(k * report.fs / m_channels + sign * f_fund_hz, report.fs)
-            b = report.bin_of(f_img)
-            if b in seen:
-                continue
-            seen.add(b)
-            collision = b == fund_bin
-            level = (_gathered_db(report, b, gather) - fund_db) if not collision else 0.0
-            entries.append(SpurEntry(k=k, freq_hz=report.freqs_hz[b], dbc=level,
-                                     kind="image", collision=collision))
-    return entries
 
 
 # --- file formats ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface and pipeline scenarios."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -912,7 +913,8 @@ class TestPipeline:
         ({"config": {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14}},
          "scenario tiny: config: missing field 'full_scale_v'"),
         ({"sweep": {**TINY_SCENARIO["sweep"], "n_tones": 0}},
-         "scenario tiny: sweep: no tones to sweep"),
+         "scenario tiny: sweep: n_tones must be from 1 to 1024, half the 2048-sample "
+         "record, got 0"),
     ], ids=["block", "kind", "path", "config", "empty-sweep"])
     def test_scenario_structure_checked(self, tmp_path, capsys, edit, expect):
         scen_path = tmp_path / "bad.json"
@@ -922,6 +924,65 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and expect in err
+
+    @pytest.mark.parametrize("count", [0, -1, 1e8, 1e300, 1025])
+    @pytest.mark.parametrize("block, key", [("calibration", "n_freqs"), ("sweep", "n_tones")])
+    def test_tone_count_bounded(self, tmp_path, capsys, block, key, count):
+        # each count is checked against half its record (the calibration
+        # n_samples, the sweep n_fft; both 2048 here) before any target is made
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen[block][key] = count
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario tiny: {block}: {key} must be from 1 to 1024, half the "
+            f"2048-sample record, got {int(count)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1, 1024])
+    def test_tone_count_limits_accepted(self, count):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["calibration"]["n_freqs"] = scen["sweep"]["n_tones"] = count
+        sc = parse_scenario(scen)
+        assert 1 <= len(sc.cal_plan) <= count and 1 <= len(sc.points) <= count
+
+    @pytest.mark.parametrize("m_channels", [2, 4, 8, 16])
+    def test_no_image_line_on_a_fundamental_bin(self, m_channels):
+        # parsed sweep points have a power-of-two M and odd coherent bins, so
+        # an image that reaches a fundamental's bin lies on the fundamental and
+        # predict_output_spectrum merges it into the fundamental's line
+        fs, n = 1.6e9, 4096
+        cfg = tiadc.TiadcConfig(m_channels=m_channels, fs=fs, bits=14, full_scale=2.0)
+        truth = tiadc.make_reference_profile(cfg)
+        rep = metrics.SpectrumReport(
+            n_fft=n, window="none", fs=fs, full_scale=2.0, freqs_hz=np.zeros(1),
+            power_dbfs=np.zeros(1), mean_square=np.zeros(1))
+        rng = np.random.default_rng(m_channels)
+        targets = [[f] for f in rng.uniform(1e6, fs - 1e6, 40)]
+        # on and next to k*fs/(2M), where a k*fs/M - f image would be f itself
+        targets += [[k * fs / (2 * m_channels) + d * fs / n]
+                    for k in range(1, 2 * m_channels) for d in (-1, 0, 1)]
+        targets += [list(pair) for pair in rng.uniform(1e6, fs - 1e6, (40, 2))]
+        # the second tone on an image of the first
+        for f1 in rng.uniform(1e6, fs / 2 - 1e6, 10):
+            f1 = metrics.coherent_bin(f1, fs, n)[1]
+            k = int(rng.integers(1, m_channels))
+            targets.append([f1, tiadc.fold_frequency(k * fs / m_channels - f1, fs)])
+        checked = 0
+        for tone_targets in targets:
+            freqs = list(dict.fromkeys(metrics.coherent_bin(f, fs, n)[1] for f in tone_targets))
+            tones = tiadc.ToneSpec(tones=tuple(tiadc.Tone(0.45, f) for f in freqs))
+            fund_bins = {rep.bin_of(f) for f in freqs}
+            for line in tiadc.predict_output_spectrum(tones, cfg, truth):
+                if line.kind == "image":
+                    assert rep.bin_of(line.freq_hz) not in fund_bins, (freqs, line)
+                    checked += 1
+        assert checked > len(targets)
 
     @pytest.mark.parametrize("edit, expect", [
         ({"sweep": {**TINY_SCENARIO["sweep"], "n_fft": 2000}},

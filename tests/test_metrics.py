@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tiadc
 from tiadc import metrics
@@ -233,6 +233,21 @@ class TestDynamicMetrics:
             tiadc.spectrum(cap_n, 4096, "kaiser")
 
 
+def image_bins(report, fund_bin, m_channels):
+    """The distinct bins of the interleave images k*fs/M +- f_fund, k = 1 to
+    M - 1, in order of first appearance: the folded frequency, in bins, of
+    each, with f_fund the fundamental's bin centre."""
+    n, fs = report.n_fft, report.fs
+    bins = []
+    for k in range(1, m_channels):
+        for sign in (1, -1):
+            b = int(round(numpy_fold(k * fs / m_channels + sign * report.freqs_hz[fund_bin],
+                                     fs) / fs * n))
+            if b not in bins:
+                bins.append(b)
+    return bins
+
+
 def reference_metrics(report, f_fund, m_channels, harmonics=5, exclude_freqs=()):
     """The docstring's pools, built bin by bin and summed in ascending order.
 
@@ -252,11 +267,9 @@ def reference_metrics(report, f_fund, m_channels, harmonics=5, exclude_freqs=())
         ref = (report.full_scale / 2.0) ** 2 / 2.0
         return 10.0 * np.log10(max(p / ref, 10.0 ** (metrics.DB_FLOOR / 10.0)))
 
-    spur_centers, image_dbc, dbc = [], [], {}
-    for e in tiadc.image_spur_levels(report, f_fund, m_channels):
-        if not e.collision:
-            spur_centers.append(report.bin_of(e.freq_hz))
-            image_dbc.append(level(spur_centers[-1]) - level(fund_bin))
+    spur_centers = [b for b in image_bins(report, fund_bin, m_channels) if b != fund_bin]
+    image_dbc = [level(b) - level(fund_bin) for b in spur_centers]
+    dbc = {}
     for k in range(1, m_channels):
         b = report.bin_of(k * report.fs / m_channels)
         if b not in (0, fund_bin):
@@ -318,7 +331,8 @@ class TestMetricPools:
         f = 511.3 * cfg.fs / 4096
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, 4096)
         rep = tiadc.spectrum(cap, 4096, "hann")
-        images = [rep.bin_of(e.freq_hz) for e in tiadc.image_spur_levels(rep, f, 4)]
+        images = [rep.bin_of(e.freq_hz) for e in tiadc.dynamic_metrics(rep, f, 4).spurs
+                  if e.kind == "image"]
         assert rep.bin_of(f) == 511 and {513, 1535} <= set(images)
         assert rep.bin_of(3 * rep.freqs_hz[511]) == 1533
         excl = [1023 * cfg.fs / 4096]  # its gather touches the 2f and fs/4 gathers
@@ -363,6 +377,88 @@ class TestMetricPools:
         assert_matches_reference(rep, f_found, m_channels, harmonics, excl)
 
 
+def two_loop_spur_table(report, fund_bin, m_channels):
+    """The spur table as dynamic_metrics once built it, in two loops: the
+    images of a separate image_spur_levels, which found the fundamental's
+    bin, gather and level again, then a second k-loop for the offset spurs."""
+    f_fund_hz = report.freqs_hz[fund_bin]
+    gather = 0 if report.window == "none" else 1
+    img_fund_bin = report.bin_of(f_fund_hz)
+    fund_db = metrics._gathered_db(report, img_fund_bin, gather)
+    entries, seen = [], set()
+    for k in range(1, m_channels):
+        for sign in (+1, -1):
+            f_img = tiadc.fold_frequency(k * report.fs / m_channels + sign * f_fund_hz,
+                                         report.fs)
+            b = report.bin_of(f_img)
+            if b in seen:
+                continue
+            seen.add(b)
+            collision = b == img_fund_bin
+            level = (metrics._gathered_db(report, b, gather) - fund_db) if not collision else 0.0
+            entries.append(tiadc.SpurEntry(k=k, freq_hz=report.freqs_hz[b], dbc=level,
+                                           kind="image", collision=collision))
+    fund_db = metrics._gathered_db(report, fund_bin, gather)
+    for k in range(1, m_channels):
+        b = report.bin_of(k * report.fs / m_channels)
+        if b not in (0, fund_bin):
+            entries.append(tiadc.SpurEntry(
+                k=k, freq_hz=report.freqs_hz[b],
+                dbc=metrics._gathered_db(report, b, gather) - fund_db, kind="offset_spur"))
+    return entries
+
+
+def spur_bits(spurs):
+    return [(e.k, float(e.freq_hz).hex(), float(e.dbc).hex(), e.kind, e.collision)
+            for e in spurs]
+
+
+class TestOneLoopSpurTable:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           log2_n=st.integers(6, 12),
+           window=st.sampled_from(metrics.ANALYSIS_WINDOWS),
+           m_channels=st.integers(2, 16),
+           n_excl=st.integers(0, 3),
+           give_fund=st.booleans(),
+           collide_k=st.integers(0, 15))
+    @example(seed=1, log2_n=12, window="none", m_channels=4, n_excl=0, give_fund=True,
+             collide_k=1)
+    @example(seed=2, log2_n=12, window="hann", m_channels=4, n_excl=1, give_fund=False,
+             collide_k=1)
+    def test_equals_two_loops(self, seed, log2_n, window, m_channels, n_excl, give_fund,
+                              collide_k):
+        # collide_k in [1, M) puts the tone at collide_k*fs/(2M), where the
+        # k = collide_k image k*fs/M - f lands on the fundamental
+        rng = np.random.default_rng(seed)
+        n, fs = 2 ** log2_n, 1e9
+        cfg = tiadc.TiadcConfig(m_channels=m_channels, fs=fs, bits=12, full_scale=2.0)
+        if 0 < collide_k < m_channels:
+            f = collide_k * fs / (2 * m_channels)
+        else:
+            f = rng.uniform(2, n / 2 - 2) * fs / n
+        t = np.arange(n) / fs
+        x = (rng.uniform(0.3, 1.0) * np.sin(2 * np.pi * f * t + rng.uniform(0, 6))
+             + rng.normal(0, 10 ** rng.uniform(-7, -3), n))
+        # images and offset spurs of random size, so each level is its own
+        for k in range(1, m_channels):
+            for f_line in (k * fs / m_channels + f, k * fs / m_channels - f,
+                           k * fs / m_channels):
+                x += 10 ** rng.uniform(-5, -2) * np.cos(2 * np.pi * f_line * t
+                                                         + rng.uniform(0, 6))
+        x = np.pad(x, (0, -n % m_channels))
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, config=cfg), n, window)
+        excl = list(rng.uniform(0, fs, n_excl))
+        got = tiadc.dynamic_metrics(rep, f if give_fund else None, m_channels, 5, excl)
+        want = two_loop_spur_table(rep, got.fundamental_bin, m_channels)
+        assert spur_bits(got.spurs) == spur_bits(want)
+        assert_matches_reference(rep, rep.freqs_hz[got.fundamental_bin], m_channels,
+                                 5, excl)
+        if collide_k == 1 and m_channels == 4 and log2_n == 12 and give_fund:
+            # fs/8: the k = 1 image fs/4 - fs/8 is the fundamental's bin
+            assert [(e.k, e.kind) for e in got.spurs if e.collision] == [(1, "image")]
+
+
 def numpy_fold(freq_hz, fs):
     """fold_frequency as it was, in numpy scalars."""
     r = np.abs(np.float64(freq_hz)) % fs
@@ -390,13 +486,18 @@ class TestFolding:
             assert tiadc.fold_frequency(f, fs) == numpy_fold(f, fs)
 
 
+def image_entries(report, f_fund, m_channels):
+    return [e for e in tiadc.dynamic_metrics(report, f_fund, m_channels).spurs
+            if e.kind == "image"]
+
+
 class TestImageSpurLevels:
     def test_ideal_profile_floor(self, cfg4, ideal4):
         _, f = tiadc.coherent_bin(1.7e8, cfg4.fs, 4096)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
                                      ideal4, 4096)
         rep = tiadc.spectrum(cap, 4096)
-        for entry in tiadc.image_spur_levels(rep, f, 4):
+        for entry in image_entries(rep, f, 4):
             assert entry.dbc < -120.0
 
     def test_fold_positions_170mhz(self, cfg4):
@@ -405,8 +506,7 @@ class TestImageSpurLevels:
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
                                      truth, 4096)
         rep = tiadc.spectrum(cap, 4096)
-        freqs = sorted({e.freq_hz for e in
-                        tiadc.image_spur_levels(rep, f, 4)})
+        freqs = sorted({e.freq_hz for e in image_entries(rep, f, 4)})
         assert freqs == pytest.approx(
             sorted({tiadc.fold_frequency(k * 4e8 + s * f, cfg4.fs)
                     for k in (1, 2, 3) for s in (1, -1)}), abs=1.0)
@@ -417,7 +517,7 @@ class TestImageSpurLevels:
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
                                      truth, 4096)
         rep = tiadc.spectrum(cap, 4096)
-        entries = tiadc.image_spur_levels(rep, f, 4)
+        entries = image_entries(rep, f, 4)
         collisions = [e for e in entries if e.collision]
         assert len(collisions) == 1 and collisions[0].k == 1
 
