@@ -209,6 +209,8 @@ def plan_row(freq_hz: float, amplitude_v: float, n_samples: int, m_channels: int
     if n_samples <= 0 or n_samples % m_channels:
         raise ValueError(f"n_samples must be a positive multiple of m_channels = "
                          f"{m_channels}, got {n_samples}")
+    if n_samples > model.MAX_RECORD_SAMPLES:
+        raise ValueError(f"n_samples must be at most {model.MAX_RECORD_SAMPLES}, got {n_samples}")
     return freq_hz, amplitude_v, n_samples
 
 

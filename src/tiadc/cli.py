@@ -306,6 +306,8 @@ def parse_scenario(raw: dict) -> Scenario:
         n_cal = cal["n_samples"]
         if n_cal < 4 or n_cal & (n_cal - 1):
             raise ValueError("n_samples must be a power of two")
+        if n_cal > model.MAX_RECORD_SAMPLES:
+            raise ValueError(f"n_samples must be at most {model.MAX_RECORD_SAMPLES}, got {n_cal}")
         cal_plan = tuple(calibration.plan_row(f, cal["amplitude_v"], n_cal, config.m_channels)
                          for f in _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal))
         design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
@@ -328,6 +330,9 @@ def parse_scenario(raw: dict) -> Scenario:
             kinds.update(_target_kinds(top["sweep"], "f_targets_hz", "n_tones"))
         sweep = json_fields(top["sweep"], kinds)
         n_fft, n_sim = sweep["n_fft"], sweep["n_samples"]
+        for key, n in (("n_fft", n_fft), ("n_samples", n_sim)):
+            if n > model.MAX_RECORD_SAMPLES:
+                raise ValueError(f"{key} must be at most {model.MAX_RECORD_SAMPLES}, got {n}")
         if n_sim % config.m_channels:
             raise ValueError(f"n_samples must be a multiple of m_channels = "
                              f"{config.m_channels}")
@@ -395,16 +400,12 @@ def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):
     # offset spurs are removed by the offset corrector, not the filter bank,
     # and live near the measurement floor
     ref = sc.config.full_scale / 2.0
-    min_observed_drop, skipped = np.inf, 0
-    for ln in lines:
-        if ln.kind != "image":
-            continue
-        if 20.0 * np.log10(max(ln.amplitude_v / ref, 1e-30)) < sc.floor_dbfs:
-            skipped += 1
-            continue
-        b = rep_before.bin_of(ln.freq_hz)
-        drop = rep_before.power_dbfs[b] - rep_after.power_dbfs[b]
-        min_observed_drop = min(min_observed_drop, drop)
+    images = [ln for ln in lines if ln.kind == "image"]
+    seen = [rep_before.bin_of(ln.freq_hz) for ln in images
+            if 20.0 * np.log10(max(ln.amplitude_v / ref, 1e-30)) >= sc.floor_dbfs]
+    skipped = len(images) - len(seen)
+    min_observed_drop = min((rep_before.power_dbfs[b] - rep_after.power_dbfs[b] for b in seen),
+                            default=np.inf)
     rows = []
     for f_tone in freqs:
         others = [f2 for f2 in freqs if f2 != f_tone]

@@ -139,6 +139,10 @@ def dynamic_metrics(report: SpectrumReport, f_fund_hz: float | None = None,
     """
     if harmonics < 0:
         raise ValueError(f"harmonics must be >= 0, got {harmonics}")
+    most = max(report.n_fft // 2, 5)  # more orders fold onto listed bins; 5 is the default
+    if harmonics > most:
+        raise ValueError(f"harmonics must be at most {most} for n_fft = {report.n_fft}, "
+                         f"got {harmonics}")
     if f_fund_hz is not None and not np.isfinite(f_fund_hz):
         raise ValueError(f"fundamental frequency must be finite, got {f_fund_hz}")
     n_bins = report.n_bins

@@ -239,6 +239,8 @@ def midtread_quantize(x, config: TiadcConfig):
 
 
 SIMULATION_BLOCK = 1 << 14  # samples simulated at a time: temporaries stay cache-sized
+# the longest record a scenario or plan file may name; tiadc correct was measured flat to it
+MAX_RECORD_SAMPLES = 1 << 24
 
 
 def simulate_capture(tones: ToneSpec, config: TiadcConfig,
@@ -282,7 +284,10 @@ class PredictedLine:
 
     freq_hz: float
     amplitude_v: float
-    kind: str  # "fundamental", "image", or "offset_spur"
+    kind: str  # one of LINE_KINDS
+
+
+LINE_KINDS = ("fundamental", "image", "offset_spur")  # a merged line takes the first of its kinds
 
 
 def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
@@ -297,7 +302,7 @@ def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
     """
     m_ch = config.m_channels
     fs = config.fs
-    # components: (theta in [0, 2pi), complex coeff, kind)
+    # components: (theta in [0, 2pi), complex coeff, rank in LINE_KINDS)
     components = []
     phase_k = np.exp(-2j * np.pi * np.outer(np.arange(m_ch), np.arange(m_ch)) / m_ch)
     for tone in tones.tones:
@@ -312,44 +317,31 @@ def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
         c_hat_neg = phase_k.T @ np.conj(c_pos) / m_ch
         theta0 = (omega / fs) % TWO_PI
         for k in range(m_ch):
-            kind = "fundamental" if k == 0 else "image"
+            rank = min(k, 1)  # the fundamental at k = 0, an image elsewhere
             zp = 0.5 * tone.amplitude * np.exp(1j * tone.phase_rad) * c_hat[k]
             zn = 0.5 * tone.amplitude * np.exp(-1j * tone.phase_rad) * c_hat_neg[k]
-            components.append(((theta0 + TWO_PI * k / m_ch) % TWO_PI, zp, kind))
-            components.append(((-theta0 + TWO_PI * k / m_ch) % TWO_PI, zn, kind))
+            components.append(((theta0 + TWO_PI * k / m_ch) % TWO_PI, zp, rank))
+            components.append(((-theta0 + TWO_PI * k / m_ch) % TWO_PI, zn, rank))
     # offset spurs, plus the DC term of the input
     o_volts = profile.offset_lsb * config.lsb
     o_hat = phase_k.T @ o_volts / m_ch
     for k in range(m_ch):
         z = o_hat[k] + (tones.dc if k == 0 else 0.0)
-        components.append((TWO_PI * k / m_ch, z, "offset_spur"))
+        components.append((TWO_PI * k / m_ch, z, 2))  # rank 2: offset_spur
 
-    # fold onto [0, pi] and merge coincident lines as complex sums; a merged
-    # line takes the first of its kinds in kind_order
-    folded = []
-    for theta, z, kind in components:
-        if theta > np.pi:
-            theta, z = TWO_PI - theta, np.conj(z)
-        folded.append((theta, z, kind))
-    folded.sort(key=lambda c: c[0])
-    kind_order = ("fundamental", "image", "offset_spur")
-    lines = []
-    tol = 1e-9
-    i = 0
-    while i < len(folded):
-        j = i
-        acc = 0.0 + 0.0j
-        while j < len(folded) and folded[j][0] - folded[i][0] <= tol:
-            acc += folded[j][1]
-            j += 1
-        amp = abs(acc)
-        peak = max((t.amplitude for t in tones.tones), default=1.0) or 1.0
-        if amp > 1e-13 * peak:
-            lines.append(PredictedLine(
-                freq_hz=folded[i][0] / TWO_PI * fs, amplitude_v=amp,
-                kind=min((c[2] for c in folded[i:j]), key=kind_order.index)))
-        i = j
-    return lines
+    # fold onto [0, pi], then merge the lines within 1e-9 rad of a group's
+    # first as one complex sum, taken in sorted (stable) order
+    merged = []  # [theta, sum, least rank] per group
+    for theta, z, rank in sorted(((TWO_PI - t, np.conj(z), r) if t > np.pi else (t, z, r)
+                                  for t, z, r in components), key=lambda c: c[0]):
+        if merged and theta - merged[-1][0] <= 1e-9:
+            merged[-1][1:] = merged[-1][1] + z, min(merged[-1][2], rank)
+        else:
+            merged.append([theta, 0j + z, rank])
+    peak = max((t.amplitude for t in tones.tones), default=1.0) or 1.0
+    return [PredictedLine(freq_hz=theta / TWO_PI * fs, amplitude_v=abs(acc),
+                          kind=LINE_KINDS[rank])
+            for theta, acc, rank in merged if abs(acc) > 1e-13 * peak]
 
 
 # --- reference mismatch shapes used by tests and bundled scenarios ----------
@@ -519,10 +511,9 @@ def write_sidecar(path, n, config: TiadcConfig, transient_samples=0,
         "n": n,
         "quantize": config.quantize,
     }
-    if corrected:
-        meta["corrected"] = True
-        meta["bank_id"] = bank_id
-        meta["transient_samples"] = transient_samples
+    # each optional field is written when it is not its default
+    extra = {"corrected": corrected, "bank_id": bank_id, "transient_samples": transient_samples}
+    meta.update((key, value) for key, value in extra.items() if value != SIDECAR_FIELDS[key][1])
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=1) + "\n")
 
 

@@ -233,6 +233,21 @@ class TestCalibrate:
             f"m_channels = 4, got {n_samples}\n")
         assert not (tmp / "m.csv").exists()
 
+    def test_plan_record_length_capped(self, workdir, capsys):
+        tmp, cfg = workdir
+        plan_path, freqs = self.plan(tmp, cfg, n=3)
+        rows = [(f, 0.9, 4096) for f in freqs]
+        rows[1] = (freqs[1], 0.9, 2 ** 40)
+        tiadc.calibration.write_plan_csv(rows, plan_path)
+        start = time.perf_counter()
+        assert main(["calibrate", "--config", str(tmp / "config.json"),
+                     "--plan", str(plan_path), "--truth-profile", str(tmp / "truth.csv"),
+                     "--out", str(tmp / "m.csv")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {plan_path}:3: n_samples must be at most 16777216, got {2 ** 40}\n")
+        assert not (tmp / "m.csv").exists()
+
     @pytest.mark.parametrize("freq, amplitude, expect", [
         (np.nan, 0.9, "freq_hz must be finite and > 0, got nan"),
         (np.inf, 0.9, "freq_hz must be finite and > 0, got inf"),
@@ -539,6 +554,23 @@ class TestCorrectAnalyze:
                      flag, value, "--out-prefix", str(tmp / "a")]) == 1
         assert capsys.readouterr().err == f"error: {expect}\n"
         assert not (tmp / "a_spectrum.csv").exists()
+
+    def test_analyze_harmonics_bounded(self, workdir, capsys):
+        # orders above n_fft/2 fold onto bins already listed; a huge count
+        # fails at once instead of listing its harmonics one by one
+        tmp, cfg = workdir
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 4096)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        argv = ["analyze", "--capture", str(tmp / "cap.f64"), "--n-fft", "4096",
+                "--out-prefix", str(tmp / "a"), "--harmonics"]
+        start = time.perf_counter()
+        assert main(argv + [str(10 ** 18)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: harmonics must be at most 2048 for n_fft = 4096, got {10 ** 18}\n")
+        assert not (tmp / "a_spectrum.csv").exists()
+        assert main(argv + ["2048"]) == 0
 
 
 @pytest.mark.parametrize("argv, expect", [
@@ -943,6 +975,34 @@ class TestPipeline:
             f"error: scenario tiny: {block}: {key} must be from 1 to 1024, half the "
             f"2048-sample record, got {int(count)}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("block, edit, expect", [
+        # a count within half the record must not reach its target list
+        ("calibration", {"n_samples": 2 ** 40, "n_freqs": 2 ** 39},
+         f"n_samples must be at most 16777216, got {2 ** 40}"),
+        ("sweep", {"n_fft": 2 ** 40, "n_samples": 2 ** 41, "n_tones": 2 ** 39},
+         f"n_fft must be at most 16777216, got {2 ** 40}"),
+        ("sweep", {"n_samples": 2 ** 40}, f"n_samples must be at most 16777216, got {2 ** 40}"),
+    ], ids=["calibration", "sweep-n_fft", "sweep-n_samples"])
+    def test_record_length_capped(self, tmp_path, capsys, block, edit, expect):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen[block].update(edit)
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: scenario tiny: {block}: {expect}\n"
+        assert not out.exists()
+
+    def test_record_length_cap_accepted(self):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["calibration"]["n_samples"] = scen["sweep"]["n_samples"] = 2 ** 24
+        scen["sweep"]["n_fft"] = 2 ** 23
+        sc = parse_scenario(scen)
+        assert sc.cal_plan[0][2] == 2 ** 24 and sc.n_fft == 2 ** 23
 
     @pytest.mark.parametrize("count", [1, 1024])
     def test_tone_count_limits_accepted(self, count):

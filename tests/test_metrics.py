@@ -209,6 +209,17 @@ class TestDynamicMetrics:
         with pytest.raises(tiadc.TiadcError, match="no bins left"):
             tiadc.dynamic_metrics(rep, cfg4.fs / 4, 4)
 
+    @pytest.mark.parametrize("n_fft, most", [(4096, 2048), (16, 8), (8, 5), (4, 5)])
+    def test_harmonics_bounded(self, cfg4, n_fft, most):
+        # n_fft/2 orders list every folded bin; the default 5 holds at any size
+        x = np.sin(2 * np.pi * 3 * np.arange(n_fft) / n_fft)
+        rep = tiadc.spectrum(tiadc.Capture(samples=x, config=cfg4), n_fft)
+        f = 3 * cfg4.fs / n_fft if n_fft > 4 else cfg4.fs / 4
+        assert tiadc.dynamic_metrics(rep, f, harmonics=most).snr_db is not None
+        with pytest.raises(ValueError, match=f"harmonics must be at most {most} for "
+                                             f"n_fft = {n_fft}, got {most + 1}"):
+            tiadc.dynamic_metrics(rep, f, harmonics=most + 1)
+
     def test_non_coherent_with_window_gathers_bins(self, cfg4):
         # a tone halfway between bins, measured with hann + 3-bin gathering,
         # should agree with the coherent single-bin measurement to 0.5 dB

@@ -1,6 +1,7 @@
 """Acquisition model: channel response, sampling, interleaving, quantizer,
 and the analytic spectrum oracle."""
 
+import json
 import warnings
 
 import numpy as np
@@ -361,6 +362,118 @@ class TestPredictOutputSpectrum:
         assert checked >= 5
 
 
+def two_pass_line_table(tones, config, profile):
+    """predict_output_spectrum as it once was: the components folded into a
+    second list, then merged by a hand-indexed while loop."""
+    m_ch = config.m_channels
+    fs = config.fs
+    components = []
+    phase_k = np.exp(-2j * np.pi * np.outer(np.arange(m_ch), np.arange(m_ch)) / m_ch)
+    for tone in tones.tones:
+        if tone.amplitude == 0:
+            continue
+        omega = TWO_PI * tone.freq_hz
+        g = np.array([profile.gain_at(m, tone.freq_hz) for m in range(m_ch)])
+        dt = np.array([profile.dt_at(m, tone.freq_hz) for m in range(m_ch)])
+        c_pos = g * np.exp(1j * omega * dt)
+        c_hat = phase_k.T @ c_pos / m_ch
+        c_hat_neg = phase_k.T @ np.conj(c_pos) / m_ch
+        theta0 = (omega / fs) % TWO_PI
+        for k in range(m_ch):
+            kind = "fundamental" if k == 0 else "image"
+            zp = 0.5 * tone.amplitude * np.exp(1j * tone.phase_rad) * c_hat[k]
+            zn = 0.5 * tone.amplitude * np.exp(-1j * tone.phase_rad) * c_hat_neg[k]
+            components.append(((theta0 + TWO_PI * k / m_ch) % TWO_PI, zp, kind))
+            components.append(((-theta0 + TWO_PI * k / m_ch) % TWO_PI, zn, kind))
+    o_volts = profile.offset_lsb * config.lsb
+    o_hat = phase_k.T @ o_volts / m_ch
+    for k in range(m_ch):
+        z = o_hat[k] + (tones.dc if k == 0 else 0.0)
+        components.append((TWO_PI * k / m_ch, z, "offset_spur"))
+    folded = []
+    for theta, z, kind in components:
+        if theta > np.pi:
+            theta, z = TWO_PI - theta, np.conj(z)
+        folded.append((theta, z, kind))
+    folded.sort(key=lambda c: c[0])
+    kind_order = ("fundamental", "image", "offset_spur")
+    lines = []
+    tol = 1e-9
+    i = 0
+    while i < len(folded):
+        j = i
+        acc = 0.0 + 0.0j
+        while j < len(folded) and folded[j][0] - folded[i][0] <= tol:
+            acc += folded[j][1]
+            j += 1
+        amp = abs(acc)
+        peak = max((t.amplitude for t in tones.tones), default=1.0) or 1.0
+        if amp > 1e-13 * peak:
+            lines.append(tiadc.PredictedLine(
+                freq_hz=folded[i][0] / TWO_PI * fs, amplitude_v=amp,
+                kind=min((c[2] for c in folded[i:j]), key=kind_order.index)))
+        i = j
+    return lines
+
+
+def line_bits(lines):
+    return [(float(ln.freq_hz).hex(), float(ln.amplitude_v).hex(), ln.kind) for ln in lines]
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A config of M = 2 to 16 channels, a reference, ideal or random
+    constant profile, and 0 to 3 tones (zero amplitudes included) on coherent
+    bins, on multiples of fs/(8M) where lines collide, anywhere in zone 1 or
+    in zone 2, plus an optional DC term."""
+    m_ch = draw(st.integers(2, 16))
+    fs = draw(st.sampled_from([1.0e9, 1.6e9, 2.5e9]))
+    config = tiadc.TiadcConfig(m_channels=m_ch, fs=fs, bits=14, full_scale=2.0)
+    shape = draw(st.sampled_from(["reference", "ideal", "random"]))
+    if shape == "reference":
+        profile = tiadc.make_reference_profile(config)
+    elif shape == "ideal":
+        profile = tiadc.MismatchProfile.ideal(m_ch, fs)
+    else:
+        near = st.floats(-1.0, 1.0)
+        profile = constant_profile(
+            m_ch, [1.0 + 0.05 * draw(near) for _ in range(m_ch)],
+            [5e-12 * draw(near) for _ in range(m_ch)],
+            [3.0 * draw(near) for _ in range(m_ch)], fs)
+    freq = st.one_of(st.integers(1, 2047).map(lambda b: b * fs / 4096),
+                     st.integers(0, 8 * m_ch).map(lambda j: j * fs / (8 * m_ch)),
+                     st.floats(0.0, fs / 2), st.floats(fs / 2, fs))
+    amplitude = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    tones = draw(st.lists(st.builds(Tone, amplitude, freq, st.floats(-np.pi, np.pi)),
+                          max_size=3))
+    dc = draw(st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
+    return tiadc.ToneSpec(tones=tuple(tones), dc=dc), config, profile
+
+
+class TestOnePassLineTable:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(inputs=oracle_inputs())
+    def test_equals_two_pass_table(self, inputs):
+        assert (line_bits(tiadc.predict_output_spectrum(*inputs))
+                == line_bits(two_pass_line_table(*inputs)))
+
+    @pytest.mark.parametrize("divisor, kinds", [
+        # fs/8: the k = 1 lower image merges into the fundamental, and the
+        # images at 3fs/8 from k = 1 and k = 2 merge into one
+        (8, ["offset_spur", "fundamental", "offset_spur", "image", "offset_spur"]),
+        # fs/4: images land on DC and Nyquist with the offset spurs there
+        (4, ["image", "fundamental", "image"])])
+    def test_collisions_at_m4(self, cfg4, divisor, kinds):
+        truth = tiadc.make_reference_profile(cfg4)
+        for tones in (tiadc.ToneSpec.single(0.9, cfg4.fs / divisor, 0.3, dc=0.01),
+                      tiadc.ToneSpec(tones=(Tone(0.5, cfg4.fs / divisor),
+                                            Tone(0.3, 3 * cfg4.fs / divisor)))):
+            got = tiadc.predict_output_spectrum(tones, cfg4, truth)
+            assert line_bits(got) == line_bits(two_pass_line_table(tones, cfg4, truth))
+        assert [ln.kind for ln in tiadc.predict_output_spectrum(
+            tiadc.ToneSpec.single(0.9, cfg4.fs / divisor), cfg4, truth)] == kinds
+
+
 class TestCaptureFiles:
     def test_round_trip(self, cfg4, ideal4, tmp_path):
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.5, 2e8), cfg4,
@@ -383,6 +496,26 @@ class TestCaptureFiles:
         back = tiadc.load_capture(path)
         assert back.corrected and back.bank_id == "abc123"
         assert back.transient_samples == 65
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(transient=st.integers(0, 127), corrected=st.booleans(), bank_id=st.text())
+    def test_optional_fields_round_trip(self, tmp_path_factory, transient, corrected,
+                                        bank_id):
+        # each optional sidecar field is written when it is not its default
+        path = tmp_path_factory.mktemp("cap") / "cap.f64"
+        cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+        cap = tiadc.Capture(np.arange(256.0), cfg, transient_samples=transient,
+                            corrected=corrected, bank_id=bank_id)
+        tiadc.save_capture(cap, path)
+        back = tiadc.load_capture(path)
+        assert (back.transient_samples, back.corrected, back.bank_id) == (
+            transient, corrected, bank_id)
+        assert np.array_equal(back.samples, cap.samples) and back.config == cap.config
+        written = json.loads(path.with_name("cap.f64.json").read_text())
+        assert [key for key in ("corrected", "bank_id", "transient_samples")
+                if key in written] == [key for key, value, default in (
+                    ("corrected", corrected, False), ("bank_id", bank_id, ""),
+                    ("transient_samples", transient, 0)) if value != default]
 
     def test_fs_is_the_config_rate(self, cfg4):
         cap = tiadc.Capture(samples=np.zeros(8), config=cfg4)
