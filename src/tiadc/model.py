@@ -191,9 +191,6 @@ class ToneSpec:
     def single(cls, amplitude, freq_hz, phase_rad=0.0, dc=0.0):
         return cls(tones=(Tone(amplitude, freq_hz, phase_rad),), dc=dc)
 
-    def peak_sum(self) -> float:
-        return sum(t.amplitude for t in self.tones) + abs(self.dc)
-
 
 @dataclass(init=False)
 class Capture:
@@ -253,12 +250,14 @@ def simulate_capture(tones: ToneSpec, config: TiadcConfig,
         raise ValueError("n_total must be a positive multiple of m_channels")
     if profile.m_channels != m_ch:
         raise ValueError("profile channel count does not match config")
-    if tones.peak_sum() > config.full_scale / 2:
-        warnings.warn("tone amplitudes exceed half the full-scale range; "
-                      "the capture may clip", stacklevel=2)
     x = np.tile(tones.dc + profile.offset_lsb * config.lsb, (n_total // m_ch, 1))
     gain_dt = [np.array([(profile.gain_at(m, tone.freq_hz), profile.dt_at(m, tone.freq_hz))
                          for m in range(m_ch)]).T for tone in tones.tones]
+    # each channel's peak: its DC level plus every tone through its gain
+    peak = np.abs(x[0]) + sum(g * tone.amplitude for tone, (g, _) in zip(tones.tones, gain_dt))
+    if np.any(peak > config.full_scale / 2):
+        warnings.warn("tone amplitudes exceed half the full-scale range; "
+                      "the capture may clip", stacklevel=2)
     step = max(SIMULATION_BLOCK // m_ch, 1)
     for r in range(0, x.shape[0], step):
         xb = x[r:r + step]  # rows r to r + step - 1, filled in place

@@ -8,7 +8,8 @@ import pytest
 
 import tiadc
 from tiadc import calibration, correction, metrics
-from tiadc.cli import load_config, load_scenario, main, parse_scenario, run_pipeline
+from tiadc.cli import load_config, load_scenario, main, run_pipeline
+from tiadc.pipeline import TRUTH_PROFILES, parse_scenario
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
@@ -942,12 +943,15 @@ class TestPipeline:
         ({"kind": "sweeps"}, "scenario tiny: kind must be one of"),
         ({"truth_profile": {"type": "csv", "path": 3}},
          "scenario tiny: truth_profile: path must be a string, got 3"),
+        # a list does not name a TRUTH_PROFILES entry: it is a type of the wrong kind
+        ({"truth_profile": {"type": ["csv"]}},
+         "scenario tiny: truth_profile: type must be a string, got ['csv']"),
         ({"config": {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14}},
          "scenario tiny: config: missing field 'full_scale_v'"),
         ({"sweep": {**TINY_SCENARIO["sweep"], "n_tones": 0}},
          "scenario tiny: sweep: n_tones must be from 1 to 1024, half the 2048-sample "
          "record, got 0"),
-    ], ids=["block", "kind", "path", "config", "empty-sweep"])
+    ], ids=["block", "kind", "path", "type-list", "config", "empty-sweep"])
     def test_scenario_structure_checked(self, tmp_path, capsys, edit, expect):
         scen_path = tmp_path / "bad.json"
         scen_path.write_text(json.dumps({**TINY_SCENARIO, **edit}))
@@ -1003,6 +1007,37 @@ class TestPipeline:
         scen["sweep"]["n_fft"] = 2 ** 23
         sc = parse_scenario(scen)
         assert sc.cal_plan[0][2] == 2 ** 24 and sc.n_fft == 2 ** 23
+
+    @pytest.mark.parametrize("block, count", [
+        ({"n_freqs": 2 ** 23, "f_lo_hz": 5e7, "f_hi_hz": 7.5e8}, 2 ** 23),
+        ({"freqs_hz": [1e8, 2e8, 3e8, 4e8, 5e8]}, 5),
+    ], ids=["n_freqs", "freqs_hz"])
+    def test_calibration_plan_bounded(self, tmp_path, capsys, block, count):
+        # more than four records at the 2^24 cap fail before any target is made
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["calibration"] = {"amplitude_v": 0.9, "n_samples": 2 ** 24, **block}
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario tiny: calibration: {count} records of n_samples = 16777216 "
+            f"must total at most 67108864 samples, got {count * 2 ** 24}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("truth_type", sorted(TRUTH_PROFILES))
+    def test_truth_profile_types(self, tmp_path, truth_type):
+        # each type's block parses, and its stage builds the scenario's M channels
+        cfg = parse_scenario(TINY_SCENARIO).config
+        tiadc.write_profile_csv(tiadc.make_reference_profile(cfg), tmp_path / "truth.csv")
+        block = {"type": truth_type,
+                 **{"csv": {"path": str(tmp_path / "truth.csv")}}.get(truth_type, {})}
+        sc = parse_scenario({**TINY_SCENARIO, "truth_profile": block})
+        assert sc.truth == block
+        assert TRUTH_PROFILES[truth_type][1](sc.truth, sc.config).m_channels == 4
 
     @pytest.mark.parametrize("count", [1, 1024])
     def test_tone_count_limits_accepted(self, count):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tiadc
-from tiadc import cli
+from tiadc import pipeline
 from tiadc.design import DesignSpec
 
 
@@ -181,10 +181,10 @@ class TestCorrect:
 def test_prefix_corrects_like_whole_capture(m_ch, n_grid, n_taps, n_read):
     # a sweep point corrects only the n_read samples its analysis reads: the
     # bank is causal, so a prefix corrects to the prefix of the whole output
-    raw = cli.load_scenario("wideband_zone1")
+    raw = pipeline.load_scenario("wideband_zone1")
     raw["config"]["m_channels"] = m_ch
     raw["design"].update(n_grid=n_grid, taps=n_taps)
-    sc = cli.parse_scenario(raw)
+    sc = pipeline.parse_scenario(raw)
     assert sc.n_read == n_read
     bank = tiadc.design_filter_bank(tiadc.make_reference_profile(sc.config),
                                     sc.config, sc.spec)

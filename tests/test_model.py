@@ -165,6 +165,21 @@ class TestSampleChannels:
         with pytest.warns(UserWarning):
             channel_rows(tiadc.ToneSpec.single(1.5, 1e8), cfg4, ideal4, 64)
 
+    @pytest.mark.parametrize("amp, gains, offsets, clips", [
+        (0.98, [1, 1, 1.03, 1], [0] * 4, True),  # within full scale, but not through 1.03
+        (1.0, [1] * 4, [0, 0, 0, 2.0], True),  # full scale plus a 2 LSB offset
+        (1.0, [1] * 4, [0] * 4, False),
+        (0.98, None, None, False),  # the reference profile: gains within 1 %
+    ], ids=["gain", "offset", "full-scale", "reference"])
+    def test_clip_warning_reads_each_channel(self, cfg4, amp, gains, offsets, clips):
+        profile = (tiadc.make_reference_profile(cfg4) if gains is None
+                   else constant_profile(4, gains, [0] * 4, offsets, cfg4.fs))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            channel_rows(tiadc.ToneSpec.single(amp, 1e8), cfg4, profile, 64)
+        assert [str(w.message) for w in caught] == [
+            "tone amplitudes exceed half the full-scale range; the capture may clip"] * clips
+
     def test_ideal_equals_single_adc(self, cfg4, ideal4):
         f, phi = 123.4e6, 0.37
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f, phi),
@@ -215,7 +230,10 @@ def test_one_pass_equals_per_channel_loop(data, m_ch, n_tones, quantize, with_dc
     n = m_ch * data.draw(st.integers(1, 700) | st.integers(
         1, 3 * tiadc.model.SIMULATION_BLOCK // m_ch + 5), label="rows")
     ref = reference_channels(tones, cfg, profile, n)
-    clips = tones.peak_sum() > cfg.full_scale / 2
+    # a channel clips when its DC level plus every tone through its gain passes full scale
+    clips = any(abs(tones.dc + profile.offset_lsb[m] * cfg.lsb)
+                + sum(float(profile.gain_at(m, t.freq_hz)) * t.amplitude for t in tones.tones)
+                > cfg.full_scale / 2 for m in range(m_ch))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cap = tiadc.simulate_capture(tones, cfg, profile, n)
