@@ -23,13 +23,11 @@ from tiadc.model import (
 from tiadc.calibration import (
     DegenerateInputError,
     MismatchMeasurement,
-    SineFitResult,
     UnreliableMeasurementError,
     build_profile,
     constant_profile,
     estimate_mismatch_at,
     run_calibration,
-    sine_fit,
 )
 from tiadc.design import (
     DesignSpec,

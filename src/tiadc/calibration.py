@@ -26,47 +26,29 @@ class UnreliableMeasurementError(TiadcError):
     """Fundamental amplitude too close to the residual floor to trust."""
 
 
-@dataclass(frozen=True)
-class SineFitResult:
-    amplitude: float
-    phase_rad: float
-    dc: float
-    rms_residual: float
+def fit_channels(rows: np.ndarray, freq_ratio: float) -> np.ndarray:
+    """Known-frequency least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC
+    to each column of rows (IEEE Std 1057's three-parameter fit), freq_ratio
+    in cycles per sample.
 
-
-def fit_basis(n: int, freq_ratio: float) -> np.ndarray:
-    """The (n, 3) least-squares basis [cos, sin, 1] of a known-frequency sine
-    fit, shared by every record of n samples at freq_ratio."""
+    Returns a (4, columns) array whose rows are the amplitudes, the phases phi
+    (rad), the DCs and the RMS residuals. Every column shares one [cos, sin, 1]
+    basis and gets its own lstsq; the fit is exact on noiseless model data.
+    """
+    n = rows.shape[0]
     if n < 8:
         raise ValueError("need at least 8 samples")
     theta = TWO_PI * freq_ratio * np.arange(n)
-    return np.column_stack([np.cos(theta), np.sin(theta), np.ones(n)])
-
-
-def _fit(basis: np.ndarray, x: np.ndarray, freq_ratio: float) -> SineFitResult:
-    coef, _, rank, _ = np.linalg.lstsq(basis, x, rcond=None)
-    if rank < 3:
-        raise DegenerateInputError(
-            f"rank-deficient fit at freq_ratio {freq_ratio}")
-    a, b, dc = coef
-    amplitude = float(np.hypot(a, b))
-    phase = float(np.arctan2(-b, a))  # a = A*cos(phi), b = -A*sin(phi)
-    resid = x - basis @ coef
-    return SineFitResult(amplitude=amplitude, phase_rad=phase, dc=float(dc),
-                         rms_residual=float(np.sqrt(np.mean(resid ** 2))))
-
-
-def sine_fit(samples, freq_ratio: float) -> SineFitResult:
-    """Known-frequency least-squares fit of A*cos(2*pi*freq_ratio*i + phi) + DC.
-
-    freq_ratio is in cycles per sample and must lie strictly inside (0, 0.5).
-    The fit is exact on noiseless model data.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    basis = fit_basis(x.size, freq_ratio)
-    if not 0.0 < freq_ratio < 0.5:
-        raise DegenerateInputError(f"freq_ratio {freq_ratio} outside (0, 0.5)")
-    return _fit(basis, x, freq_ratio)
+    basis = np.column_stack([np.cos(theta), np.sin(theta), np.ones(n)])
+    fits = np.empty((4, rows.shape[1]))
+    for m in range(rows.shape[1]):
+        coef, _, rank, _ = np.linalg.lstsq(basis, rows[:, m], rcond=None)
+        if rank < 3:
+            raise DegenerateInputError(f"rank-deficient fit at freq_ratio {freq_ratio}")
+        a, b, dc = coef  # a = A*cos(phi), b = -A*sin(phi)
+        resid = rows[:, m] - basis @ coef
+        fits[:, m] = np.hypot(a, b), np.arctan2(-b, a), dc, np.sqrt(np.mean(resid ** 2))
+    return fits
 
 
 @dataclass(frozen=True)
@@ -111,17 +93,13 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
         raise DegenerateInputError(
             f"tone at {f_in_hz} Hz aliases to DC or Nyquist of the channel rate")
     flip = ratio_raw > 0.5
-    ratio = 1.0 - ratio_raw if flip else ratio_raw
-    # every channel of the tone shares one basis; one lstsq per channel keeps
-    # each fit's arithmetic that of sine_fit
-    basis = fit_basis(rows.shape[0], ratio)
-    fits = [_fit(basis, rows[:, m], ratio) for m in range(m_ch)]
-    for m, fit in enumerate(fits):
-        if fit.amplitude < 10.0 * fit.rms_residual:
-            raise UnreliableMeasurementError(
-                f"channel {m} fundamental at {f_in_hz} Hz is below 10x the noise floor")
-    phases = np.array([(-f.phase_rad if flip else f.phase_rad) for f in fits])
-    amps = np.array([f.amplitude for f in fits])
+    amps, phases, dcs, rms = fit_channels(rows, 1.0 - ratio_raw if flip else ratio_raw)
+    weak = np.flatnonzero(amps < 10.0 * rms)
+    if weak.size:
+        raise UnreliableMeasurementError(
+            f"channel {weak[0]} fundamental at {f_in_hz} Hz is below 10x the noise floor")
+    if flip:
+        phases = -phases
     if amps[0] == 0:
         raise UnreliableMeasurementError("reference channel has zero amplitude")
     omega = TWO_PI * f_in_hz
@@ -130,7 +108,7 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
     dphi = _wrap_pm_pi(phases - phases[0] - omega * np.arange(m_ch) * config.ts)
     dt = dphi / omega
     dt[0] = 0.0
-    offs = np.array([f.dc for f in fits]) / config.lsb
+    offs = dcs / config.lsb
     return MismatchMeasurement(freq_hz=f_in_hz, gain_rel=gain_rel, dt_s=dt,
                                offset_lsb=offs)
 

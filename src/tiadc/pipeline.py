@@ -57,7 +57,7 @@ def design_bank(profile, config: TiadcConfig, spec: design.DesignSpec, path,
 BUNDLED_SCENARIOS = ("wideband_zone1", "undersampling_zone2", "twotone_zone1",
                      "narrowband_contrast")
 SCENARIO_KINDS = ("sweep", "two_tone", "narrowband_contrast")
-# the most samples a calibration plan may simulate: four records at the cap
+# the most samples a calibration plan, or a sweep, may simulate: four records at the cap
 MAX_PLAN_SAMPLES = 4 * model.MAX_RECORD_SAMPLES
 
 # truth-profile type -> (the fields its block reads besides type, the profile
@@ -125,6 +125,14 @@ def _target_count(block: dict, list_key: str, count_key: str, n: int) -> int:
     return count
 
 
+def _check_plan_samples(count: int, n: int, records: str):
+    """Reject count records of n samples each, described as records, when
+    they total more than MAX_PLAN_SAMPLES."""
+    if count * n > MAX_PLAN_SAMPLES:
+        raise ValueError(f"{records} must total at most {MAX_PLAN_SAMPLES} samples, "
+                         f"got {count * n}")
+
+
 def _coherent_targets(block: dict, list_key: str, count: int, fs: float, n: int) -> list:
     """The distinct coherent frequencies, in order, nearest the count targets
     (_target_count) read into block, for an n-sample record."""
@@ -177,9 +185,7 @@ def parse_scenario(raw: dict) -> Scenario:
         if n_cal > model.MAX_RECORD_SAMPLES:
             raise ValueError(f"n_samples must be at most {model.MAX_RECORD_SAMPLES}, got {n_cal}")
         count = _target_count(cal, "freqs_hz", "n_freqs", n_cal)
-        if count * n_cal > MAX_PLAN_SAMPLES:
-            raise ValueError(f"{count} records of n_samples = {n_cal} must total at most "
-                             f"{MAX_PLAN_SAMPLES} samples, got {count * n_cal}")
+        _check_plan_samples(count, n_cal, f"{count} records of n_samples = {n_cal}")
         cal_plan = tuple(calibration.plan_row(f, cal["amplitude_v"], n_cal, config.m_channels)
                          for f in _coherent_targets(cal, "freqs_hz", count, fs, n_cal))
         design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
@@ -221,6 +227,9 @@ def parse_scenario(raw: dict) -> Scenario:
             with named(where):  # the tone list sits at the top level
                 if not isinstance(tones, list) or not tones:
                     raise ValueError("tones must be a non-empty list")
+            # the bound is the sweep's, checked before any tone is read
+            _check_plan_samples(len(tones), n_read, f"{len(tones)} tones of {n_read} samples")
+            with named(where):
                 point = []
                 for i, tone in enumerate(tones):
                     if not isinstance(tone, dict):
@@ -234,6 +243,7 @@ def parse_scenario(raw: dict) -> Scenario:
             points = (ToneSpec(tones=tuple(point)),)
         else:
             count = _target_count(sweep, "f_targets_hz", "n_tones", n_fft)
+            _check_plan_samples(count, n_read, f"{count} tones of {n_read} samples")
             points = tuple(ToneSpec.single(amp, f) for f in
                            _coherent_targets(sweep, "f_targets_hz", count, fs, n_fft))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tiadc
-from tiadc.calibration import DegenerateInputError
+from tiadc.calibration import DegenerateInputError, fit_channels
 
 
 POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300]),
@@ -30,19 +30,21 @@ def constant_profile(gains, dts, offsets, f_max):
 
 
 class TestSineFit:
+    """calibration.fit_channels on one-column rows."""
+
     def test_exact_on_noiseless_data(self):
         i = np.arange(64)
         x = 0.5 * np.cos(2 * np.pi * 5 / 64 * i + 0.3) + 0.1
-        fit = tiadc.sine_fit(x, 5 / 64)
-        assert fit.amplitude == pytest.approx(0.5, abs=1e-12)
-        assert fit.phase_rad == pytest.approx(0.3, abs=1e-12)
-        assert fit.dc == pytest.approx(0.1, abs=1e-12)
-        assert fit.rms_residual < 1e-13
+        amplitude, phase, dc, rms = fit_channels(x[:, None], 5 / 64)[:, 0]
+        assert amplitude == pytest.approx(0.5, abs=1e-12)
+        assert phase == pytest.approx(0.3, abs=1e-12)
+        assert dc == pytest.approx(0.1, abs=1e-12)
+        assert rms < 1e-13
 
     def test_all_zero(self):
-        fit = tiadc.sine_fit(np.zeros(32), 3 / 32)
-        assert fit.amplitude == 0.0
-        assert fit.dc == 0.0
+        amplitude, _, dc, _ = fit_channels(np.zeros((32, 1)), 3 / 32)[:, 0]
+        assert amplitude == 0.0
+        assert dc == 0.0
 
     def test_noise_error_scales_inverse_sqrt_n(self):
         rng = np.random.default_rng(11)
@@ -54,7 +56,7 @@ class TestSineFit:
                 i = np.arange(n)
                 x = 0.8 * np.cos(2 * np.pi * 0.1237 * i + 0.9)
                 x = x + rng.normal(0, sigma, n)
-                errs.append(tiadc.sine_fit(x, 0.1237).amplitude - 0.8)
+                errs.append(fit_channels(x[:, None], 0.1237)[0, 0] - 0.8)
             return np.sqrt(np.mean(np.square(errs)))
 
         r = rms_amp_error(128) / rms_amp_error(2048)
@@ -62,11 +64,9 @@ class TestSineFit:
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):
-            tiadc.sine_fit(np.zeros(64), 0.0)
-        with pytest.raises(DegenerateInputError):
-            tiadc.sine_fit(np.zeros(64), 0.5)
+            fit_channels(np.zeros((64, 1)), 0.0)
         with pytest.raises(ValueError):
-            tiadc.sine_fit(np.zeros(4), 0.1)
+            fit_channels(np.zeros((4, 1)), 0.1)
 
 
 class TestEstimateMismatch:
@@ -109,6 +109,15 @@ class TestEstimateMismatch:
         m = tiadc.estimate_mismatch_at(cap, f, cfg4)
         assert m.dt_s[1] == pytest.approx(1.5e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("f", [4e8, 2e8], ids=["dc", "nyquist"])
+    def test_tone_at_channel_dc_or_nyquist_rejected(self, cfg4, f):
+        # 4e8 Hz folds to DC of the 400 MHz channel rate, 2e8 Hz to its Nyquist
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg4,
+                                     tiadc.MismatchProfile.ideal(4, cfg4.fs), 4096)
+        with pytest.raises(DegenerateInputError,
+                           match="aliases to DC or Nyquist of the channel rate"):
+            tiadc.estimate_mismatch_at(cap, f, cfg4)
+
     def test_non_coherent_rejected(self, cfg4):
         ideal = tiadc.MismatchProfile.ideal(4, cfg4.fs)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 2.5e8), cfg4,
@@ -149,7 +158,7 @@ class TestEstimateMismatch:
 
 
 def reference_sine_fit(samples, freq_ratio):
-    """sine_fit as it was before the basis was shared: one basis per call."""
+    """The three-parameter fit of one channel, with its own basis."""
     x = np.asarray(samples, dtype=np.float64)
     i = np.arange(x.size)
     theta = 2 * np.pi * freq_ratio * i
@@ -178,14 +187,15 @@ def reference_estimate(capture, f_in_hz, config):
     return gain, dt, np.array([f[2] for f in fits]) / config.lsb
 
 
-@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
 @pytest.mark.parametrize("f_target", [2.1e8, 7.3e8, 0.62 * 1.6e9, 0.93 * 1.6e9],
                          ids=["zone1-low", "zone1-high", "zone2-low", "zone2-high"])
 def test_shared_basis_equals_per_channel_fits(m, f_target):
     cfg = tiadc.TiadcConfig(m_channels=m, fs=1.6e9, bits=14, full_scale=2.0)
     truth = tiadc.make_reference_profile(cfg)
+    n = int(np.lcm(8192, m))  # whole rows of M, each tone coherent with 8192 samples
     f = tiadc.coherent_bin(f_target, cfg.fs, 8192)[1]
-    cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, 8192)
+    cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg, truth, n)
     got = tiadc.estimate_mismatch_at(cap, f, cfg)
     gain, dt, offs = reference_estimate(cap, f, cfg)
     assert np.array_equal(got.gain_rel, gain)

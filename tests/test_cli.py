@@ -1028,6 +1028,36 @@ class TestPipeline:
             f"must total at most 67108864 samples, got {count * 2 ** 24}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, targets, count", [
+        ("wideband_zone1", {"n_tones": 2 ** 15, "f_lo_hz": 1.6e7, "f_hi_hz": 7.2e8}, 2 ** 15),
+        ("wideband_zone1", {"f_targets_hz": [1e8 * k for k in range(1, 9)]}, 8),
+        ("twotone_zone1", None, 8),
+    ], ids=["n_tones", "f_targets_hz", "two-tone"])
+    def test_sweep_bounded(self, tmp_path, capsys, scenario, targets, count):
+        # a sweep whose tones read more than four records at the 2^24 cap in
+        # all fails before any target is made
+        scen = load_scenario(scenario)
+        sweep = {key: scen["sweep"][key] for key in ("amplitude_v", "n_samples", "n_fft")}
+        sweep.update(n_samples=2 ** 24, n_fft=2 ** 23)
+        if targets is None:  # the bundled two tones four times over
+            n_read = parse_scenario({**scen, "sweep": sweep}).n_read
+            scen["tones"] *= 4
+        else:
+            n_read = parse_scenario({**scen, "sweep": {**sweep, "f_targets_hz": [1e8]}}).n_read
+            sweep.update(targets)
+        scen["sweep"] = sweep
+        scen_path = tmp_path / "bad.json"
+        scen_path.write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["pipeline", "--scenario", str(scen_path), "--out-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario {scen['name']}: sweep: {count} tones of {n_read} samples "
+            f"must total at most 67108864 samples, got {count * n_read}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("truth_type", sorted(TRUTH_PROFILES))
     def test_truth_profile_types(self, tmp_path, truth_type):
         # each type's block parses, and its stage builds the scenario's M channels
