@@ -9,7 +9,7 @@ mismatch profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class MismatchMeasurement:
         return self.gain_rel.size
 
 
-def _wrap_pm_pi(x):
-    return (x + np.pi) % TWO_PI - np.pi
-
-
 def estimate_mismatch_at(capture: Capture, f_in_hz: float,
                          config: TiadcConfig | None = None) -> MismatchMeasurement:
     """Per-channel relative gain/timing/offset from a single-tone capture.
@@ -105,59 +101,55 @@ def estimate_mismatch_at(capture: Capture, f_in_hz: float,
     omega = TWO_PI * f_in_hz
     gain_rel = amps / amps[0]
     gain_rel[0] = 1.0
-    dphi = _wrap_pm_pi(phases - phases[0] - omega * np.arange(m_ch) * config.ts)
-    dt = dphi / omega
+    dphi = phases - phases[0] - omega * np.arange(m_ch) * config.ts
+    dt = ((dphi + np.pi) % TWO_PI - np.pi) / omega  # the phase wrapped into [-pi, pi)
     dt[0] = 0.0
-    offs = dcs / config.lsb
     return MismatchMeasurement(freq_hz=f_in_hz, gain_rel=gain_rel, dt_s=dt,
-                               offset_lsb=offs)
+                               offset_lsb=dcs / config.lsb)
 
 
 def build_profile(measurements, config: TiadcConfig) -> MismatchProfile:
-    """Assemble measurements into a profile with linear interpolation knots.
-
-    Offsets are averaged across the measurement frequencies into the constant
-    per-channel offset column.
-    """
-    if len(measurements) < 2:
-        raise ValueError("need at least 2 measurements at distinct frequencies")
+    """Assemble one or more measurements into a profile with linear
+    interpolation knots. One (narrowband) measurement holds over [0, fs]: its
+    knots sit at 0 and at fs, its offsets copied. More are averaged across
+    the frequencies into the constant per-channel offset column."""
+    if not measurements:
+        raise ValueError("need at least 1 measurement")
     meas = sorted(measurements, key=lambda m: m.freq_hz)
+    if any(m.m_channels != config.m_channels for m in meas):
+        raise ValueError("inconsistent channel counts across measurements")
+    if len(meas) == 1:
+        offs = meas[0].offset_lsb.copy()
+        meas = [replace(meas[0], freq_hz=f) for f in (0.0, config.fs)]
+    else:
+        offs = np.mean(np.column_stack([m.offset_lsb for m in meas]), axis=1)
     freqs = np.array([m.freq_hz for m in meas])
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("measurement frequencies must be distinct")
-    m_ch = meas[0].m_channels
-    if any(m.m_channels != m_ch for m in meas) or m_ch != config.m_channels:
-        raise ValueError("inconsistent channel counts across measurements")
     gain = np.column_stack([m.gain_rel for m in meas])
     dt = np.column_stack([m.dt_s for m in meas])
-    offs = np.mean(np.column_stack([m.offset_lsb for m in meas]), axis=1)
     return MismatchProfile(freqs_hz=freqs, gain=gain, dt_s=dt, offset_lsb=offs)
 
 
 def constant_profile(measurement: MismatchMeasurement, config: TiadcConfig) -> MismatchProfile:
     """Frequency-independent profile over [0, fs] from one (narrowband) measurement."""
-    freqs = np.array([0.0, config.fs])
-    return MismatchProfile(
-        freqs_hz=freqs,
-        gain=np.repeat(measurement.gain_rel[:, None], 2, axis=1),
-        dt_s=np.repeat(measurement.dt_s[:, None], 2, axis=1),
-        offset_lsb=measurement.offset_lsb.copy(),
-    )
+    return build_profile([measurement], config)
 
 
-def measure_plan(plan, config: TiadcConfig, truth_profile: MismatchProfile):
-    """Simulate one injection capture per plan row and measure the mismatch.
-
-    plan rows are (freq_hz, amplitude_v, n_samples), as read_plan_csv
-    returns them; each frequency must already be coherent with its record
-    length (see metrics.coherent_bin). Returns one measurement per row.
-    """
-    measurements = []
+def simulate_plan(plan, config: TiadcConfig, truth_profile: MismatchProfile):
+    """Simulate each plan row's injection capture from truth_profile, one at a time."""
     for f, amplitude, n_samples in plan:
-        cap = model.simulate_capture(ToneSpec.single(amplitude, f), config,
+        yield model.simulate_capture(ToneSpec.single(amplitude, f), config,
                                      truth_profile, n_samples)
-        measurements.append(estimate_mismatch_at(cap, f, config))
-    return measurements
+
+
+def measure_plan(plan, captures):
+    """One measurement per plan row, on its capture: captures holds one per row,
+    in order (simulate_plan's, or recorded ones). plan rows are (freq_hz,
+    amplitude_v, n_samples), as read_plan_csv returns them; each frequency must
+    already be coherent with its record length (see metrics.coherent_bin)."""
+    return [estimate_mismatch_at(capture, f)
+            for (f, _, _), capture in zip(plan, captures, strict=True)]
 
 
 def run_calibration(truth_profile: MismatchProfile, config: TiadcConfig,
@@ -167,8 +159,8 @@ def run_calibration(truth_profile: MismatchProfile, config: TiadcConfig,
     Returns (measurements, profile). Frequencies must already be coherent
     with the record length (see metrics.coherent_bin).
     """
-    measurements = measure_plan([(f, amplitude, n_samples) for f in freqs_hz],
-                                config, truth_profile)
+    plan = [(f, amplitude, n_samples) for f in freqs_hz]
+    measurements = measure_plan(plan, simulate_plan(plan, config, truth_profile))
     return measurements, build_profile(measurements, config)
 
 

@@ -59,28 +59,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _recorded_captures(plan, config: TiadcConfig, args):
+    """Load each plan row's recorded capture, args.captures/cal_NNN.f64, one at a time;
+    its sidecar states how it was taken, which must be what the config and the row say."""
+    for i, (_freq, _amp, n_samples) in enumerate(plan):
+        path = Path(args.captures) / f"cal_{i:03d}.f64"
+        capture = model.load_capture(path)
+        for key, value in vars(config).items():
+            if getattr(capture.config, key) != value:
+                raise TiadcError(f"{path}.json: {key} = {getattr(capture.config, key)!r}, "
+                                 f"but {args.config} has {key} = {value!r}")
+        if capture.n != n_samples:
+            raise TiadcError(f"{path}.json: n = {capture.n}, but the plan row "
+                             f"asks for n_samples = {n_samples}")
+        yield capture
+
+
 def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     plan = calibration.read_plan_csv(args.plan, config.m_channels)
     if args.captures is not None:  # "" names the working directory
-        measurements = []
-        for i, (freq, _amp, n_samples) in enumerate(plan):
-            path = Path(args.captures) / f"cal_{i:03d}.f64"
-            capture = model.load_capture(path)
-            # the sidecar states how the capture was taken; it must be what
-            # the config and the plan row say
-            for key, value in vars(config).items():
-                if getattr(capture.config, key) != value:
-                    raise TiadcError(f"{path}.json: {key} = {getattr(capture.config, key)!r}, "
-                                     f"but {args.config} has {key} = {value!r}")
-            if capture.n != n_samples:
-                raise TiadcError(f"{path}.json: n = {capture.n}, but the plan row "
-                                 f"asks for n_samples = {n_samples}")
-            measurements.append(calibration.estimate_mismatch_at(capture, freq, config))
+        captures = _recorded_captures(plan, config, args)
     else:
         truth = read_profile(args.truth_profile, config.m_channels, args.config)
-        measurements = calibration.measure_plan(plan, config, truth)
-    calibrate(measurements, config, args.out, print)
+        captures = calibration.simulate_plan(plan, config, truth)
+    calibrate(calibration.measure_plan(plan, captures), config, args.out, print)
     return 0
 
 
@@ -110,7 +113,7 @@ def cmd_correct(args) -> int:
     bank = design.read_bank_csv(args.bank)
     profile = (read_profile(args.profile, m_ch, f"the capture {args.capture}")
                if args.profile else None)
-    stream = correction.PolyphaseStream(bank, config, n)
+    stream = correction.record_stream(bank, config, n)
     block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
     y = np.empty(stream.out_size(block))
     out = Path(args.out)

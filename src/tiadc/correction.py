@@ -148,6 +148,16 @@ class PolyphaseStream:
         return k
 
 
+def record_stream(bank: FilterBank, config: TiadcConfig, n: int) -> PolyphaseStream:
+    """The PolyphaseStream that corrects an n-sample record. Its output must keep
+    a sample between the transients flagged at each end, as a capture does."""
+    stream, transient = PolyphaseStream(bank, config, n), bank.spec.transient_samples
+    if n <= 2 * transient:
+        raise ValueError(f"capture of n = {n} samples is too short to correct: the bank "
+                         f"flags {transient} transient samples at each end")
+    return stream
+
+
 def correct(capture: Capture, bank: FilterBank,
             block_size: int | None = DEFAULT_BLOCK) -> Capture:
     """Apply the M-branch synthesis bank to an interleaved capture.
@@ -159,7 +169,7 @@ def correct(capture: Capture, bank: FilterBank,
     gives bit-identical output.
     """
     n = capture.n
-    stream = PolyphaseStream(bank, capture.config, n)
+    stream = record_stream(bank, capture.config, n)
     step = n if block_size is None else block_size
     if step < 1:
         raise ValueError("block_size must be positive")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiadc.model import (MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
-                         channel_response, csv_row, named, read_table, write_table)
+                         channel_response, csv_row, named, positive, read_table, write_table)
 
 COND_LIMIT = 1e8
 
@@ -244,6 +244,7 @@ class FilterBank:
             raise ValueError("taps must have shape (m_channels, spec.taps)")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
+        positive("fs_hz", self.fs)
 
     @property
     def m_channels(self) -> int:

@@ -80,10 +80,8 @@ def spectrum(capture: Capture, n_fft: int, window: str = "none") -> SpectrumRepo
     """Single-sided spectrum of the first n_fft non-transient samples."""
     if n_fft < 4 or n_fft & (n_fft - 1):
         raise ValueError("n_fft must be a power of two")
-    x = capture.samples
     t = capture.transient_samples
-    if t:
-        x = x[t:x.size - t]
+    x = capture.samples[t:capture.n - t]
     if x.size < n_fft:
         raise ValueError(
             f"capture too short: {x.size} usable samples, n_fft = {n_fft}")

@@ -85,14 +85,11 @@ class MismatchProfile:
     offset_lsb: np.ndarray
 
     def __post_init__(self):
-        f = np.atleast_1d(np.asarray(self.freqs_hz, dtype=np.float64))
-        g = np.atleast_2d(np.asarray(self.gain, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(self.dt_s, dtype=np.float64))
-        o = np.atleast_1d(np.asarray(self.offset_lsb, dtype=np.float64))
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "dt_s", d)
-        object.__setattr__(self, "offset_lsb", o)
+        for name, at_least in (("freqs_hz", np.atleast_1d), ("gain", np.atleast_2d),
+                               ("dt_s", np.atleast_2d), ("offset_lsb", np.atleast_1d)):
+            array = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, at_least(array))
+        f, g, d, o = self.freqs_hz, self.gain, self.dt_s, self.offset_lsb
         if f.ndim != 1 or f.size < 1:
             raise ValueError("freqs_hz must be a non-empty 1-d array")
         if not np.all(f[1:] > f[:-1]):

@@ -29,10 +29,7 @@ def read_profile(path, m_channels: int, owner: str):
 
 def calibrate(measurements, config: TiadcConfig, path, report):
     """Turn the measurements into a profile and write it to path."""
-    if len(measurements) == 1:
-        profile = calibration.constant_profile(measurements[0], config)
-    else:
-        profile = calibration.build_profile(measurements, config)
+    profile = calibration.build_profile(measurements, config)
     model.write_profile_csv(profile, path)
     report(f"calibrated {len(measurements)} frequencies -> {path}")
     return profile
@@ -348,7 +345,8 @@ def run_pipeline(scenario: dict, out_dir: Path) -> PipelineResult:
     with _stage("truth-profile"):
         truth = TRUTH_PROFILES[sc.truth["type"]][1](sc.truth, sc.config)
     with _stage("calibrate"):
-        measured = calibrate(calibration.measure_plan(sc.cal_plan, sc.config, truth),
+        captures = calibration.simulate_plan(sc.cal_plan, sc.config, truth)
+        measured = calibrate(calibration.measure_plan(sc.cal_plan, captures),
                              sc.config, out_dir / "measured_profile.csv", log.append)
     with _stage("design"):
         bank = design_bank(measured, sc.config, sc.spec, out_dir / "bank.csv",

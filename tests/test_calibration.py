@@ -218,12 +218,16 @@ class TestBuildProfile:
         assert prof.gain_at(1, 50e6) == 1.00
 
     def test_requires_two_distinct(self):
+        # one measurement holds over [0, fs]; more must sit at distinct frequencies
         cfg = tiadc.TiadcConfig(m_channels=2, fs=1e9, bits=12, full_scale=2.0)
-        with pytest.raises(ValueError):
-            tiadc.build_profile([self.measurement(1e8, 1.0)], cfg)
-        with pytest.raises(ValueError):
+        prof = tiadc.build_profile([self.measurement(1e8, 1.02)], cfg)
+        assert prof.freqs_hz.tolist() == [0.0, cfg.fs]
+        assert prof.gain.tolist() == [[1.0, 1.0], [1.02, 1.02]]
+        with pytest.raises(ValueError, match="distinct"):
             tiadc.build_profile([self.measurement(1e8, 1.0),
                                  self.measurement(1e8, 1.1)], cfg)
+        with pytest.raises(ValueError, match="at least 1"):
+            tiadc.build_profile([], cfg)
 
     def test_channel_count_consistency(self):
         cfg = tiadc.TiadcConfig(m_channels=4, fs=1e9, bits=12, full_scale=2.0)
@@ -239,6 +243,26 @@ class TestBuildProfile:
                                        np.array([0.0, 4.0]))
         prof = tiadc.build_profile([m1, m2], cfg)
         assert prof.offset_lsb[1] == pytest.approx(3.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m_ch=st.integers(2, 16), fs=POSITIVE, f=FINITE)
+def test_one_measurement_holds_over_band(data, m_ch, fs, f):
+    # the narrowband rule: rows at 0 and fs, gain and timing repeated, offsets
+    # copied, whatever frequency the one tone was measured at
+    gains, dts, offs = (np.array(data.draw(st.lists(kind, min_size=m_ch, max_size=m_ch)))
+                        for kind in (POSITIVE, FINITE, FINITE))
+    cfg = tiadc.TiadcConfig(m_channels=m_ch, fs=fs, bits=12, full_scale=2.0)
+    meas = tiadc.MismatchMeasurement(freq_hz=f, gain_rel=gains, dt_s=dts, offset_lsb=offs)
+    want = (np.array([0.0, fs]), np.column_stack([gains, gains]),
+            np.column_stack([dts, dts]), offs)
+    for prof in (tiadc.build_profile([meas], cfg), tiadc.constant_profile(meas, cfg)):
+        got = (prof.freqs_hz, prof.gain, prof.dt_s, prof.offset_lsb)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
 
 
 class TestCalibrationRoundTrip:

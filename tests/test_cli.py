@@ -206,6 +206,25 @@ class TestCalibrate:
         assert ((tmp_path / "m.csv").read_bytes()
                 == (tmp_path / "pipe" / "measured_profile.csv").read_bytes())
 
+    @pytest.mark.parametrize("source", ["truth-profile", "captures"])
+    def test_one_frequency_library_matches_subcommand(self, workdir, source):
+        # run_calibration and the subcommand turn one tone into the same
+        # [0, fs] profile, from simulated and from recorded captures alike
+        tmp, cfg = workdir
+        plan_path, (f,) = self.plan(tmp, cfg, n=1)
+        truth = tiadc.read_profile_csv(tmp / "truth.csv")
+        _, profile = tiadc.run_calibration(truth, cfg, [f], 0.9, 4096)
+        assert profile.freqs_hz.tolist() == [0.0, cfg.fs]
+        tiadc.write_profile_csv(profile, tmp / "library.csv")
+        args = ["--truth-profile", str(tmp / "truth.csv")]
+        if source == "captures":
+            tiadc.save_capture(tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, f), cfg,
+                                                      truth, 4096), tmp / "cal_000.f64")
+            args = ["--captures", str(tmp)]
+        assert main(["calibrate", "--config", str(tmp / "config.json"),
+                     "--plan", str(plan_path), *args, "--out", str(tmp / "cli.csv")]) == 0
+        assert (tmp / "cli.csv").read_bytes() == (tmp / "library.csv").read_bytes()
+
     def test_captures_with_truth_profile_rejected(self, workdir, capsys):
         tmp, cfg = workdir
         plan_path, _ = self.plan(tmp, cfg, n=3)
@@ -502,6 +521,31 @@ class TestCorrectAnalyze:
         assert capsys.readouterr().err == (
             "error: bank is for fs = 1e+09 Hz, capture has fs = 1.6e+09 Hz\n")
         assert not (tmp / "fixed.f64").exists()
+
+    @pytest.mark.parametrize("n", [100, 128, 132])
+    def test_all_transient_record_refused(self, workdir, capsys, n):
+        # the default 65-tap bank flags 65 samples at each end: 132 samples
+        # keep two between them and load back, 128 and 100 keep none
+        tmp, cfg = workdir
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "ideal.csv"),
+                     "--out", str(tmp / "bank.csv")]) == 0
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), n)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        capsys.readouterr()
+        rc = main(["correct", "--capture", str(tmp / "cap.f64"),
+                   "--bank", str(tmp / "bank.csv"), "--out", str(tmp / "fixed.f64")])
+        if n > 130:
+            assert rc == 0
+            assert tiadc.load_capture(tmp / "fixed.f64").transient_samples == 65
+            return
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: capture of n = {n} samples is too short to correct: the bank flags "
+            f"65 transient samples at each end\n")
+        assert not (tmp / "fixed.f64").exists()
+        assert not (tmp / "fixed.f64.part").exists()
 
     def test_non_finite_block_leaves_no_output(self, workdir, monkeypatch, capsys):
         tmp, cfg = workdir

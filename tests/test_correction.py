@@ -135,7 +135,7 @@ class TestCorrect:
 
     def test_matches_dense_operator(self, cfg4, mismatch_bank):
         rng = np.random.default_rng(41)
-        for n in (128, 256):
+        for n in (132, 256):  # 132: the shortest record correct takes
             x = rng.normal(size=n)
             y = tiadc.correct(make_capture(cfg4, x), mismatch_bank,
                               block_size=None).samples
@@ -161,6 +161,24 @@ class TestCorrect:
     def test_short_capture_rejected(self, cfg4, mismatch_bank):
         with pytest.raises(ValueError, match="shorter"):
             tiadc.correct(make_capture(cfg4, np.zeros(32)), mismatch_bank)
+
+    def test_shortest_record_round_trips(self, cfg4, mismatch_bank, tmp_path):
+        # the smallest multiple of M above twice the transient count
+        transient = mismatch_bank.spec.transient_samples
+        n = (2 * transient // 4 + 1) * 4
+        out = tiadc.correct(make_capture(cfg4, np.ones(n)), mismatch_bank)
+        tiadc.save_capture(out, tmp_path / "fixed.f64")
+        back = tiadc.load_capture(tmp_path / "fixed.f64")
+        assert back.samples.tobytes() == out.samples.tobytes()
+        assert back.transient_samples == transient
+
+    @pytest.mark.parametrize("n", [68, 100, 128])
+    def test_all_transient_record_rejected(self, cfg4, mismatch_bank, n):
+        # at least L samples, but none left between the 65 flagged at each end
+        with pytest.raises(ValueError, match=(
+                f"capture of n = {n} samples is too short to correct: the bank flags "
+                f"65 transient samples at each end")):
+            tiadc.correct(make_capture(cfg4, np.zeros(n)), mismatch_bank)
 
     def test_end_to_end_image_suppression(self, cfg4, mismatch_bank):
         truth = tiadc.make_reference_profile(cfg4)
@@ -190,9 +208,10 @@ def test_prefix_corrects_like_whole_capture(m_ch, n_grid, n_taps, n_read):
                                     sc.config, sc.spec)
     rng = np.random.default_rng(m_ch)
     x = rng.normal(size=raw["sweep"]["n_samples"])
+    shortest = (2 * bank.spec.transient_samples // m_ch + 1) * m_ch
     for block in (tiadc.correction.DEFAULT_BLOCK, None):
         whole = tiadc.correct(make_capture(sc.config, x), bank, block_size=block)
-        for n in (n_read, -(-n_taps // m_ch) * m_ch):
+        for n in (n_read, shortest):
             part = tiadc.correct(make_capture(sc.config, x[:n]), bank, block_size=block)
             assert part.samples.tobytes() == whole.samples[:n].tobytes(), (block, n)
             if n == n_read:  # the analysis reads the same samples

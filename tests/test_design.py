@@ -630,8 +630,13 @@ class TestBankFiles:
         (lambda meta, head, rows: [line if not line.startswith("# kaiser_beta,")
                                    else "# kaiser_beta,nan" for line in meta] + head + rows,
          "bank.csv: kaiser_beta must be finite and >= 0, got nan"),
+        *((lambda meta, head, rows, fs=fs: [line if not line.startswith("# fs_hz,")
+                                            else f"# fs_hz,{fs}" for line in meta] + head + rows,
+           f"bank.csv: fs_hz must be finite and > 0, got {float(fs)!r}")
+          for fs in ("nan", "inf", "0", "-1.6e9")),
     ], ids=["unknown-key", "duplicate-key", "missing-key", "meta-after-header",
-            "no-header", "header-last", "nan-kaiser-beta"])
+            "no-header", "header-last", "nan-kaiser-beta", "nan-fs", "inf-fs", "zero-fs",
+            "negative-fs"])
     def test_meta_block_and_header_checked(self, reference_bank, tmp_path, edit, expect):
         # each meta key once, before the header; the header itself required
         _, _, bank = reference_bank

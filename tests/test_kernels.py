@@ -147,11 +147,14 @@ def test_kernel_property(data, m_ch, n_taps):
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_blocked_equals_one_shot_property(data, m_ch, n_taps):
-    # from under one run of rows to several, through correction.correct
-    rows = data.draw(st.integers(-(-n_taps // m_ch),
-                                 3 * run_rows(m_ch, n_taps) + 7), label="rows")
+    # from under one run of rows to several, through correction.correct,
+    # which takes records that keep samples between the transients at each
+    # end (offset + L of them); the stream's own edges are tested above
+    offset = data.draw(st.integers(0, 3 * n_taps), label="offset")
+    shortest = 2 * (offset + n_taps) // m_ch + 1
+    rows = data.draw(st.integers(shortest, shortest + 3 * run_rows(m_ch, n_taps) + 7),
+                     label="rows")
     n = rows * m_ch
-    offset = data.draw(st.integers(0, n + 5), label="offset")
     block = data.draw(st.one_of(st.sampled_from([4, 12, 60]),
                                 st.integers(1, n + m_ch)), label="block")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
