@@ -93,12 +93,6 @@ def cmd_design(args) -> int:
     # options left out are absent from args, so DesignSpec supplies them
     spec = design.DesignSpec(**{f.name: getattr(args, f.name)
                                 for f in fields(design.DesignSpec) if hasattr(args, f.name)})
-    lo, hi = spec.band_hz(config.fs)
-    if profile.freqs_hz[0] > lo + 1e-6 * config.fs or profile.freqs_hz[-1] < hi - 1e-6 * config.fs:
-        print(f"warning: profile table covers [{profile.freqs_hz[0]:g}, "
-              f"{profile.freqs_hz[-1]:g}] Hz but zone {spec.zone} needs "
-              f"[{lo:g}, {hi:g}] Hz; clamped end values will be used",
-              file=sys.stderr)
     design_bank(profile, config, spec, args.out, args.residual_out, print)
     return 0
 

@@ -297,6 +297,8 @@ def predict_output_spectrum(tones: ToneSpec, config: TiadcConfig,
     complex amplitudes. The folding arithmetic covers any Nyquist zone.
     """
     m_ch = config.m_channels
+    if profile.m_channels != m_ch:
+        raise ValueError("profile channel count does not match config")
     fs = config.fs
     # components: (theta in [0, 2pi), complex coeff, rank in LINE_KINDS)
     components = []

@@ -37,8 +37,13 @@ def calibrate(measurements, config: TiadcConfig, path, report):
 
 def design_bank(profile, config: TiadcConfig, spec: design.DesignSpec, path,
                 residual_path, report):
-    """Design the bank and check its PR residual; write the bank to path and,
-    when residual_path is given, the residual to it."""
+    """Warn when the profile table misses the zone's band, or stops short of an
+    edge by more than its widest row spacing; design the bank and check its PR
+    residual; write the bank to path and, when residual_path is given, the residual to it."""
+    f, (lo, hi) = profile.freqs_hz, spec.band_hz(config.fs)
+    if f[-1] <= lo or f[0] >= hi or max(f[0] - lo, hi - f[-1]) > np.diff(f).max(initial=0):
+        report(f"warning: profile table covers [{f[0]:g}, {f[-1]:g}] Hz but zone "
+               f"{spec.zone} needs [{lo:g}, {hi:g}] Hz; clamped end values will be used")
     bank = design.design_filter_bank(profile, config, spec)
     design.write_bank_csv(bank, path)
     residual = design.pr_residual(bank, profile, config, n_check=512)
@@ -109,19 +114,6 @@ def _target_kinds(block: dict, list_key: str, count_key: str) -> dict:
             else {"f_lo_hz": "real", "f_hi_hz": "real", count_key: "int"})
 
 
-def _target_count(block: dict, list_key: str, count_key: str, n: int) -> int:
-    """The number of tone targets (_target_kinds) read into block, for an
-    n-sample record: a count may name at most n/2, the distinct coherent
-    frequencies the record holds."""
-    if list_key in block:
-        return len(block[list_key])
-    count = block[count_key]
-    if not 1 <= count <= n // 2:
-        raise ValueError(f"{count_key} must be from 1 to {n // 2}, half the "
-                         f"{n}-sample record, got {count}")
-    return count
-
-
 def _check_plan_samples(count: int, n: int, records: str):
     """Reject count records of n samples each, described as records, when
     they total more than MAX_PLAN_SAMPLES."""
@@ -130,10 +122,19 @@ def _check_plan_samples(count: int, n: int, records: str):
                          f"got {count * n}")
 
 
-def _coherent_targets(block: dict, list_key: str, count: int, fs: float, n: int) -> list:
-    """The distinct coherent frequencies, in order, nearest the count targets
-    (_target_count) read into block, for an n-sample record."""
+def _coherent_targets(block: dict, list_key: str, count_key: str, fs: float, n: int,
+                      n_record: int, records: str) -> list:
+    """The distinct coherent frequencies, in order, nearest the tone targets
+    (_target_kinds) read into block, for an n-sample record. A count may name
+    at most n/2, the distinct coherent frequencies the record holds, and the
+    targets, n_record samples each described as records after the count, must
+    pass _check_plan_samples before any is made."""
     targets = block.get(list_key)
+    count = block[count_key] if targets is None else len(targets)
+    if targets is None and not 1 <= count <= n // 2:
+        raise ValueError(f"{count_key} must be from 1 to {n // 2}, half the "
+                         f"{n}-sample record, got {count}")
+    _check_plan_samples(count, n_record, f"{count} {records}")
     if targets is None:
         targets = np.linspace(block["f_lo_hz"], block["f_hi_hz"], count)
     return list(dict.fromkeys(metrics.coherent_bin(f, fs, n)[1] for f in targets))
@@ -181,10 +182,9 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ValueError("n_samples must be a power of two")
         if n_cal > model.MAX_RECORD_SAMPLES:
             raise ValueError(f"n_samples must be at most {model.MAX_RECORD_SAMPLES}, got {n_cal}")
-        count = _target_count(cal, "freqs_hz", "n_freqs", n_cal)
-        _check_plan_samples(count, n_cal, f"{count} records of n_samples = {n_cal}")
         cal_plan = tuple(calibration.plan_row(f, cal["amplitude_v"], n_cal, config.m_channels)
-                         for f in _coherent_targets(cal, "freqs_hz", count, fs, n_cal))
+                         for f in _coherent_targets(cal, "freqs_hz", "n_freqs", fs, n_cal,
+                                                    n_cal, f"records of n_samples = {n_cal}"))
         design_tone = cal["freqs_hz"][0] if kind == "narrowband_contrast" else None
 
     with named(f"{where}: design"):
@@ -227,7 +227,7 @@ def parse_scenario(raw: dict) -> Scenario:
             # the bound is the sweep's, checked before any tone is read
             _check_plan_samples(len(tones), n_read, f"{len(tones)} tones of {n_read} samples")
             with named(where):
-                point = []
+                point = {}  # coherent frequency -> Tone
                 for i, tone in enumerate(tones):
                     if not isinstance(tone, dict):
                         raise ValueError(f"tones[{i}] must be a JSON object, got {tone!r}")
@@ -236,13 +236,15 @@ def parse_scenario(raw: dict) -> Scenario:
                                                   "amplitude_v": ("real", amp)})
                         positive("amplitude_v", tone["amplitude_v"])
                         f = metrics.coherent_bin(tone["f_target_hz"], fs, n_fft)[1]
-                        point.append(Tone(tone["amplitude_v"], f))
-            points = (ToneSpec(tones=tuple(point)),)
+                        if f in point:  # one line in the spectrum, not two tones
+                            raise ValueError(
+                                f"f_target_hz {tone['f_target_hz']!r} falls on {f!r} Hz, "
+                                f"the coherent frequency of tones[{list(point).index(f)}]")
+                        point[f] = Tone(tone["amplitude_v"], f)
+            points = (ToneSpec(tones=tuple(point.values())),)
         else:
-            count = _target_count(sweep, "f_targets_hz", "n_tones", n_fft)
-            _check_plan_samples(count, n_read, f"{count} tones of {n_read} samples")
-            points = tuple(ToneSpec.single(amp, f) for f in
-                           _coherent_targets(sweep, "f_targets_hz", count, fs, n_fft))
+            points = tuple(ToneSpec.single(amp, f) for f in _coherent_targets(
+                sweep, "f_targets_hz", "n_tones", fs, n_fft, n_read, f"tones of {n_read} samples"))
 
     return Scenario(
         kind=kind, config=config, truth=truth, cal_plan=cal_plan, spec=spec,

@@ -9,7 +9,7 @@ import pytest
 import tiadc
 from tiadc import calibration, correction, metrics
 from tiadc.cli import load_config, load_scenario, main, run_pipeline
-from tiadc.pipeline import TRUTH_PROFILES, parse_scenario
+from tiadc.pipeline import BUNDLED_SCENARIOS, TRUTH_PROFILES, parse_scenario
 
 CONFIG = {"m_channels": 4, "fs_hz": 1.6e9, "bits": 14, "full_scale_v": 2.0,
           "quantize": False}
@@ -379,7 +379,60 @@ class TestDesign:
                    "--profile", str(tmp / "z1.csv"), "--zone", "2",
                    "--out", str(tmp / "bank2.csv")])
         assert rc == 0
-        assert "clamped" in capsys.readouterr().err
+        # the shared design stage reports it on stdout, as the pipeline logs it
+        assert "clamped" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario", BUNDLED_SCENARIOS + ("readme",))
+    def test_calibrated_profile_covers_its_zone(self, tmp_path, capsys, scenario):
+        # a profile calibrated from a bundled scenario's plan, or the README's,
+        # ends within one row spacing of each band edge: the design is silent
+        if scenario == "readme":
+            raw_config = {**CONFIG, "quantize": True}
+            config = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+            plan = [(tiadc.coherent_bin(f, config.fs, 8192)[1], 0.9, 8192)
+                    for f in np.linspace(8e6, 796e6, 16)]
+            truth, zone = tiadc.make_reference_profile(config), 1
+        else:
+            raw = load_scenario(scenario)
+            sc = parse_scenario(raw)
+            raw_config, plan, zone = raw["config"], sc.cal_plan, sc.spec.zone
+            truth = TRUTH_PROFILES[sc.truth["type"]][1](sc.truth, sc.config)
+        (tmp_path / "config.json").write_text(json.dumps(raw_config))
+        tiadc.write_profile_csv(truth, tmp_path / "truth.csv")
+        calibration.write_plan_csv(plan, tmp_path / "plan.csv")
+        assert main(["calibrate", "--config", str(tmp_path / "config.json"),
+                     "--plan", str(tmp_path / "plan.csv"),
+                     "--truth-profile", str(tmp_path / "truth.csv"),
+                     "--out", str(tmp_path / "measured.csv")]) == 0
+        assert main(["design", "--config", str(tmp_path / "config.json"),
+                     "--profile", str(tmp_path / "measured.csv"), "--n-grid", "256",
+                     "--taps", "33", "--zone", str(zone),
+                     "--out", str(tmp_path / "bank.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out and err == ""
+
+    @pytest.mark.parametrize("calibrated, zone, expect", [
+        # below fs/8 only: 601 MHz short of zone 1's upper edge, rows 50 MHz apart
+        ((5e7, 2e8), 1, "[4.92188e+07, 1.99219e+08] Hz but zone 1 needs [0, 8e+08] Hz"),
+        # zone 1 only, for a zone-2 design
+        ((5e7, 7.5e8), 2, "[4.92188e+07, 7.49219e+08] Hz but zone 2 needs [8e+08, 1.6e+09] Hz"),
+    ], ids=["below-fs/8", "zone1-for-zone2"])
+    def test_short_profile_warns_in_design_and_pipeline(self, tmp_path, capsys, calibrated,
+                                                        zone, expect):
+        warning = f"warning: profile table covers {expect}; clamped end values will be used"
+        f_lo, f_hi = calibrated
+        scen = {**TINY_SCENARIO,
+                "calibration": {**TINY_SCENARIO["calibration"], "f_lo_hz": f_lo, "f_hi_hz": f_hi},
+                "design": {**TINY_SCENARIO["design"], "zone": zone}}
+        result = run_pipeline(scen, tmp_path / "pipe")
+        assert [ln for ln in result.log if ln.startswith("warning")] == [warning]
+        (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+        assert main(["design", "--config", str(tmp_path / "config.json"),
+                     "--profile", str(tmp_path / "pipe" / "measured_profile.csv"),
+                     "--n-grid", "256", "--taps", "33", "--zone", str(zone),
+                     "--out", str(tmp_path / "bank.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == warning and err == ""
 
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
@@ -1203,12 +1256,18 @@ class TestPipeline:
         ({"kind": "two_tone", "sweep": {"amplitude_v": 0.9, "n_samples": 4096, "n_fft": 2048},
           "tones": [{"f_target_hz": 1e8}, 3]},
          "tones[1] must be a JSON object, got 3"),
+        # two targets on one coherent bin would sum into one line of twice the amplitude
+        ({"kind": "two_tone", "sweep": {"amplitude_v": 0.45, "n_samples": 4096, "n_fft": 2048},
+          "tones": [{"f_target_hz": 1.71e8}, {"f_target_hz": 3.13e8},
+                    {"f_target_hz": 1.7100001e8}]},
+         "tones[2]: f_target_hz 171000010.0 falls on 171093750.0 Hz, "
+         "the coherent frequency of tones[0]"),
     ], ids=["n_fft", "bool-threshold", "contrast-without-freqs", "cal-n_samples",
             "delay-window", "cal-rows", "sweep-rows", "usable-samples",
             "sweep-amplitude", "cal-amplitude", "delay-below-half-taps",
             "sweep-zero-amplitude", "tone-zero-amplitude", "tone-negative-amplitude",
             "two-tone-sweep-negative-amplitude", "contrast-without-targets",
-            "tones-missing", "tones-empty", "tone-not-an-object"])
+            "tones-missing", "tones-empty", "tone-not-an-object", "tones-one-bin"])
     def test_bad_scenario_writes_nothing(self, tmp_path, capsys, monkeypatch, edit, expect):
         # the whole scenario is checked before the first stage runs
         calls = []

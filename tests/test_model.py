@@ -361,6 +361,16 @@ class TestPredictOutputSpectrum:
             tiadc.ToneSpec(tones=(Tone(0.5, 1e8), Tone(0.0, 3e8))), cfg4, truth)
         assert pair == alone
 
+    @pytest.mark.parametrize("m_profile", [2, 8])
+    @pytest.mark.parametrize("tones", [tiadc.ToneSpec.single(0.9, 1e8),
+                                       tiadc.ToneSpec(tones=(), dc=0.01)],
+                             ids=["tone", "dc-only"])
+    def test_profile_channel_count_checked(self, cfg4, m_profile, tones):
+        # the same check channel_response and simulate_capture make, before any line
+        profile = tiadc.MismatchProfile.ideal(m_profile, cfg4.fs)
+        with pytest.raises(ValueError, match="profile channel count does not match config"):
+            tiadc.predict_output_spectrum(tones, cfg4, profile)
+
     def test_oracle_agreement_with_fft(self, cfg4):
         truth = tiadc.make_reference_profile(cfg4)
         n_fft = 4096
