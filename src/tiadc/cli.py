@@ -2,7 +2,8 @@
 and pipeline subcommands. Scenario parsing, the stages and run_pipeline are
 in tiadc.pipeline; calibrate and design run its stage code.
 
-Every failure exits 1 with a single "error: ..." line on stderr.
+Every failure exits 1 with a single "error: ..." line on stderr; a warning
+raised while a subcommand runs is one "warning: ..." line there.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -164,6 +166,10 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _print_warning(message, *_where):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 # --- argument parsing ---------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -244,7 +250,9 @@ def main(argv=None) -> int:
         args, extra = build_parser().parse_known_args(argv)
         if extra:  # named like the subcommand's other usage errors
             raise TiadcError(f"tiadc {args.command}: unrecognized arguments: {' '.join(extra)}")
-        return args.func(args) or 0
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args) or 0
     except (TiadcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

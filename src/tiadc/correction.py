@@ -20,10 +20,19 @@ depends only on its own J*M inputs, so any split of the record into pushes,
 one-shot included, gives bit-identical output. Samples outside the record
 are treated as zero, so the first and last taps-plus-offset output samples
 are transient and flagged on the corrected capture.
-"""
+
+For the same reason a stream may start at a run boundary: given the (J - 1)*M
+input samples before that run as its history, it writes the runs that follow
+with the bits the whole record's stream gives them. ``correct`` splits a
+record of at least 2*MIN_SPAN_RUNS runs into spans of whole runs, one per CPU
+the process may run on, and corrects each span with its own stream on its own
+thread (BLAS releases the interpreter lock), so the output is the same for
+any CPU count."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +42,7 @@ from tiadc.design import FilterBank
 
 DEFAULT_BLOCK = 1 << 16
 CHUNK_ROWS = 128
+MIN_SPAN_RUNS = 4  # fewest runs a span of a split record gets
 
 
 def correct_offsets(capture: Capture, profile: MismatchProfile) -> Capture:
@@ -74,9 +84,18 @@ class PolyphaseStream:
     room, k the samples pushed (for ``finish``, those of the n never
     pushed). ``finish`` pads the record with zeros until all n are written.
     Samples pushed beyond n are ignored.
+
+    ``runs`` is how many runs the record takes. With ``span=range(a, b)``
+    the stream covers runs a to b - 1 of the record alone, with the (J - 1)*M
+    samples of ``record`` before run a as its history: it is pushed
+    ``record[stream.inputs]`` and writes ``stream.outputs`` of the record's
+    output, the first span's leading zeros included, and nothing after run
+    b - 1. For the whole record those slices are ``[0, n)`` and the output
+    up to the end of its last run.
     """
 
-    def __init__(self, bank: FilterBank, config: TiadcConfig, n: int):
+    def __init__(self, bank: FilterBank, config: TiadcConfig, n: int,
+                 span: range | None = None, record=None):
         m_ch = config.m_channels
         if bank.m_channels != m_ch:
             raise ValueError(
@@ -88,17 +107,25 @@ class PolyphaseStream:
             raise ValueError(f"capture shorter than the filter length ({n} < {L})")
         self._g = polyphase_matrix(bank.taps, m_ch)
         j = self._g.shape[0] // m_ch
-        self._lead = min(bank.spec.tap_offset, n)  # leading zeros not yet written
-        self._left = n  # output samples not yet written
+        lead = min(bank.spec.tap_offset, n)
         # at least 2 rows per row phase: numpy hands a 1-row product to a
         # matrix-vector routine that sums in another order
-        rows = min(CHUNK_ROWS, max(2, -(-(n - self._lead) // (j * m_ch))))
-        self._run_size = j * rows * m_ch
+        rows = min(CHUNK_ROWS, max(2, -(-(n - lead) // (j * m_ch))))
+        self._run_size = size = j * rows * m_ch
         self._history = (j - 1) * m_ch
-        self._stage = np.zeros(self._history + self._run_size)
+        self.runs = -(-(n - lead) // size)
+        first, stop = (0, self.runs) if span is None else (span.start, span.stop)
+        start = first * size  # the span's first input sample
+        self._lead = lead if start == 0 else 0  # leading zeros not yet written
+        self._left = self._lead + min(n - lead, stop * size) - start  # outputs not yet written
+        self.inputs = slice(start, n if stop == self.runs else stop * size)
+        self.outputs = slice(start + lead - self._lead, lead + stop * size)
+        self._stage = np.zeros(self._history + size)
+        if start:
+            self._stage[:self._history] = record[start - self._history:start]
         # row phase i of a run reads the (rows, J*M) view at i*M
         self._operands = [
-            self._stage[i * m_ch:i * m_ch + self._run_size].reshape(rows, -1)
+            self._stage[i * m_ch:i * m_ch + size].reshape(rows, -1)
             for i in range(j)]
         self._fill = self._history
 
@@ -158,6 +185,24 @@ def record_stream(bank: FilterBank, config: TiadcConfig, n: int) -> PolyphaseStr
     return stream
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _push_span(stream, x, y, step):
+    """Push the stream's inputs from x step samples at a time, then finish,
+    writing its outputs into y."""
+    x, out = x[stream.inputs], y[stream.outputs]
+    done = 0
+    for a in range(0, x.size, step):
+        done += stream.push(x[a:a + step], out[done:])
+    stream.finish(out[done:])
+
+
 def correct(capture: Capture, bank: FilterBank,
             block_size: int | None = DEFAULT_BLOCK) -> Capture:
     """Apply the M-branch synthesis bank to an interleaved capture.
@@ -165,19 +210,46 @@ def correct(capture: Capture, bank: FilterBank,
     Output y[n] = sum_m sum_i f_m[n - i*M] x_m[i] with x_m[i] = input[i*M+m],
     has the same length as the input, and is delayed by the bank's design
     delay. The record is pushed through one PolyphaseStream block_size
-    samples at a time (block_size=None pushes it whole); every block size
-    gives bit-identical output.
+    samples at a time (block_size=None pushes it whole). A record of R runs
+    is split into W = min(CPUs in the affinity mask, R // MIN_SPAN_RUNS)
+    spans of whole runs, each pushed the same way through its own stream:
+    the first on the calling thread, the others on threads started and
+    joined within the call. Every block size and every W gives bit-identical
+    output; W = 1 (one CPU, or fewer than 2*MIN_SPAN_RUNS runs) starts no
+    thread.
     """
-    n = capture.n
+    n, x = capture.n, capture.samples
     stream = record_stream(bank, capture.config, n)
     step = n if block_size is None else block_size
     if step < 1:
         raise ValueError("block_size must be positive")
     y = np.empty(stream.out_size(n))
-    done = 0
-    for a in range(0, n, step):
-        done += stream.push(capture.samples[a:a + step], y[done:])
-    stream.finish(y[done:])
+    spans = [stream]
+    count = min(_cpus(), stream.runs // MIN_SPAN_RUNS)
+    if count > 1:
+        cuts = [stream.runs * s // count for s in range(count + 1)]
+        spans = [PolyphaseStream(bank, capture.config, n, range(a, b), x)
+                 for a, b in zip(cuts, cuts[1:])]
+    failed = []
+
+    def work(span):
+        try:
+            _push_span(span, x, y, step)
+        except Exception as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    threads = []
+    try:
+        for span in spans[1:]:
+            thread = threading.Thread(target=work, args=(span,))
+            thread.start()
+            threads.append(thread)
+        _push_span(spans[0], x, y, step)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
     return Capture(samples=y[:n], config=capture.config,
                    transient_samples=bank.spec.transient_samples, corrected=True,
                    bank_id=bank.bank_id)

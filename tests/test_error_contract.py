@@ -27,6 +27,10 @@ SCENARIO = {
     "thresholds": {"min_image_drop_db": 10.0, "min_enob_gain_bits": 0.5,
                    "min_enob_after_bits": 6.0, "spur_floor_dbfs": -60.0},
 }
+# the one warning simulate and pipeline may print: a mutated amplitude or
+# full scale can make the simulated tones clip
+CLIP_WARNING = ("warning: tone amplitudes exceed half the full-scale range; "
+                "the capture may clip")
 
 
 def perturb(value, factor):
@@ -132,7 +136,20 @@ def test_simulate_mutated_config(files, capsys, edits):
     rc = main(["simulate", "--config", str(tmp / "config.json"),
                "--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
                "--n", "256", "--out", str(tmp / "sim.f64")])
-    assert_contract(rc, capsys.readouterr().err)
+    assert_contract(rc, capsys.readouterr().err, [CLIP_WARNING])
+
+
+def test_simulate_clipping_warns_in_one_line(files, capsys):
+    tmp, _ = files
+    (tmp / "ideal.csv").write_text(
+        "channel,freq_hz,gain,dt_s,offset_lsb\n"
+        + "".join(f"{m},0,1,0,0\n" for m in range(4)))
+    (tmp / "config.json").write_text(json.dumps(CONFIG))
+    capsys.readouterr()
+    rc = main(["simulate", "--config", str(tmp / "config.json"),
+               "--profile", str(tmp / "ideal.csv"), "--tone", "1.5:1e8",
+               "--n", "256", "--out", str(tmp / "clip.f64")])
+    assert (rc, capsys.readouterr().err) == (0, CLIP_WARNING + "\n")
 
 
 def test_unmutated_scenario_passes(files, capsys):
@@ -152,7 +169,7 @@ def test_pipeline_mutated_scenario(files, capsys, edits):
     rc = main(["pipeline", "--scenario", str(tmp / "scenario.json"),
                "--out-dir", str(tmp / "pipeline")])
     # a run whose results miss a threshold lists each miss before its error
-    assert_contract(rc, capsys.readouterr().err, ["threshold violation: "])
+    assert_contract(rc, capsys.readouterr().err, ["threshold violation: ", CLIP_WARNING])
 
 
 @pytest.mark.parametrize("kind", ["config", "scenario", "sidecar"])

@@ -1,6 +1,12 @@
 """The polyphase filter-bank stream against a dense per-sample reference."""
 
 import itertools
+import os
+import signal
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,3 +225,103 @@ def test_short_record_computes_only_its_rows():
     bank = make_bank(np.zeros((16, 257)), 0)
     stream = correction.PolyphaseStream(bank, bank_config(bank), 4624)
     assert stream.out_size(0) < 2 * 4624
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m_ch=st.sampled_from([2, 3, 4, 16]),
+       n_taps=st.integers(0, 16).map(lambda k: 2 * k + 1))
+def test_split_equals_one_span_property(data, m_ch, n_taps):
+    # 1 to 8 workers over records of k whole runs of output, one row more or
+    # less, or a ragged tail; a tap_offset that is a multiple of M leaves
+    # the exact k runs after the leading zeros
+    size = run_rows(m_ch, n_taps) * m_ch
+    offset = data.draw(st.one_of(st.integers(1, 4).map(lambda t: t * m_ch),
+                                 st.integers(1, 3 * n_taps + m_ch)), label="offset")
+    runs = data.draw(st.integers(1, 40), label="runs")
+    rows = -(-(offset + runs * size) // m_ch) + data.draw(st.one_of(
+        st.sampled_from([0, 1, -1]), st.integers(2, size // m_ch - 2)), label="tail rows")
+    workers = data.draw(st.integers(1, 8), label="workers")
+    block = data.draw(st.one_of(st.sampled_from([None, correction.DEFAULT_BLOCK]),
+                                st.integers(50, 3 * size)), label="block")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=rows * m_ch)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
+    with mock.patch.object(correction, "_cpus", return_value=1):
+        one_span = correct_samples(x, bank, None)
+    with mock.patch.object(correction, "_cpus", return_value=workers):
+        split = correct_samples(x, bank, block)
+    assert split.tobytes() == one_span.tobytes()
+    assert one_span.tobytes() == copied_window_product(x, bank).tobytes()
+
+
+def benchmark_record(seed):
+    """A 2^20-sample record and a random M = 16, 257-tap bank: 31 runs."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << 20), make_bank(rng.normal(size=(16, 257)) / 16, 0)
+
+
+def test_split_starts_and_joins_its_threads(monkeypatch):
+    # 8 CPUs give 31 // 4 = 7 spans, more threads than the host has cores,
+    # and a short switch interval interleaves them as often as it can
+    x, bank = benchmark_record(29)
+    monkeypatch.setattr(correction, "_cpus", lambda: 8)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        y = correct_samples(x, bank, correction.DEFAULT_BLOCK)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(started) == 6 and not any(t.is_alive() for t in started)
+    monkeypatch.setattr(correction, "_cpus", lambda: 1)
+    assert y.tobytes() == correct_samples(x, bank, None).tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_runs_in_a_forked_child(monkeypatch):
+    # the benchmark forks a child after corrections in the parent; a pool
+    # kept between calls would have no threads in the child and hang it
+    x, bank = benchmark_record(31)
+    monkeypatch.setattr(correction, "_cpus", lambda: 2)
+    want = correct_samples(x, bank, correction.DEFAULT_BLOCK)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            got = correct_samples(x, bank, correction.DEFAULT_BLOCK)
+            status = 0 if got.tobytes() == want.tobytes() else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("correct hung in a forked child")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("m_ch,n_taps,n", [(4, 65, 4228), (16, 257, 4624)])
+def test_sweep_record_starts_no_thread(monkeypatch, m_ch, n_taps, n):
+    # a sweep record is one run, however many CPUs the process has
+    def no_thread(*args, **kwargs):
+        raise AssertionError("correct started a thread")
+
+    monkeypatch.setattr(correction, "_cpus", lambda: 8)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    rng = np.random.default_rng(37)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)) / m_ch, 0)
+    x = rng.normal(size=n)
+    got = correct_samples(x, bank, correction.DEFAULT_BLOCK)
+    assert got.tobytes() == copied_window_product(x, bank).tobytes()
