@@ -63,7 +63,8 @@ def cmd_simulate(args) -> int:
 
 def _recorded_captures(plan, config: TiadcConfig, args):
     """Load each plan row's recorded capture, args.captures/cal_NNN.f64, one at a time;
-    its sidecar states how it was taken, which must be what the config and the row say."""
+    its sidecar states how it was taken, which must be what the config and the row say,
+    with no transient samples."""
     for i, (_freq, _amp, n_samples) in enumerate(plan):
         path = Path(args.captures) / f"cal_{i:03d}.f64"
         capture = model.load_capture(path)
@@ -74,6 +75,9 @@ def _recorded_captures(plan, config: TiadcConfig, args):
         if capture.n != n_samples:
             raise TiadcError(f"{path}.json: n = {capture.n}, but the plan row "
                              f"asks for n_samples = {n_samples}")
+        if capture.transient_samples:
+            raise TiadcError(f"{path}.json: transient_samples = {capture.transient_samples}, "
+                             f"but a calibration capture must have none")
         yield capture
 
 
@@ -100,29 +104,30 @@ def cmd_design(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    """Correct the capture block by block: memory use does not grow with its
-    length. The output goes to <out>.part, which replaces <out> once it is
-    whole; the sidecar is written last."""
+    """Correct the capture span by span, each span reading its own inputs, so
+    memory use does not grow with its length. The output goes to <out>.part,
+    which replaces <out> once it is whole; the sidecar is written last."""
     n, header = model.capture_header(args.capture)
     config = header["config"]
-    m_ch = config.m_channels
     bank = design.read_bank_csv(args.bank)
-    profile = (read_profile(args.profile, m_ch, f"the capture {args.capture}")
+    profile = (read_profile(args.profile, config.m_channels, f"the capture {args.capture}")
                if args.profile else None)
     stream = correction.record_stream(bank, config, n)
-    block = max(correction.DEFAULT_BLOCK // m_ch, 1) * m_ch
-    y = np.empty(stream.out_size(block))
+    step = max(correction.DEFAULT_BLOCK // stream.run_size, 1)  # runs per span
+    y = np.empty(stream.outputs(range(step)).stop)
     out = Path(args.out)
     part = Path(str(out) + ".part")
     try:
         with open(args.capture, "rb") as src, open(part, "wb") as dst:
-            for a in range(0, n, block):
-                x = model.Capture(np.fromfile(src, dtype="<f8", count=min(block, n - a)),
-                                  config)
+            for a in range(0, stream.runs, step):
+                span = range(a, min(a + step, stream.runs))
+                inputs, outputs = stream.inputs(span), stream.outputs(span)
+                src.seek(8 * inputs.start)
+                x = model.Capture(np.fromfile(src, "<f8", inputs.stop - inputs.start), config)
                 if profile is not None:
                     x = correction.correct_offsets(x, profile)
-                y[:stream.push(x.samples, y)].astype("<f8", copy=False).tofile(dst)
-            y[:stream.finish(y)].astype("<f8", copy=False).tofile(dst)
+                stream.write(span, x.samples, y)
+                y[:min(outputs.stop, n) - outputs.start].astype("<f8", copy=False).tofile(dst)
         os.replace(part, out)
     finally:
         part.unlink(missing_ok=True)
@@ -253,7 +258,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return args.func(args) or 0
-    except (TiadcError, OSError, ValueError) as exc:
+    except (TiadcError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,26 +8,25 @@ J*M input samples ``flat[r*M : r*M + J*M]`` of the zero-padded record times
 one fixed (J*M, M) matrix G, so the record is a dense product that BLAS runs
 at full speed.
 
-``PolyphaseStream`` runs that product over a record pushed in pieces of any
-size. It builds G and one staging array once per record and carries the last
-(J - 1)*M input samples from one run to the next. A run is J*R rows, R sized
-to the record: ceil(its rows / J), at most CHUNK_ROWS and at least 2. Its rows
-i, i + J, i + 2J, ... (row phase i < J) read windows that sit back to back on
-the stage, so each row phase is one (R, J*M) @ (J*M, M) product that reads
-its operand in place and writes its rows straight into the output. Every run
-is written whole (the last one is padded with zero rows) and each output row
-depends only on its own J*M inputs, so any split of the record into pushes,
-one-shot included, gives bit-identical output. Samples outside the record
-are treated as zero, so the first and last taps-plus-offset output samples
-are transient and flagged on the corrected capture.
+``PolyphaseStream`` cuts a record into runs of J*R rows, R sized to the
+record: ceil(its rows / J), at most CHUNK_ROWS and at least 2. A run's rows
+i, i + J, i + 2J, ... (row phase i < J) read windows that sit back to back
+on a stage holding the run's inputs and the (J - 1)*M samples before them,
+so each row phase is one (R, J*M) @ (J*M, M) product that reads its operand
+in place and writes its rows straight into the output. Every run is written
+whole (the last one past the record's end) and each output row depends only
+on its own J*M inputs, so a span of whole runs, corrected from its own
+inputs alone, gets the bits the whole record gives it, and any cut of the
+record into spans gives the same output. Samples outside the record are
+treated as zero, so the first and last taps-plus-offset output samples are
+transient and flagged on the corrected capture.
 
-For the same reason a stream may start at a run boundary: given the (J - 1)*M
-input samples before that run as its history, it writes the runs that follow
-with the bits the whole record's stream gives them. ``correct`` splits a
-record of at least 2*MIN_SPAN_RUNS runs into spans of whole runs, one per CPU
-the process may run on, and corrects each span with its own stream on its own
-thread (BLAS releases the interpreter lock), so the output is the same for
-any CPU count."""
+``correct`` cuts a record of at least 2*MIN_SPAN_RUNS runs into spans of at
+least MIN_SPAN_RUNS runs, at most one per CPU the process may run on, and
+writes each span on its own thread (BLAS releases the interpreter lock);
+``tiadc correct`` walks a capture on disk in spans of about DEFAULT_BLOCK
+samples, so its memory stays flat. Both give the output of one span over
+the whole record."""
 
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ import numpy as np
 from tiadc.model import Capture, MismatchProfile, TiadcConfig
 from tiadc.design import FilterBank
 
-DEFAULT_BLOCK = 1 << 16
+DEFAULT_BLOCK = 1 << 16  # about the samples tiadc correct reads per span
 CHUNK_ROWS = 128
 MIN_SPAN_RUNS = 4  # fewest runs a span of a split record gets
 
@@ -74,28 +73,20 @@ def polyphase_matrix(taps, m_channels):
 
 class PolyphaseStream:
     """The bank's M-branch synthesis over one n-sample record captured with
-    config, pushed in pieces.
+    config, cut into ``runs`` runs of ``run_size`` outputs each.
 
-    Tap j of branch m acts at delay ``bank.spec.tap_offset + m + j``. ``push``
-    and ``finish`` write the output samples they complete to the front of
-    ``out`` and return how many they wrote; output sample k of the record is
-    the k-th sample written over all calls. They write whole runs, so
-    ``out`` (a contiguous float64 array) needs ``out_size(k)`` samples of
-    room, k the samples pushed (for ``finish``, those of the n never
-    pushed). ``finish`` pads the record with zeros until all n are written.
-    Samples pushed beyond n are ignored.
-
-    ``runs`` is how many runs the record takes. With ``span=range(a, b)``
-    the stream covers runs a to b - 1 of the record alone, with the (J - 1)*M
-    samples of ``record`` before run a as its history: it is pushed
-    ``record[stream.inputs]`` and writes ``stream.outputs`` of the record's
-    output, the first span's leading zeros included, and nothing after run
-    b - 1. For the whole record those slices are ``[0, n)`` and the output
-    up to the end of its last run.
+    Tap j of branch m acts at delay ``bank.spec.tap_offset + m + j``, so the
+    output starts with min(tap_offset, n) zeros and run k fills the
+    ``run_size`` outputs after those and the k runs before it. A span is a
+    range of runs: ``write(span, x, out)`` reads ``x = record[inputs(span)]``
+    and writes ``out = output[outputs(span)]``, the first span's leading zeros
+    included. Runs are written whole, so the last one may end past n: the
+    whole output is ``outputs(range(runs)).stop`` samples, and its first n
+    are the record's. Nothing changes after construction, so spans may be
+    written in any order, on any thread.
     """
 
-    def __init__(self, bank: FilterBank, config: TiadcConfig, n: int,
-                 span: range | None = None, record=None):
+    def __init__(self, bank: FilterBank, config: TiadcConfig, n: int):
         m_ch = config.m_channels
         if bank.m_channels != m_ch:
             raise ValueError(
@@ -106,73 +97,49 @@ class PolyphaseStream:
         if n < L:
             raise ValueError(f"capture shorter than the filter length ({n} < {L})")
         self._g = polyphase_matrix(bank.taps, m_ch)
-        j = self._g.shape[0] // m_ch
-        lead = min(bank.spec.tap_offset, n)
+        self._n, j = n, self._g.shape[0] // m_ch
+        self._lead = lead = min(bank.spec.tap_offset, n)
         # at least 2 rows per row phase: numpy hands a 1-row product to a
         # matrix-vector routine that sums in another order
-        rows = min(CHUNK_ROWS, max(2, -(-(n - lead) // (j * m_ch))))
-        self._run_size = size = j * rows * m_ch
+        self._rows = min(CHUNK_ROWS, max(2, -(-(n - lead) // (j * m_ch))))
+        self.run_size = j * self._rows * m_ch
         self._history = (j - 1) * m_ch
-        self.runs = -(-(n - lead) // size)
-        first, stop = (0, self.runs) if span is None else (span.start, span.stop)
-        start = first * size  # the span's first input sample
-        self._lead = lead if start == 0 else 0  # leading zeros not yet written
-        self._left = self._lead + min(n - lead, stop * size) - start  # outputs not yet written
-        self.inputs = slice(start, n if stop == self.runs else stop * size)
-        self.outputs = slice(start + lead - self._lead, lead + stop * size)
-        self._stage = np.zeros(self._history + size)
-        if start:
-            self._stage[:self._history] = record[start - self._history:start]
-        # row phase i of a run reads the (rows, J*M) view at i*M
-        self._operands = [
-            self._stage[i * m_ch:i * m_ch + size].reshape(rows, -1)
-            for i in range(j)]
-        self._fill = self._history
+        self.runs = -(-(n - lead) // self.run_size)
 
-    def out_size(self, k):
-        """Room in ``out`` that a push of k samples may need."""
-        return k + self._lead + self._run_size
+    def inputs(self, span: range) -> slice:
+        """The record samples a span reads: its own and the (J - 1)*M before it."""
+        return slice(max(span.start * self.run_size - self._history, 0),
+                     min(span.stop * self.run_size, self._n))
 
-    def _start(self, out):
+    def outputs(self, span: range) -> slice:
+        """The outputs a span writes: its whole runs, after the leading zeros
+        for the first span."""
+        start = span.start * self.run_size + self._lead if span.start else 0
+        return slice(start, span.stop * self.run_size + self._lead)
+
+    def write(self, span: range, x, out):
+        """Correct the span's runs from x = record[inputs(span)] into out, a
+        contiguous float64 array of the span's outputs (or more)."""
         if not out.flags.c_contiguous or out.dtype != np.float64:
             raise ValueError("out must be a contiguous float64 array")
-        lead, self._lead = self._lead, 0
+        m_ch, size, history = self._g.shape[1], self.run_size, self._history
+        j = self._g.shape[0] // m_ch
+        lead = self._lead if span.start == 0 else 0
         out[:lead] = 0.0
-        self._left -= lead
-        return lead
-
-    def _run(self, out):
-        """Multiply the staged run whole into out (one product per row phase),
-        keep its tail as history; return how many outputs lie in the record."""
-        rows = out[:self._run_size].reshape(-1, self._g.shape[1])
-        j = len(self._operands)
-        for i, a in enumerate(self._operands):
-            np.matmul(a, self._g, out=rows[i::j])
-        written = min(self._left, self._run_size)
-        self._left -= written
-        self._stage[:self._history] = self._stage[self._run_size:]
-        self._fill = self._history
-        return written
-
-    def push(self, samples, out):
-        k = self._start(out)
-        samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-        i = 0
-        while i < samples.size and self._left:
-            take = min(samples.size - i, self._stage.size - self._fill)
-            self._stage[self._fill:self._fill + take] = samples[i:i + take]
-            self._fill += take
-            i += take
-            if self._fill == self._stage.size:
-                k += self._run(out[k:])
-        return k
-
-    def finish(self, out):
-        k = self._start(out)
-        while self._left:
-            self._stage[self._fill:] = 0.0
-            k += self._run(out[k:])
-        return k
+        # the stage holds a run's inputs after its history, zeros outside the record
+        stage = np.empty(history + size)
+        operands = [stage[i * m_ch:i * m_ch + size].reshape(self._rows, -1)
+                    for i in range(j)]  # row phase i reads the view at i*M
+        first = self.inputs(span).start
+        for k, run in enumerate(span):
+            lo = run * size - history
+            a, b = max(lo, 0), min(lo + stage.size, self._n)
+            stage[:a - lo] = 0.0
+            stage[a - lo:b - lo] = x[a - first:b - first]
+            stage[b - lo:] = 0.0
+            rows = out[lead + k * size:lead + (k + 1) * size].reshape(-1, m_ch)
+            for i, operand in enumerate(operands):
+                np.matmul(operand, self._g, out=rows[i::j])
 
 
 def record_stream(bank: FilterBank, config: TiadcConfig, n: int) -> PolyphaseStream:
@@ -193,48 +160,37 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _push_span(stream, x, y, step):
-    """Push the stream's inputs from x step samples at a time, then finish,
-    writing its outputs into y."""
-    x, out = x[stream.inputs], y[stream.outputs]
-    done = 0
-    for a in range(0, x.size, step):
-        done += stream.push(x[a:a + step], out[done:])
-    stream.finish(out[done:])
-
-
 def correct(capture: Capture, bank: FilterBank,
             block_size: int | None = DEFAULT_BLOCK) -> Capture:
     """Apply the M-branch synthesis bank to an interleaved capture.
 
     Output y[n] = sum_m sum_i f_m[n - i*M] x_m[i] with x_m[i] = input[i*M+m],
     has the same length as the input, and is delayed by the bank's design
-    delay. The record is pushed through one PolyphaseStream block_size
-    samples at a time (block_size=None pushes it whole). A record of R runs
-    is split into W = min(CPUs in the affinity mask, R // MIN_SPAN_RUNS)
-    spans of whole runs, each pushed the same way through its own stream:
-    the first on the calling thread, the others on threads started and
-    joined within the call. Every block size and every W gives bit-identical
-    output; W = 1 (one CPU, or fewer than 2*MIN_SPAN_RUNS runs) starts no
-    thread.
+    delay. The record's R runs are cut into W = min(CPUs in the affinity
+    mask, R // MIN_SPAN_RUNS) spans of whole runs, each written by one call
+    of one PolyphaseStream's ``write``: the first on the calling thread, the
+    others on threads started and joined within the call. Every W gives
+    bit-identical output; W = 1 (one CPU, or fewer than 2*MIN_SPAN_RUNS runs)
+    starts no thread. block_size (positive, or None) changes nothing: every
+    cut of a record gives the same bytes, so none is taken from it. It stays
+    for the callers that pass it.
     """
     n, x = capture.n, capture.samples
     stream = record_stream(bank, capture.config, n)
-    step = n if block_size is None else block_size
-    if step < 1:
+    if block_size is not None and block_size < 1:
         raise ValueError("block_size must be positive")
-    y = np.empty(stream.out_size(n))
-    spans = [stream]
-    count = min(_cpus(), stream.runs // MIN_SPAN_RUNS)
-    if count > 1:
-        cuts = [stream.runs * s // count for s in range(count + 1)]
-        spans = [PolyphaseStream(bank, capture.config, n, range(a, b), x)
-                 for a, b in zip(cuts, cuts[1:])]
+    y = np.empty(stream.outputs(range(stream.runs)).stop)
+    count = max(min(_cpus(), stream.runs // MIN_SPAN_RUNS), 1)
+    cuts = [stream.runs * s // count for s in range(count + 1)]
+    spans = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     failed = []
+
+    def write_span(span):
+        stream.write(span, x[stream.inputs(span)], y[stream.outputs(span)])
 
     def work(span):
         try:
-            _push_span(span, x, y, step)
+            write_span(span)
         except Exception as exc:  # raised again on the calling thread
             failed.append(exc)
 
@@ -244,7 +200,7 @@ def correct(capture: Capture, bank: FilterBank,
             thread = threading.Thread(target=work, args=(span,))
             thread.start()
             threads.append(thread)
-        _push_span(spans[0], x, y, step)
+        write_span(spans[0])
     finally:
         for thread in threads:
             thread.join()

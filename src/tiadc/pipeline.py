@@ -255,9 +255,9 @@ def parse_scenario(raw: dict) -> Scenario:
 # --- stages -------------------------------------------------------------------
 
 def _stage(name):
-    """Prefix the stage name to a bad-input error raised inside the block.
-    Any other exception is a bug and propagates with its traceback."""
-    return named(f"stage {name}", (TiadcError, ValueError, OSError))
+    """Prefix the stage name to a bad-input error or a failed allocation raised
+    inside the block. Any other exception is a bug and propagates with its traceback."""
+    return named(f"stage {name}", (TiadcError, ValueError, OSError, MemoryError))
 
 
 def _sweep_point(sc: Scenario, tones: ToneSpec, truth, measured, bank):

@@ -349,6 +349,25 @@ class TestCalibrate:
         assert not (tmp / "m.csv").exists()
 
 
+    def test_ingest_refuses_corrected_capture(self, workdir, capsys):
+        # a capture put through `correct` flags the bank's 65 transient
+        # samples at each end, whose zeros would skew the fit
+        tmp, cfg = workdir
+        plan_path, _ = self.plan(tmp, cfg, n=3)
+        self.record_captures(tmp, plan_path, tmp / "config.json")
+        capture = tmp / "caps" / "cal_001.f64"
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "truth.csv"), "--out", str(tmp / "bank.csv")]) == 0
+        assert main(["correct", "--capture", str(capture), "--bank", str(tmp / "bank.csv"),
+                     "--out", str(capture)]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(tmp / "config.json"), "--plan", str(plan_path),
+                     "--captures", str(tmp / "caps"), "--out", str(tmp / "m.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {capture}.json: transient_samples = 65, "
+            "but a calibration capture must have none\n")
+        assert not (tmp / "m.csv").exists()
+
 class TestDesign:
     def test_ideal_bank_is_impulses(self, workdir, capsys):
         tmp, _ = workdir
@@ -513,7 +532,7 @@ class TestCorrectAnalyze:
 
     @pytest.mark.parametrize("offsets", [True, False], ids=["offsets", "no-offsets"])
     def test_streamed_output_matches_in_memory(self, workdir, monkeypatch, offsets):
-        # a block of 100 samples: 82 pushes, most of them inside one chunk
+        # DEFAULT_BLOCK below one run: spans of one run, here the whole record
         tmp, cfg = workdir
         monkeypatch.setattr(correction, "DEFAULT_BLOCK", 100)
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
@@ -534,6 +553,34 @@ class TestCorrectAnalyze:
         got = tiadc.load_capture(tmp / "fixed.f64")
         assert (got.corrected, got.bank_id, got.transient_samples) == (
             True, want.bank_id, want.transient_samples)
+
+    @pytest.mark.parametrize("block", ["default", 1])
+    @pytest.mark.parametrize("offsets", [True, False], ids=["offsets", "no-offsets"])
+    @pytest.mark.parametrize("bank_args", [[], ["--taps", "33", "--delay", "40"]],
+                             ids=["default-bank", "tap-offset-24"])
+    def test_multi_run_output_matches_in_memory(self, workdir, monkeypatch, bank_args,
+                                                offsets, block):
+        # 2^17 samples are 15 runs of the default bank and 29 of the 33-tap
+        # one, read in spans of several runs or, with DEFAULT_BLOCK at 1, of one
+        tmp, cfg = workdir
+        if block != "default":
+            monkeypatch.setattr(correction, "DEFAULT_BLOCK", block)
+        cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,
+                                     tiadc.make_reference_profile(cfg), 1 << 17)
+        tiadc.save_capture(cap, tmp / "cap.f64")
+        assert main(["design", "--config", str(tmp / "config.json"),
+                     "--profile", str(tmp / "truth.csv"), *bank_args,
+                     "--out", str(tmp / "bank.csv")]) == 0
+        bank = tiadc.read_bank_csv(tmp / "bank.csv")
+        assert correction.PolyphaseStream(bank, cfg, cap.n).runs >= 3
+        argv = ["correct", "--capture", str(tmp / "cap.f64"),
+                "--bank", str(tmp / "bank.csv"), "--out", str(tmp / "fixed.f64")]
+        if offsets:
+            argv += ["--profile", str(tmp / "truth.csv")]
+            cap = tiadc.correct_offsets(cap, tiadc.read_profile_csv(tmp / "truth.csv"))
+        assert main(argv) == 0
+        want = tiadc.correct(cap, bank).samples
+        assert (tmp / "fixed.f64").read_bytes() == want.astype("<f8").tobytes()
 
     def correct_with_bank(self, tmp, cfg, bank_path):
         cap = tiadc.simulate_capture(tiadc.ToneSpec.single(0.9, 3e8), cfg,

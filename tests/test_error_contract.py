@@ -194,6 +194,32 @@ def test_malformed_json_names_file(files, capsys, kind):
     assert len(err.splitlines()) == 1
 
 
+
+# sizes whose first allocation lies beyond a 47-bit address space, so that it
+# fails at once under any overcommit setting: a 2^46-sample capture (512 TiB)
+# and a design grid of 2^44 bins per channel (1 PiB at M = 4)
+@pytest.mark.parametrize("command", ["simulate", "design", "pipeline"])
+def test_allocation_too_large_is_one_error(files, capsys, command):
+    tmp, _ = files
+    (tmp / "alloc_config.json").write_text(json.dumps(CONFIG))
+    (tmp / "alloc_scenario.json").write_text(json.dumps(
+        {**SCENARIO, "design": {**SCENARIO["design"], "n_grid": 1 << 44}}))
+    argv, prefix = {
+        "simulate": (["--config", str(tmp / "alloc_config.json"), "--profile",
+                      str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                      "--n", str(1 << 46), "--out", str(tmp / "huge.f64")], ""),
+        "design": (["--config", str(tmp / "alloc_config.json"), "--profile",
+                    str(tmp / "truth.csv"), "--n-grid", str(1 << 44),
+                    "--out", str(tmp / "huge.csv")], ""),
+        "pipeline": (["--scenario", str(tmp / "alloc_scenario.json"),
+                      "--out-dir", str(tmp / "huge")], "stage design: "),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}Unable to allocate ") and err.count("\n") == 1, err
+    assert not any((tmp / name).exists() for name in ("huge.f64", "huge.csv", "huge/bank.csv"))
+
 # --- row-level mutations of the plan, profile and bank files -----------------
 
 FIELD_SWAPS = ["x", "", "nan", "inf", "1e999", "-0"]

@@ -1,6 +1,5 @@
 """The polyphase filter-bank stream against a dense per-sample reference."""
 
-import itertools
 import os
 import signal
 import sys
@@ -37,10 +36,11 @@ def bank_config(bank, **changes):
 
 
 def run_stream(x, bank):
-    """The whole record pushed through one stream at once, then finished."""
+    """The whole record written as one span of one stream."""
     stream = correction.PolyphaseStream(bank, bank_config(bank), x.size)
-    y = np.empty(stream.out_size(x.size))
-    stream.finish(y[stream.push(x, y):])
+    whole = range(stream.runs)
+    y = np.empty(stream.outputs(whole).stop)
+    stream.write(whole, x[stream.inputs(whole)], y)
     return y[:x.size]
 
 
@@ -102,31 +102,24 @@ def test_stream_validates():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
-def test_stream_push_splits_property(data, m_ch, n_taps):
-    # one record pushed in pieces: single samples, sizes that are not
-    # multiples of M, and pushes spanning one to three of the stream's runs,
-    # cycled until the record is used up
+def test_stream_span_cuts_property(data, m_ch, n_taps):
+    # one record cut into consecutive spans of whole runs, empty spans and
+    # the 0-run record of a tap_offset >= n included, each span written from
+    # a copy of its own inputs into a view of its own outputs
     chunk = run_rows(m_ch, n_taps) * m_ch
-    n = data.draw(st.integers(n_taps, n_taps + 3 * chunk + 7 * m_ch), label="n")
+    n = data.draw(st.integers(n_taps, n_taps + 4 * chunk + 7 * m_ch), label="n")
     offset = data.draw(st.integers(0, n + 5), label="offset")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
     stream = correction.PolyphaseStream(bank, bank_config(bank), n)
-    run = stream._run_size  # sized to the record, so short records run once
-    sizes = data.draw(st.lists(st.one_of(
-        st.just(1), st.integers(2, 3 * m_ch + 1), st.integers(run, 3 * run)),
-        min_size=1, max_size=6), label="sizes")
-    y = np.empty(stream.out_size(n))
-    done = a = 0
-    for size in itertools.cycle(sizes):
-        if a >= n:
-            break
-        done += stream.push(x[a:a + size], y[done:])
-        a += size
-    done += stream.finish(y[done:])
-    assert done == n
-    assert np.array_equal(y[:n], run_stream(x, bank))
+    cuts = data.draw(st.lists(st.integers(0, stream.runs), max_size=6), label="cuts")
+    bounds = [0, *sorted(cuts), stream.runs]
+    y = np.full(stream.outputs(range(stream.runs)).stop, np.nan)
+    for a, b in zip(bounds, bounds[1:]):
+        span = range(a, b)
+        stream.write(span, x[stream.inputs(span)].copy(), y[stream.outputs(span)])
+    assert y[:n].tobytes() == run_stream(x, bank).tobytes()
 
 
 def correct_samples(x, bank, block_size):
@@ -203,7 +196,7 @@ def copied_window_product(x, bank):
 
 @pytest.mark.parametrize("m_ch,n_taps,offset", [(4, 65, 3), (16, 257, 0)])
 def test_equals_copied_window_product(m_ch, n_taps, offset):
-    # three runs plus a ragged tail, pushed whole and in blocks; then records
+    # three runs plus a ragged tail, in one span and through correct; then records
     # whose runs have fewer rows, which must give the bits of CHUNK_ROWS-row
     # products: n = L, one run less one row, and the sweep-record lengths
     # 4,228 (M = 4) and 4,624 (M = 16)
@@ -224,7 +217,7 @@ def test_short_record_computes_only_its_rows():
     # sized to them, not to J*CHUNK_ROWS = 2,176 rows (34,816 samples)
     bank = make_bank(np.zeros((16, 257)), 0)
     stream = correction.PolyphaseStream(bank, bank_config(bank), 4624)
-    assert stream.out_size(0) < 2 * 4624
+    assert stream.runs == 1 and stream.run_size < 2 * 4624
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
