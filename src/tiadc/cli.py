@@ -51,6 +51,8 @@ def cmd_simulate(args) -> int:
     if args.n <= 0 or args.n % config.m_channels:
         raise TiadcError(f"--n must be a positive multiple of m_channels = "
                          f"{config.m_channels}, got {args.n}")
+    if args.n > model.MAX_RECORD_SAMPLES:
+        raise TiadcError(f"--n must be at most {model.MAX_RECORD_SAMPLES}, got {args.n}")
     profile = read_profile(args.profile, config.m_channels, args.config)
     tones = ToneSpec(tones=tuple(_parse_tone(t) for t in args.tone), dc=args.dc)
     capture = model.simulate_capture(tones, config, profile, args.n)
@@ -112,7 +114,7 @@ def cmd_correct(args) -> int:
     bank = design.read_bank_csv(args.bank)
     profile = (read_profile(args.profile, config.m_channels, f"the capture {args.capture}")
                if args.profile else None)
-    stream = correction.record_stream(bank, config, n)
+    stream = correction.PolyphaseStream(bank, config, n)
     step = max(correction.DEFAULT_BLOCK // stream.run_size, 1)  # runs per span
     y = np.empty(stream.outputs(range(step)).stop)
     out = Path(args.out)

@@ -19,19 +19,20 @@ on its own J*M inputs, so a span of whole runs, corrected from its own
 inputs alone, gets the bits the whole record gives it, and any cut of the
 record into spans gives the same output. Samples outside the record are
 treated as zero, so the first and last taps-plus-offset output samples are
-transient and flagged on the corrected capture.
+transient and flagged on the corrected capture; ``PolyphaseStream`` refuses
+a record that keeps no sample between them.
 
 ``correct`` cuts a record of at least 2*MIN_SPAN_RUNS runs into spans of at
 least MIN_SPAN_RUNS runs, at most one per CPU the process may run on, and
-writes each span on its own thread (BLAS releases the interpreter lock);
-``tiadc correct`` walks a capture on disk in spans of about DEFAULT_BLOCK
-samples, so its memory stays flat. Both give the output of one span over
-the whole record."""
+writes them on a thread pool made inside the call (BLAS releases the
+interpreter lock); ``tiadc correct`` walks a capture on disk in spans of
+about DEFAULT_BLOCK samples, so its memory stays flat. Both give the output
+of one span over the whole record."""
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -76,14 +77,14 @@ class PolyphaseStream:
     config, cut into ``runs`` runs of ``run_size`` outputs each.
 
     Tap j of branch m acts at delay ``bank.spec.tap_offset + m + j``, so the
-    output starts with min(tap_offset, n) zeros and run k fills the
-    ``run_size`` outputs after those and the k runs before it. A span is a
-    range of runs: ``write(span, x, out)`` reads ``x = record[inputs(span)]``
-    and writes ``out = output[outputs(span)]``, the first span's leading zeros
-    included. Runs are written whole, so the last one may end past n: the
-    whole output is ``outputs(range(runs)).stop`` samples, and its first n
-    are the record's. Nothing changes after construction, so spans may be
-    written in any order, on any thread.
+    output starts with tap_offset zeros and run k fills the ``run_size``
+    outputs after those and the k runs before it. A span is a range of runs:
+    ``write(span, x, out)`` reads ``x = record[inputs(span)]`` and writes
+    ``out = output[outputs(span)]``, the first span's leading zeros included.
+    Runs are written whole, so the last one may end past n: the whole output
+    is ``outputs(range(runs)).stop`` samples, and its first n are the
+    record's. Nothing changes after construction, so spans may be written in
+    any order, on any thread.
     """
 
     def __init__(self, bank: FilterBank, config: TiadcConfig, n: int):
@@ -93,12 +94,13 @@ class PolyphaseStream:
                 f"bank has {bank.m_channels} channels, capture has {m_ch}")
         if bank.fs != config.fs:
             raise ValueError(f"bank is for fs = {bank.fs:g} Hz, capture has fs = {config.fs:g} Hz")
-        L = bank.spec.taps
-        if n < L:
-            raise ValueError(f"capture shorter than the filter length ({n} < {L})")
+        transient = bank.spec.transient_samples
+        if n <= 2 * transient:
+            raise ValueError(f"capture of n = {n} samples is too short to correct: the bank "
+                             f"flags {transient} transient samples at each end")
         self._g = polyphase_matrix(bank.taps, m_ch)
         self._n, j = n, self._g.shape[0] // m_ch
-        self._lead = lead = min(bank.spec.tap_offset, n)
+        self._lead = lead = bank.spec.tap_offset
         # at least 2 rows per row phase: numpy hands a 1-row product to a
         # matrix-vector routine that sums in another order
         self._rows = min(CHUNK_ROWS, max(2, -(-(n - lead) // (j * m_ch))))
@@ -142,16 +144,6 @@ class PolyphaseStream:
                 np.matmul(operand, self._g, out=rows[i::j])
 
 
-def record_stream(bank: FilterBank, config: TiadcConfig, n: int) -> PolyphaseStream:
-    """The PolyphaseStream that corrects an n-sample record. Its output must keep
-    a sample between the transients flagged at each end, as a capture does."""
-    stream, transient = PolyphaseStream(bank, config, n), bank.spec.transient_samples
-    if n <= 2 * transient:
-        raise ValueError(f"capture of n = {n} samples is too short to correct: the bank "
-                         f"flags {transient} transient samples at each end")
-    return stream
-
-
 def _cpus():
     """How many CPUs this process may run on."""
     try:
@@ -169,43 +161,30 @@ def correct(capture: Capture, bank: FilterBank,
     delay. The record's R runs are cut into W = min(CPUs in the affinity
     mask, R // MIN_SPAN_RUNS) spans of whole runs, each written by one call
     of one PolyphaseStream's ``write``: the first on the calling thread, the
-    others on threads started and joined within the call. Every W gives
-    bit-identical output; W = 1 (one CPU, or fewer than 2*MIN_SPAN_RUNS runs)
-    starts no thread. block_size (positive, or None) changes nothing: every
-    cut of a record gives the same bytes, so none is taken from it. It stays
-    for the callers that pass it.
+    others on a pool of W - 1 threads made and shut down within the call, so
+    no thread outlives it. Every W gives bit-identical output; W = 1 (one
+    CPU, or fewer than 2*MIN_SPAN_RUNS runs) starts no thread. block_size
+    (positive, or None) changes nothing: every cut of a record gives the
+    same bytes, so none is taken from it. It stays for the callers that
+    pass it.
     """
     n, x = capture.n, capture.samples
-    stream = record_stream(bank, capture.config, n)
+    stream = PolyphaseStream(bank, capture.config, n)
     if block_size is not None and block_size < 1:
         raise ValueError("block_size must be positive")
     y = np.empty(stream.outputs(range(stream.runs)).stop)
     count = max(min(_cpus(), stream.runs // MIN_SPAN_RUNS), 1)
     cuts = [stream.runs * s // count for s in range(count + 1)]
     spans = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    failed = []
 
     def write_span(span):
         stream.write(span, x[stream.inputs(span)], y[stream.outputs(span)])
 
-    def work(span):
-        try:
-            write_span(span)
-        except Exception as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    threads = []
-    try:
-        for span in spans[1:]:
-            thread = threading.Thread(target=work, args=(span,))
-            thread.start()
-            threads.append(thread)
+    with ThreadPoolExecutor(max(count - 1, 1)) as pool:
+        futures = [pool.submit(write_span, span) for span in spans[1:]]
         write_span(spans[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
+    for future in futures:  # a worker's exception is raised here
+        future.result()
     return Capture(samples=y[:n], config=capture.config,
                    transient_samples=bank.spec.transient_samples, corrected=True,
                    bank_id=bank.bank_id)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tiadc.model import (MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
+from tiadc.model import (MAX_RECORD_SAMPLES, MismatchProfile, TiadcConfig, TiadcError, TWO_PI,
                          channel_response, csv_row, named, positive, read_table, write_table)
 
 COND_LIMIT = 1e8
@@ -271,13 +271,19 @@ class FilterBank:
 
 def check_tap_window(spec: DesignSpec, m_channels: int):
     """Raise ValueError unless every branch's L-tap window, centred on its
-    group delay d + m, ends inside the n_grid-point impulse response;
-    DesignSpec already keeps it from starting before delay 0."""
+    group delay d + m, ends inside the n_grid-point impulse response
+    (DesignSpec already keeps it from starting before delay 0), and the
+    design's (n_grid/2)*M^2 alias stack fits in 4*MAX_RECORD_SAMPLES
+    complex entries (1 GiB)."""
     n, h = spec.n_grid, spec.half_taps
     if spec.delay_d + (m_channels - 1) + h >= n:
         raise ValueError(
             "delay_d leaves the tap window outside the design grid; "
             f"need {h} <= delay_d <= {n - m_channels - h}")
+    stack = n // 2 * m_channels ** 2
+    if stack > 4 * MAX_RECORD_SAMPLES:
+        raise ValueError(f"n_grid = {n} at m_channels = {m_channels} needs an alias stack of "
+                         f"{stack} entries, more than {4 * MAX_RECORD_SAMPLES}")
 
 
 def design_filter_bank(profile: MismatchProfile, config: TiadcConfig,

@@ -492,8 +492,7 @@ def read_profile_csv(path) -> MismatchProfile:
 
 def save_capture(capture: Capture, path):
     """Raw little-endian float64 samples plus a JSON sidecar at <path>.json."""
-    path = Path(path)
-    path.write_bytes(capture.samples.astype("<f8").tobytes())
+    capture.samples.astype("<f8", copy=False).tofile(path)
     write_sidecar(path, capture.n, capture.config,
                   capture.transient_samples, capture.corrected, capture.bank_id)
 
@@ -607,6 +606,6 @@ def capture_header(path) -> tuple[int, dict]:
 
 
 def load_capture(path) -> Capture:
-    _, fields = capture_header(path)
-    samples = np.frombuffer(Path(path).read_bytes(), dtype="<f8").astype(np.float64)
-    return Capture(samples=samples, **fields)
+    """The n samples the sidecar checked, read into one array."""
+    n, fields = capture_header(path)
+    return Capture(samples=np.fromfile(path, "<f8", n), **fields)

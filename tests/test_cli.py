@@ -86,6 +86,23 @@ class TestSimulate:
                 f"error: --n must be a positive multiple of m_channels = 4, got {n}\n")
         assert not (tmp / "cap.f64").exists()
 
+    def test_record_length_capped(self, workdir, capsys, monkeypatch):
+        # twice the 2^24-sample record cap, refused before anything is simulated
+        tmp, _ = workdir
+        argv = ["simulate", "--config", str(tmp / "config.json"),
+                "--profile", str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                "--out", str(tmp / "cap.f64")]
+        assert main([*argv, "--n", str(1 << 25)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --n must be at most 16777216, got {1 << 25}\n")
+        assert not (tmp / "cap.f64").exists()
+        # the cap itself is accepted, one row past it is not
+        monkeypatch.setattr(tiadc.model, "MAX_RECORD_SAMPLES", 1024)
+        assert main([*argv, "--n", "1028"]) == 1
+        assert capsys.readouterr().err == "error: --n must be at most 1024, got 1028\n"
+        assert main([*argv, "--n", "1024"]) == 0
+        assert tiadc.load_capture(tmp / "cap.f64").n == 1024
+
     @pytest.mark.parametrize("tone", ["0.9:abc", "0.9", "0.9:2e8:0:1", "x:2e8:0"])
     def test_bad_tone_names_option(self, workdir, capsys, tone):
         tmp, _ = workdir
@@ -389,6 +406,36 @@ class TestDesign:
                    "--out", str(tmp / "bank.csv")])
         assert rc != 0
         assert "odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m_ch, n_grid", [(4, 1 << 24), (16, 1 << 20), (3, 1 << 24)])
+    def test_design_size_capped(self, tmp_path, capsys, m_ch, n_grid):
+        # an (n_grid/2)*M^2 alias stack past 2^26 entries is refused before it is
+        # built; one grid step less is the largest design the cap allows
+        stack = n_grid // 2 * m_ch ** 2
+        cfg = tiadc.TiadcConfig(m_channels=m_ch, fs=1.6e9, bits=14, full_scale=2.0)
+        (tmp_path / "config.json").write_text(json.dumps({**CONFIG, "m_channels": m_ch}))
+        tiadc.write_profile_csv(tiadc.MismatchProfile.ideal(m_ch, cfg.fs), tmp_path / "p.csv")
+        assert main(["design", "--config", str(tmp_path / "config.json"),
+                     "--profile", str(tmp_path / "p.csv"), "--n-grid", str(n_grid),
+                     "--out", str(tmp_path / "bank.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_grid = {n_grid} at m_channels = {m_ch} needs an alias stack of "
+            f"{stack} entries, more than 67108864\n")
+        assert not (tmp_path / "bank.csv").exists()
+        # at M = 4 and 16 that stack is exactly 2^26 entries
+        tiadc.design.check_tap_window(tiadc.DesignSpec(n_grid=n_grid // 2), m_ch)
+
+    def test_design_size_capped_in_scenario(self, tmp_path, capsys):
+        scen = json.loads(json.dumps(TINY_SCENARIO))
+        scen["design"]["n_grid"] = 1 << 24
+        (tmp_path / "big.json").write_text(json.dumps(scen))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--scenario", str(tmp_path / "big.json"),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario tiny: design: n_grid = {1 << 24} at m_channels = 4 needs "
+            f"an alias stack of {1 << 27} entries, more than 67108864\n")
+        assert not out.exists()
 
     def test_zone2_with_zone1_profile_warns(self, workdir, capsys):
         tmp, cfg = workdir

@@ -142,15 +142,12 @@ class TestCorrect:
             ref = dense_operator(mismatch_bank, n) @ x
             assert np.max(np.abs(y - ref)) <= 1e-12
 
-    def test_block_streaming_bit_identical(self, cfg4, mismatch_bank):
-        rng = np.random.default_rng(43)
-        x = rng.normal(size=4096)
-        one_shot = tiadc.correct(make_capture(cfg4, x), mismatch_bank,
-                                 block_size=None).samples
-        for bs in (4, 12, 60, 256, 1000, 4096, 100000):
-            blocked = tiadc.correct(make_capture(cfg4, x), mismatch_bank,
-                                    block_size=bs).samples
-            assert np.array_equal(blocked, one_shot), bs
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_block_size_must_be_positive(self, cfg4, mismatch_bank, block_size):
+        cap = make_capture(cfg4, np.zeros(256))
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            tiadc.correct(cap, mismatch_bank, block_size=block_size)
+        assert tiadc.correct(cap, mismatch_bank, block_size=None).n == 256
 
     def test_channel_count_mismatch_rejected(self, mismatch_bank):
         cfg2 = tiadc.TiadcConfig(m_channels=2, fs=1.6e9, bits=14,
@@ -159,7 +156,10 @@ class TestCorrect:
             tiadc.correct(make_capture(cfg2, np.zeros(256)), mismatch_bank)
 
     def test_short_capture_rejected(self, cfg4, mismatch_bank):
-        with pytest.raises(ValueError, match="shorter"):
+        # shorter than the 65 taps too, and refused by the same rule
+        with pytest.raises(ValueError, match=(
+                "capture of n = 32 samples is too short to correct: the bank flags "
+                "65 transient samples at each end")):
             tiadc.correct(make_capture(cfg4, np.zeros(32)), mismatch_bank)
 
     def test_shortest_record_round_trips(self, cfg4, mismatch_bank, tmp_path):
@@ -209,11 +209,10 @@ def test_prefix_corrects_like_whole_capture(m_ch, n_grid, n_taps, n_read):
     rng = np.random.default_rng(m_ch)
     x = rng.normal(size=raw["sweep"]["n_samples"])
     shortest = (2 * bank.spec.transient_samples // m_ch + 1) * m_ch
-    for block in (tiadc.correction.DEFAULT_BLOCK, None):
-        whole = tiadc.correct(make_capture(sc.config, x), bank, block_size=block)
-        for n in (n_read, shortest):
-            part = tiadc.correct(make_capture(sc.config, x[:n]), bank, block_size=block)
-            assert part.samples.tobytes() == whole.samples[:n].tobytes(), (block, n)
-            if n == n_read:  # the analysis reads the same samples
-                assert (tiadc.spectrum(part, sc.n_fft).mean_square.tobytes()
-                        == tiadc.spectrum(whole, sc.n_fft).mean_square.tobytes())
+    whole = tiadc.correct(make_capture(sc.config, x), bank)
+    for n in (n_read, shortest):
+        part = tiadc.correct(make_capture(sc.config, x[:n]), bank)
+        assert part.samples.tobytes() == whole.samples[:n].tobytes(), n
+        if n == n_read:  # the analysis reads the same samples
+            assert (tiadc.spectrum(part, sc.n_fft).mean_square.tobytes()
+                    == tiadc.spectrum(whole, sc.n_fft).mean_square.tobytes())

@@ -195,9 +195,10 @@ def test_malformed_json_names_file(files, capsys, kind):
 
 
 
-# sizes whose first allocation lies beyond a 47-bit address space, so that it
-# fails at once under any overcommit setting: a 2^46-sample capture (512 TiB)
-# and a design grid of 2^44 bins per channel (1 PiB at M = 4)
+# sizes far past the caps, whose first allocation would lie beyond a 47-bit
+# address space: a 2^46-sample capture (512 TiB) and a design grid of 2^44
+# bins per channel (1 PiB at M = 4); each is refused by its cap before
+# anything is allocated
 @pytest.mark.parametrize("command", ["simulate", "design", "pipeline"])
 def test_allocation_too_large_is_one_error(files, capsys, command):
     tmp, _ = files
@@ -207,18 +208,46 @@ def test_allocation_too_large_is_one_error(files, capsys, command):
     argv, prefix = {
         "simulate": (["--config", str(tmp / "alloc_config.json"), "--profile",
                       str(tmp / "truth.csv"), "--tone", "0.9:2e8",
-                      "--n", str(1 << 46), "--out", str(tmp / "huge.f64")], ""),
+                      "--n", str(1 << 46), "--out", str(tmp / "huge.f64")],
+                     "--n must be at most 16777216"),
         "design": (["--config", str(tmp / "alloc_config.json"), "--profile",
                     str(tmp / "truth.csv"), "--n-grid", str(1 << 44),
-                    "--out", str(tmp / "huge.csv")], ""),
+                    "--out", str(tmp / "huge.csv")], f"n_grid = {1 << 44} at m_channels = 4"),
         "pipeline": (["--scenario", str(tmp / "alloc_scenario.json"),
-                      "--out-dir", str(tmp / "huge")], "stage design: "),
+                      "--out-dir", str(tmp / "huge")],
+                     f"scenario mini: design: n_grid = {1 << 44} at m_channels = 2"),
     }[command]
     capsys.readouterr()
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {prefix}Unable to allocate ") and err.count("\n") == 1, err
-    assert not any((tmp / name).exists() for name in ("huge.f64", "huge.csv", "huge/bank.csv"))
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1, err
+    assert not any((tmp / name).exists() for name in ("huge.f64", "huge.csv", "huge"))
+
+
+# one step past each cap: a record of 2^24 + M samples, and the smallest
+# power-of-two grid whose (n_grid/2)*M^2 alias stack exceeds 2^26 entries
+@pytest.mark.parametrize("command", ["simulate", "design", "pipeline"])
+def test_one_step_past_a_cap_is_one_error(files, capsys, command):
+    tmp, _ = files
+    (tmp / "cap_config.json").write_text(json.dumps(CONFIG))
+    (tmp / "cap_scenario.json").write_text(json.dumps(
+        {**SCENARIO, "design": {**SCENARIO["design"], "n_grid": 1 << 26}}))
+    argv = {
+        "simulate": ["--config", str(tmp / "cap_config.json"), "--profile",
+                     str(tmp / "truth.csv"), "--tone", "0.9:2e8",
+                     "--n", str((1 << 24) + 4), "--out", str(tmp / "past.f64")],
+        "design": ["--config", str(tmp / "cap_config.json"), "--profile",
+                   str(tmp / "truth.csv"), "--n-grid", str(1 << 24),
+                   "--out", str(tmp / "past.csv")],
+        "pipeline": ["--scenario", str(tmp / "cap_scenario.json"),
+                     "--out-dir", str(tmp / "past")],
+    }[command]
+    capsys.readouterr()
+    rc = main([command, *argv])
+    assert rc == 1
+    assert_contract(rc, capsys.readouterr().err)
+    # the scenario is refused as it is parsed, before its out-dir is made
+    assert not any((tmp / name).exists() for name in ("past.f64", "past.csv", "past"))
 
 # --- row-level mutations of the plan, profile and bank files -----------------
 

@@ -74,19 +74,43 @@ def test_matches_dense_reference(m_ch, n_taps, offset):
     assert np.max(np.abs(y - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("n,offset", [(24, 24), (24, 31), (5, 0), (8, 2)])
-def test_edges_match_dense_reference(n, offset):
-    # offset >= n leaves the whole output in the zero-padded edge; n = L
-    # (n = 5) and n = L + 1 (n = 8) give every phase at most two rows
+def transient(n_taps, offset):
+    """The samples a bank of n_taps taps at tap_offset offset flags at each end."""
+    return n_taps + offset
+
+
+@pytest.mark.parametrize("extra,offset", [(24, 24), (24, 31), (5, 0), (8, 2)])
+def test_edges_match_dense_reference(extra, offset):
+    # records extra samples longer than the 2T they must exceed, 9 taps at
+    # M = 4: a long lead of zeros (offset 24 and 31), and records of 23 and
+    # 30 samples whose runs have 2 and 3 rows per row phase
     rng = np.random.default_rng(11)
+    n = 2 * transient(9, offset) + extra
     x = rng.normal(size=n)
-    bank = make_bank(rng.normal(size=(4, min(9, n - 1 + n % 2))), offset)
+    bank = make_bank(rng.normal(size=(4, 9)), offset)
     y = run_stream(x, bank)
     ref = dense_reference(x, bank.taps, 4, offset)
     assert y.shape == (n,)
     assert np.max(np.abs(y - ref)) <= 1e-12
-    if offset >= n:
-        assert not y.any()
+
+
+@pytest.mark.parametrize("m_ch,n_taps,offset", [(4, 9, 0), (4, 65, 3), (3, 7, 5),
+                                                 (16, 33, 0)])
+def test_shortest_record_matches_dense_reference(m_ch, n_taps, offset):
+    # the smallest multiple of M above 2T is corrected, in one span and
+    # through correct; 2T itself keeps no sample between the transients
+    rng = np.random.default_rng(13)
+    bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
+    t = transient(n_taps, offset)
+    n = (2 * t // m_ch + 1) * m_ch
+    x = rng.normal(size=n)
+    ref = dense_reference(x, bank.taps, m_ch, offset)
+    assert np.max(np.abs(run_stream(x, bank) - ref)) <= 1e-12
+    assert np.max(np.abs(correct_samples(x, bank, None) - ref)) <= 1e-12
+    with pytest.raises(ValueError, match=(
+            f"capture of n = {2 * t} samples is too short to correct: the bank "
+            f"flags {t} transient samples at each end")):
+        correction.PolyphaseStream(bank, bank_config(bank), 2 * t)
 
 
 def test_stream_validates():
@@ -95,7 +119,9 @@ def test_stream_validates():
         correction.PolyphaseStream(bank, bank_config(bank, m_channels=2), 16)
     with pytest.raises(ValueError, match="bank is for fs"):
         correction.PolyphaseStream(bank, bank_config(bank, fs=1e9), 16)
-    with pytest.raises(ValueError, match=r"filter length \(8 < 9\)"):
+    with pytest.raises(ValueError, match=(
+            "capture of n = 8 samples is too short to correct: the bank "
+            "flags 9 transient samples at each end")):
         correction.PolyphaseStream(bank, bank_config(bank), 8)
 
 
@@ -103,12 +129,13 @@ def test_stream_validates():
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_stream_span_cuts_property(data, m_ch, n_taps):
-    # one record cut into consecutive spans of whole runs, empty spans and
-    # the 0-run record of a tap_offset >= n included, each span written from
-    # a copy of its own inputs into a view of its own outputs
+    # one record above 2T cut into consecutive spans of whole runs, empty
+    # spans included, each span written from a copy of its own inputs into
+    # a view of its own outputs
     chunk = run_rows(m_ch, n_taps) * m_ch
-    n = data.draw(st.integers(n_taps, n_taps + 4 * chunk + 7 * m_ch), label="n")
-    offset = data.draw(st.integers(0, n + 5), label="offset")
+    offset = data.draw(st.integers(0, 3 * n_taps + 2 * m_ch), label="offset")
+    shortest = 2 * transient(n_taps, offset) + 1
+    n = data.draw(st.integers(shortest, shortest + 4 * chunk + 7 * m_ch), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
@@ -131,9 +158,10 @@ def correct_samples(x, bank, block_size):
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
 def test_kernel_property(data, m_ch, n_taps):
-    # any M >= 2, odd L and length n >= L, L <= M and tap_offset >= n included
-    n = data.draw(st.integers(n_taps, n_taps + 200), label="n")
-    offset = data.draw(st.integers(0, n + 5), label="offset")
+    # any M >= 2, odd L and length n > 2T, L <= M and tap_offset >= L included
+    offset = data.draw(st.integers(0, n_taps + 8), label="offset")
+    shortest = 2 * transient(n_taps, offset) + 1
+    n = data.draw(st.integers(shortest, shortest + 200), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
@@ -145,35 +173,22 @@ def test_kernel_property(data, m_ch, n_taps):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), m_ch=st.integers(2, 16),
        n_taps=st.integers(0, 149).map(lambda k: 2 * k + 1))
-def test_blocked_equals_one_shot_property(data, m_ch, n_taps):
+def test_correct_matches_dense_reference_property(data, m_ch, n_taps):
     # from under one run of rows to several, through correction.correct,
     # which takes records that keep samples between the transients at each
     # end (offset + L of them); the stream's own edges are tested above
     offset = data.draw(st.integers(0, 3 * n_taps), label="offset")
-    shortest = 2 * (offset + n_taps) // m_ch + 1
+    shortest = 2 * transient(n_taps, offset) // m_ch + 1
     rows = data.draw(st.integers(shortest, shortest + 3 * run_rows(m_ch, n_taps) + 7),
                      label="rows")
     n = rows * m_ch
-    block = data.draw(st.one_of(st.sampled_from([4, 12, 60]),
-                                st.integers(1, n + m_ch)), label="block")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
     one_shot = correct_samples(x, bank, None)
-    assert np.array_equal(correct_samples(x, bank, block), one_shot)
     if n * n_taps <= 20000:
         ref = dense_reference(x, bank.taps, m_ch, offset)
         assert np.max(np.abs(one_shot - ref)) <= 1e-12
-
-
-def test_blocked_equals_one_shot_at_benchmark_scale():
-    # M = 16, L = 257: three DEFAULT_BLOCK blocks plus a ragged tail
-    rng = np.random.default_rng(17)
-    bank = make_bank(rng.normal(size=(16, 257)) / 16, 0)
-    x = rng.normal(size=3 * correction.DEFAULT_BLOCK + 16 * 37)
-    one_shot = correct_samples(x, bank, None)
-    blocked = correct_samples(x, bank, correction.DEFAULT_BLOCK)
-    assert blocked.tobytes() == one_shot.tobytes()
 
 
 def copied_window_product(x, bank):
@@ -198,18 +213,17 @@ def copied_window_product(x, bank):
 def test_equals_copied_window_product(m_ch, n_taps, offset):
     # three runs plus a ragged tail, in one span and through correct; then records
     # whose runs have fewer rows, which must give the bits of CHUNK_ROWS-row
-    # products: n = L, one run less one row, and the sweep-record lengths
-    # 4,228 (M = 4) and 4,624 (M = 16)
+    # products: one run less one row, and the sweep-record lengths 4,228
+    # (M = 4) and 4,624 (M = 16)
     rng = np.random.default_rng(23)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)) / m_ch, offset)
     rows = run_rows(m_ch, n_taps)
-    for n in ((3 * rows + 37) * m_ch, n_taps, (rows - 1) * m_ch, 4228, 4624):
+    for n in ((3 * rows + 37) * m_ch, (rows - 1) * m_ch, 4228, 4624):
         x = rng.normal(size=n)
         ref = copied_window_product(x, bank)
         assert np.array_equal(run_stream(x, bank), ref)
         if n % m_ch == 0:
-            for block in (None, correction.DEFAULT_BLOCK, 1000):
-                assert np.array_equal(correct_samples(x, bank, block), ref)
+            assert np.array_equal(correct_samples(x, bank, None), ref)
 
 
 def test_short_record_computes_only_its_rows():
@@ -234,15 +248,13 @@ def test_split_equals_one_span_property(data, m_ch, n_taps):
     rows = -(-(offset + runs * size) // m_ch) + data.draw(st.one_of(
         st.sampled_from([0, 1, -1]), st.integers(2, size // m_ch - 2)), label="tail rows")
     workers = data.draw(st.integers(1, 8), label="workers")
-    block = data.draw(st.one_of(st.sampled_from([None, correction.DEFAULT_BLOCK]),
-                                st.integers(50, 3 * size)), label="block")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=rows * m_ch)
     bank = make_bank(rng.normal(size=(m_ch, n_taps)), offset)
     with mock.patch.object(correction, "_cpus", return_value=1):
         one_span = correct_samples(x, bank, None)
     with mock.patch.object(correction, "_cpus", return_value=workers):
-        split = correct_samples(x, bank, block)
+        split = correct_samples(x, bank, None)
     assert split.tobytes() == one_span.tobytes()
     assert one_span.tobytes() == copied_window_product(x, bank).tobytes()
 
@@ -254,7 +266,8 @@ def benchmark_record(seed):
 
 
 def test_split_starts_and_joins_its_threads(monkeypatch):
-    # 8 CPUs give 31 // 4 = 7 spans, more threads than the host has cores,
+    # 8 CPUs give 31 // 4 = 7 spans, 6 of them on a pool of 6 workers, more
+    # threads than the host has cores,
     # and a short switch interval interleaves them as often as it can
     x, bank = benchmark_record(29)
     monkeypatch.setattr(correction, "_cpus", lambda: 8)
@@ -273,9 +286,30 @@ def test_split_starts_and_joins_its_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    assert len(started) == 6 and not any(t.is_alive() for t in started)
+    # a pool of 6 workers starts one only while none is idle
+    assert 1 <= len(started) <= 6 and not any(t.is_alive() for t in started)
     monkeypatch.setattr(correction, "_cpus", lambda: 1)
     assert y.tobytes() == correct_samples(x, bank, None).tobytes()
+
+
+def test_split_raises_a_workers_error(monkeypatch):
+    # a span written on the pool fails: its error is raised on the calling
+    # thread once the pool is shut down, and no thread is left behind
+    bank = make_bank(np.zeros((4, 9)), 0)
+    x = np.zeros(16 * run_rows(4, 9) * 4)  # 16 runs: 2 CPUs give spans from runs 0 and 8
+    monkeypatch.setattr(correction, "_cpus", lambda: 2)
+    write = correction.PolyphaseStream.write
+
+    def failing(self, span, x, out):
+        if span.start:
+            raise RuntimeError(f"span from run {span.start}")
+        write(self, span, x, out)
+
+    monkeypatch.setattr(correction.PolyphaseStream, "write", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="span from run 8"):
+        correct_samples(x, bank, None)
+    assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -2,6 +2,7 @@
 and the analytic spectrum oracle."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -544,6 +545,29 @@ class TestCaptureFiles:
                 if key in written] == [key for key, value, default in (
                     ("corrected", corrected, False), ("bank_id", bank_id, ""),
                     ("transient_samples", transient, 0)) if value != default]
+
+    def test_files_move_without_extra_copies(self, tmp_path):
+        # save_capture writes the samples from the array itself, and
+        # load_capture reads them into the one array it returns
+        cfg = tiadc.TiadcConfig(m_channels=4, fs=1.6e9, bits=14, full_scale=2.0)
+        cap = tiadc.Capture(np.random.default_rng(3).normal(size=1 << 20), cfg)
+        record = cap.samples.nbytes
+        path = tmp_path / "cap.f64"
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, saved = peak(lambda: tiadc.save_capture(cap, path))
+        back, loaded = peak(lambda: tiadc.load_capture(path))
+        assert saved < record / 4
+        assert record <= loaded < 1.25 * record
+        assert path.read_bytes() == cap.samples.astype("<f8").tobytes()
+        assert back.samples.tobytes() == cap.samples.tobytes()
 
     def test_fs_is_the_config_rate(self, cfg4):
         cap = tiadc.Capture(samples=np.zeros(8), config=cfg4)
